@@ -38,9 +38,9 @@ from .classical import (
     derived_bernoulli,
     euler_upto,
     lehmer_pierce,
+    secant_numbers,
     sequence_e,
     tangent_numbers,
-    zigzag_numbers,
 )
 from .congruences import (
     CongruenceCheck,
@@ -113,6 +113,7 @@ from .realizability import (
     Verdict,
     arias_criterion,
     check_realizable,
+    dold_sign,
     local_report,
     magical_report,
     orbit_counts,

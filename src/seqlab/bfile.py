@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,6 +180,15 @@ def fetch_oeis(
         raise FetchHTTPError(resp.status_code, url)
     bf = parse_bfile(resp.text, source=a)
     if cache_dir is not None:
+        # all or nothing: the cache is read before the fixtures, so a
+        # truncated file would silently shorten the prefix from then on
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        (Path(cache_dir) / name).write_text(resp.text)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{name}.")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(resp.text)
+            os.replace(tmp, Path(cache_dir) / name)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return bf

@@ -27,6 +27,7 @@ from .algebraic import (
     parse_cayley,
     torsion_fix_counts,
 )
+from .arith import primes_in_range
 from .bfile import SHIFT_TO_1, STRICT, fetch_oeis
 from .classical import bernoulli_upto, derived_bernoulli, euler_upto, sequence_e
 from .errors import (
@@ -132,6 +133,14 @@ def classical(upto, what):
     _run(go)
 
 
+def _report(make_spec, source, fmt, **fields):
+    """Build the spec inside the error guard, run it and echo the report."""
+    def go():
+        spec = make_spec(source, cache_dir=str(DEFAULT_CACHE), **fields)
+        click.echo(render_report(run_experiment(spec), fmt), nl=False)
+    _run(go)
+
+
 @main.command()
 @click.argument("source")
 @click.option("--upto", type=int, default=None, help="Prefix length to check.")
@@ -139,17 +148,9 @@ def classical(upto, what):
               help="Drop this many leading terms before checking.")
 @add_options(source_options)
 @fmt_option
-def check(source, upto, shift, offset_policy, absolute, scale, fixtures_dir, online, fmt):
+def check(source, upto, fmt, **fields):
     """Global realizability checks (Dold, sign, monotone) for one sequence."""
-    def go():
-        spec = ExperimentSpec(
-            source=source, depth=upto, include_local=False, shift=shift,
-            offset_policy=offset_policy, absolute=absolute, scale=scale,
-            fixtures_dir=fixtures_dir, online=online,
-            cache_dir=str(DEFAULT_CACHE),
-        )
-        click.echo(render_report(run_experiment(spec), fmt), nl=False)
-    _run(go)
+    _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
 
 
 @main.command()
@@ -160,41 +161,29 @@ def check(source, upto, shift, offset_policy, absolute, scale, fixtures_dir, onl
 @click.option("--prime", "primes", type=int, multiple=True,
               help="Scan exactly these primes (repeatable).")
 @click.option("--local-checks", default="dold,sign", show_default=True,
-              help="Comma-separated checks deciding the per-prime partition.")
+              help="Comma-separated checks deciding the per-prime partition (dold, sign).")
 @click.option("--catalog", is_flag=True,
               help="Use the bundled observation-catalog preset for this A-number.")
-@click.option("--magical", "magical_", is_flag=True, help="Also test shifts.")
+@click.option("--magical", "include_magical", is_flag=True, help="Also test shifts.")
 @click.option("--max-shift", type=int, default=5, show_default=True)
 @click.option("--shift", type=int, default=0, show_default=True,
               help="Drop this many leading terms before checking.")
 @add_options(source_options)
 @fmt_option
-def localscan(source, upto, prime_limit, primes, local_checks, catalog, magical_,
-              max_shift, shift, offset_policy, absolute, scale, fixtures_dir,
-              online, fmt):
+def localscan(source, upto, prime_limit, primes, local_checks, catalog, fmt,
+              offset_policy, absolute, scale, **fields):
     """Per-prime local realizability scan (realizable* / not-realizable)."""
-    def go():
-        if catalog:
-            spec = catalog_spec(source)
-            if upto is not None:
-                spec.depth = upto
-            if prime_limit is not None:
-                spec.prime_limit = prime_limit
-        else:
-            spec = ExperimentSpec(
-                source=source, depth=upto, prime_limit=prime_limit,
+    if catalog:
+        # the preset wins over the sequence flags; --upto and --primes narrow it
+        overrides = {"depth": upto, "prime_limit": prime_limit}
+        fields.update((k, v) for k, v in overrides.items() if v is not None)
+        _report(catalog_spec, source, fmt, **fields)
+    else:
+        _report(ExperimentSpec, source, fmt, depth=upto, prime_limit=prime_limit,
                 primes=tuple(primes) or None,
                 local_checks=tuple(local_checks.split(",")),
                 offset_policy=offset_policy, absolute=absolute, scale=scale,
-            )
-        spec.shift = shift
-        spec.include_magical = magical_
-        spec.max_shift = max_shift
-        spec.fixtures_dir = fixtures_dir
-        spec.online = online
-        spec.cache_dir = str(DEFAULT_CACHE)
-        click.echo(render_report(run_experiment(spec), fmt), nl=False)
-    _run(go)
+                **fields)
 
 
 @main.command()
@@ -204,19 +193,10 @@ def localscan(source, upto, prime_limit, primes, local_checks, catalog, magical_
 @click.option("--upto", type=int, default=None, help="Prefix length to use.")
 @add_options(source_options)
 @fmt_option
-def magical(source, max_shift, upto, offset_policy, absolute, scale,
-            fixtures_dir, online, fmt):
+def magical(source, upto, fmt, **fields):
     """Test whether every shift of the sequence stays realizable."""
-    def go():
-        spec = ExperimentSpec(
-            source=source, depth=upto, include_local=False,
-            include_magical=True, max_shift=max_shift,
-            offset_policy=offset_policy, absolute=absolute, scale=scale,
-            fixtures_dir=fixtures_dir, online=online,
-            cache_dir=str(DEFAULT_CACHE),
-        )
-        click.echo(render_report(run_experiment(spec), fmt), nl=False)
-    _run(go)
+    _report(ExperimentSpec, source, fmt, depth=upto, include_local=False,
+            include_magical=True, **fields)
 
 
 @main.command()
@@ -225,11 +205,17 @@ def magical(source, max_shift, upto, offset_policy, absolute, scale,
 @click.option("--primes", "q_max", type=int, default=100, show_default=True,
               help="Classify primes up to this bound.")
 @click.option("--upto", "depth", type=int, default=None,
-              help="Search depth (default: Bernoulli 300, Euler 200).")
+              help="Search depth (default: enough for the largest prime q <= "
+                   "--primes, max(300, (q-3)/2) for Bernoulli and "
+                   "max(200, (q-1)/2) for Euler).")
 def regular(kind, q_max, depth):
     """Classify primes as regular/irregular (Bernoulli or Euler sense)."""
     def go():
-        d = depth or (300 if kind == BERNOULLI else 200)
+        d = depth
+        if not d:
+            # classifying q reads up to index (q-3)/2 (Bernoulli) or (q-1)/2 (Euler)
+            q = primes_in_range(2, q_max)[-1]
+            d = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)
         for cls in scan_primes(kind, q_max, d):
             if kind == BERNOULLI:
                 click.echo(f"{cls.q} {cls.bernoulli_status}")

@@ -27,6 +27,7 @@ from .realizability import (
     Sequence1,
     Verdict,
     check_realizable,
+    dold_sign,
     magical_report,
     p_part_sequence,
     shift as shift_sequence,
@@ -36,6 +37,8 @@ DEFAULT_DEPTH_CAP = 400
 DEFAULT_PRIME_LIMIT = 200
 
 BUILTIN_DEPTH = 200
+
+LOCAL_CHECKS = ("dold", "sign")
 
 TABLE = "table"
 JSON = "json"
@@ -103,7 +106,7 @@ class ExperimentSpec:
     realizable*/not-realizable; the Dold congruence and the sign condition
     together characterize realizability, but published observation lists for
     the catalogued sequences were computed from the Dold/Arias test alone, so
-    the catalog presets restrict to ("dold",).
+    the catalog presets restrict to ("dold",).  Other names are rejected.
     """
 
     source: str
@@ -112,7 +115,7 @@ class ExperimentSpec:
     prime_limit: int | None = None  # scan primes <= limit (default 200)
     primes: tuple[int, ...] | None = None  # explicit prime list overrides limit
     include_local: bool = True
-    local_checks: tuple[str, ...] = ("dold", "sign")
+    local_checks: tuple[str, ...] = LOCAL_CHECKS
     include_magical: bool = False
     max_shift: int = 5
     shift: int = 0  # drop this many leading terms before checking
@@ -122,6 +125,11 @@ class ExperimentSpec:
     fixtures_dir: str | None = None
     cache_dir: str | None = None
     online: bool = False
+
+    def __post_init__(self):
+        if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
+            raise ValueError(f"local_checks must be a non-empty subset of "
+                             f"{LOCAL_CHECKS}, got {tuple(self.local_checks)}")
 
 
 # Catalogued local-realizability surveys over the bundled fixtures.  Depth is
@@ -170,12 +178,12 @@ def _report_checks(report: RealizabilityReport) -> list[dict]:
 
 
 def _local_failure_witness(
-    report: RealizabilityReport, checks: tuple[str, ...] = ("dold", "sign")
+    dold: Verdict, sign: Verdict, checks: tuple[str, ...] = LOCAL_CHECKS
 ) -> dict | None:
     # earliest witness among the selected checks (dold wins ties)
     failing = [
         (v.n, name, v)
-        for name, v in (("dold", report.dold), ("sign", report.sign))
+        for name, v in (("dold", dold), ("sign", sign))
         if name in checks and not v.passed
     ]
     if not failing:
@@ -219,8 +227,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             primes = primes_in_range(2, spec.prime_limit or DEFAULT_PRIME_LIMIT)
         failing = []
         for q in primes:
-            report = check_realizable(p_part_sequence(seq, q))
-            witness = _local_failure_witness(report, spec.local_checks)
+            dold, sign = dold_sign(p_part_sequence(seq, q).values)
+            witness = _local_failure_witness(dold, sign, spec.local_checks)
             status = "realizable*" if witness is None else "not-realizable"
             if witness is not None:
                 failing.append(q)
@@ -235,7 +243,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         mag = magical_report(seq, spec.max_shift)
         entries = []
         for k, report in mag.entries:
-            witness = _local_failure_witness(report)
+            witness = _local_failure_witness(report.dold, report.sign)
             entries.append(
                 {
                     "shift": k,

@@ -11,9 +11,10 @@ one carries its least witness index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterator
 
-from .arith import divisors, is_prime, mobius, p_adic
+from .arith import divisors, factorize, is_prime, mobius
 from .errors import ZeroEntryError
 
 PASS = "pass-up-to"
@@ -122,16 +123,42 @@ class RealizabilityReport:
         return None
 
 
+@lru_cache(maxsize=8)
+def _mobius_table(N: int) -> tuple[int, ...]:
+    # (mu(1), ..., mu(N)): one table per depth serves every inversion
+    return tuple(mobius(m) for m in range(1, N + 1))
+
+
+def _orbit_values(a: tuple[int, ...]) -> list[int]:
+    # o_n = [n = 1] + sum_{d|n, a_d != 1} mu(n/d) (a_d - 1), because
+    # sum_{d|n} mu(n/d) = [n = 1]: only terms other than 1 push into multiples
+    N = len(a)
+    mu = _mobius_table(N)
+    o = [1] + [0] * (N - 1)
+    for d, ad in enumerate(a, start=1):
+        if ad != 1:
+            for i, u in zip(range(d - 1, N, d), mu):
+                if u:
+                    o[i] += u * (ad - 1)
+    return o
+
+
 def orbit_counts(a: Sequence1) -> OrbitCounts:
     """o_n = sum_{d|n} mu(n/d) a_d for 1 <= n <= len(a).
 
     When a is realizable, o_n/n counts the closed orbits of length n of any
     realizing map; inverting back always recovers a (sum_{d|n} o_d = a_n).
     """
-    out = []
-    for n in range(1, len(a) + 1):
-        out.append(sum(mobius(n // d) * a[d] for d in divisors(n)))
-    return OrbitCounts(tuple(out))
+    return OrbitCounts(tuple(_orbit_values(a.values)))
+
+
+def dold_sign(a: tuple[int, ...]) -> tuple[Verdict, Verdict]:
+    """Dold and sign verdicts, each with its least witness, of (a_1, ..., a_N)."""
+    N = len(a)
+    o = list(enumerate(_orbit_values(a), start=1))
+    dold = next((Verdict.fail_at(n, v, N) for n, v in o if v % n), Verdict.pass_up_to(N))
+    sign = next((Verdict.fail_at(n, v, N) for n, v in o if v < 0), Verdict.pass_up_to(N))
+    return dold, sign
 
 
 def check_realizable(a: Sequence1) -> RealizabilityReport:
@@ -143,17 +170,7 @@ def check_realizable(a: Sequence1) -> RealizabilityReport:
     than full inversion.
     """
     N = len(a)
-    o = orbit_counts(a)
-    dold = Verdict.pass_up_to(N)
-    for n in range(1, N + 1):
-        if o[n] % n != 0:
-            dold = Verdict.fail_at(n, o[n], N)
-            break
-    sign = Verdict.pass_up_to(N)
-    for n in range(1, N + 1):
-        if o[n] < 0:
-            sign = Verdict.fail_at(n, o[n], N)
-            break
+    dold, sign = dold_sign(a.values)
     monotone = Verdict.pass_up_to(N)
     for n in range(1, N + 1):
         bad = [d for d in divisors(n) if d < n and a[d] > a[n]]
@@ -174,31 +191,12 @@ def arias_criterion(a: Sequence1) -> Verdict:
     """
     N = len(a)
     for c in range(2, N + 1):
-        for p, m in _prime_power_splits(c):
-            lhs = a[c]
-            rhs = a[c // p]
+        for p, m in factorize(c):
             mod = p**m
-            if (lhs - rhs) % mod != 0:
-                return Verdict.fail_at(
-                    c, (lhs - rhs) % mod, N, base=c // p**m, p=p, m=m
-                )
+            diff = (a[c] - a[c // p]) % mod
+            if diff != 0:
+                return Verdict.fail_at(c, diff, N, base=c // mod, p=p, m=m)
     return Verdict.pass_up_to(N)
-
-
-def _prime_power_splits(c: int) -> Iterable[tuple[int, int]]:
-    # (p, ord_p(c)) for each prime p | c, ascending in p
-    rest = c
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            m = 0
-            while rest % p == 0:
-                rest //= p
-                m += 1
-            yield p, m
-        p += 1
-    if rest > 1:
-        yield rest, p_adic(c, rest).ord
 
 
 def p_part_sequence(a: Sequence1, q: int) -> Sequence1:
@@ -206,10 +204,14 @@ def p_part_sequence(a: Sequence1, q: int) -> Sequence1:
     if not is_prime(q):
         raise ValueError(f"localization prime expected, got {q}")
     parts = []
-    for n in range(1, len(a) + 1):
-        if a[n] == 0:
+    for n, v in enumerate(a.values, start=1):
+        if v == 0:
             raise ZeroEntryError(n)
-        parts.append(p_adic(a[n], q).part)
+        part = 1
+        while v % q == 0:
+            v //= q
+            part *= q
+        parts.append(part)
     label = f"{a.label}@{q}" if a.label else f"@{q}"
     return Sequence1(tuple(parts), label)
 

@@ -3,6 +3,9 @@
 Nothing here shares code paths with the package: Bernoulli numbers come from
 the defining generating-function recurrence, Euler numbers from inverting the
 cosh power series, and the combinatorial helpers are direct enumerations.
+The realizability reference is the original divisor-by-divisor inversion; it
+only borrows the package's verdict containers, so results compare field by
+field.
 """
 
 from __future__ import annotations
@@ -70,22 +73,85 @@ def primes_by_trial(lo: int, hi: int) -> list[int]:
     return out
 
 
+def _mu(m: int) -> int:
+    if m == 1:
+        return 1
+    out = 1
+    for p in range(2, m + 1):
+        if m % p == 0:
+            if m % (p * p) == 0:
+                return 0
+            out = -out
+            m //= p
+    return out
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def mobius_sum(values: list[int], n: int) -> int:
     """sum_{d|n} mu(n/d) a_d computed with a from-scratch Mobius function."""
+    return sum(_mu(n // d) * values[d - 1] for d in _divisors(n))
 
-    def mu(m: int) -> int:
-        if m == 1:
-            return 1
-        out = 1
-        for p in range(2, m + 1):
-            if m % p == 0:
-                if m % (p * p) == 0:
-                    return 0
-                out = -out
-                m //= p
-        return out
 
-    return sum(mu(n // d) * values[d - 1] for d in range(1, n + 1) if n % d == 0)
+# --- reference realizability checks: one divisor sum per index ---------------
+
+
+def orbit_counts_ref(values) -> tuple[int, ...]:
+    """o_n = sum_{d|n} mu(n/d) a_d, rebuilt from the divisors of every n."""
+    return tuple(
+        sum(_mu(n // d) * values[d - 1] for d in _divisors(n))
+        for n in range(1, len(values) + 1)
+    )
+
+
+def check_realizable_ref(values):
+    """Dold, sign and divisor-monotone verdicts with their least witnesses."""
+    from seqlab.realizability import RealizabilityReport, Verdict
+
+    a = [None, *values]
+    N = len(values)
+    o = (None, *orbit_counts_ref(values))
+    dold = Verdict.pass_up_to(N)
+    for n in range(1, N + 1):
+        if o[n] % n != 0:
+            dold = Verdict.fail_at(n, o[n], N)
+            break
+    sign = Verdict.pass_up_to(N)
+    for n in range(1, N + 1):
+        if o[n] < 0:
+            sign = Verdict.fail_at(n, o[n], N)
+            break
+    monotone = Verdict.pass_up_to(N)
+    for n in range(1, N + 1):
+        bad = [d for d in _divisors(n) if d < n and a[d] > a[n]]
+        if bad:
+            d = bad[0]
+            monotone = Verdict.fail_at(n, a[n], N, divisor=d, divisor_value=a[d])
+            break
+    return RealizabilityReport(N, dold, sign, monotone)
+
+
+def arias_criterion_ref(values):
+    """a_{n p^m} = a_{n p^(m-1)} (mod p^m), least failing composite index."""
+    from seqlab.realizability import Verdict
+
+    a = [None, *values]
+    N = len(values)
+    for c in range(2, N + 1):
+        rest = c
+        for p in range(2, c + 1):
+            m = 0
+            while rest % p == 0:
+                rest //= p
+                m += 1
+            if m and (a[c] - a[c // p]) % p**m != 0:
+                mod = p**m
+                return Verdict.fail_at(
+                    c, (a[c] - a[c // p]) % mod, N, base=c // mod, p=p, m=m
+                )
+    return Verdict.pass_up_to(N)
 
 
 def det2(m):

@@ -162,3 +162,24 @@ def test_env_var_base_url(monkeypatch, tmp_path):
     monkeypatch.setenv("OEIS_BASE_URL", "http://127.0.0.1:9")
     with pytest.raises(FetchNetworkError):
         fetch_oeis("A79", online=True, timeout=0.5)
+
+
+def test_fetch_cache_write_is_atomic(monkeypatch, tmp_path):
+    # a write interrupted before it lands must leave no cache file behind
+    import os
+
+    import requests
+
+    class Response:
+        status_code = 200
+        text = "1 2\n2 4\n3 8\n"
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
+    monkeypatch.setattr(os, "replace", fail)
+    cache = tmp_path / "cache"
+    with pytest.raises(OSError, match="disk full"):
+        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9", cache_dir=cache)
+    assert list(cache.iterdir()) == []

@@ -10,9 +10,9 @@ from seqlab.classical import (
     derived_bernoulli,
     euler_upto,
     lehmer_pierce,
+    secant_numbers,
     sequence_e,
     tangent_numbers,
-    zigzag_numbers,
 )
 from seqlab.errors import DegeneratePolynomialError
 from oracles import bernoulli_recurrence, det2, euler_series
@@ -23,7 +23,13 @@ def test_tangent_numbers_prefix():
 
 
 def test_zigzag_prefix():
-    assert zigzag_numbers(8) == [1, 1, 1, 2, 5, 16, 61, 272, 1385]
+    # zigzag numbers: a_0 = 1, a_{2n} = S_n (secant), a_{2n-1} = T_n (tangent)
+    secant, tangent = secant_numbers(4), tangent_numbers(4)
+    zigzag = [1] + [x for pair in zip(tangent, secant) for x in pair]
+    assert zigzag == [1, 1, 1, 2, 5, 16, 61, 272, 1385]
+    assert secant_numbers(0) == []
+    with pytest.raises(ValueError):
+        secant_numbers(-1)
 
 
 def test_bernoulli_base_cases():

@@ -131,3 +131,30 @@ def test_offline_determinism():
     one = run_cli("localscan", "A005258", "--catalog", "--format", "json").output
     two = run_cli("localscan", "A005258", "--catalog", "--format", "json").output
     assert one == two
+
+
+def test_localscan_rejects_unknown_local_checks():
+    # a misspelt or unsupported check must not leave a failing prime realizable*
+    for checks in ("dlod", "monotone", ""):
+        res = CliRunner().invoke(main, ["localscan", "e", "--upto", "20", "--prime", "61",
+                                        "--local-checks", checks])
+        assert res.exit_code == 1, checks
+        assert "local_checks" in res.output
+        assert "realizable*" not in res.output
+
+
+def test_regular_default_depth_covers_the_primes():
+    # the default depth follows --primes, so these no longer exit 7 (DepthError)
+    for kind, q_max in (("euler", "500"), ("bernoulli", "700")):
+        res = run_cli("regular", "--kind", kind, "--primes", q_max)
+        assert res.exit_code == 0
+        ref = run_cli("regular", "--kind", kind, "--primes", q_max,
+                      "--upto", str((int(q_max) - 1) // 2))
+        column = [line.split()[:2] for line in res.output.splitlines()]
+        assert column == [line.split()[:2] for line in ref.output.splitlines()]
+        assert column[-1][0] == ("499" if kind == "euler" else "691")
+
+
+def test_regular_default_depth_unchanged_below_the_floor():
+    res = run_cli("regular", "--kind", "euler", "--primes", "408")
+    assert res.output.splitlines()[0] == "2 regular strong-up-to-200"

@@ -111,3 +111,14 @@ def test_catalog_lucas_partition():
     stars = realizable_star_primes(doc)
     for q in (5, 11, 13, 17, 19, 29, 31):
         assert q in stars
+
+
+@pytest.mark.parametrize("checks", [("dlod",), ("monotone",), ("",), (), ("dold", "sgn")])
+def test_spec_rejects_unknown_local_checks(checks):
+    with pytest.raises(ValueError, match="local_checks"):
+        ExperimentSpec(source="e", local_checks=checks)
+
+
+def test_spec_accepts_known_local_checks():
+    for checks in (("dold",), ("sign",), ("sign", "dold")):
+        assert ExperimentSpec(source="e", local_checks=checks).local_checks == checks
