@@ -4,9 +4,9 @@ Two engines live here.  The matrix engine builds, for a prime power q = p^m,
 an integer matrix A acting as multiplication by a generator of GF(q)^* and
 realizes the p-power sequences ell^(k,m,p) on the m-fold p-torsion module
 (fixed points of x -> A^c x are counted by the p-part of det(A^{cn} - I)).
-The group engine works with explicit Cayley tables: exhaustive endomorphism
-enumeration, fixed-point counting, and search for an endomorphism realizing a
-target prefix.
+The group engine works with explicit Cayley tables: endomorphism enumeration
+(lazy, in image order, within a stated search budget), fixed-point counting,
+and search for an endomorphism realizing a target prefix.
 
 Construction postconditions are re-verified at build time; a verification
 failure is an implementation bug and raises, it is never a data outcome.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .arith import factorize, is_prime
 from .errors import DegeneratePolynomialError
@@ -199,19 +200,21 @@ def construct_matrix(p: int, m: int) -> tuple[IntMatrix, IntMatrix]:
     I = IntMatrix.identity(m)
 
     B = (A ** (q - 1) - I).divide_exact(p)
-    if B.det() % p == 0:
+    if B.det_mod(p) == 0:
         A = A + p * (I + A * B)
         B = (A ** (q - 1) - I).divide_exact(p)
 
-    # re-verify both postconditions on the returned pair
-    if B.det() % p == 0:
+    # re-verify the postconditions on the returned pair: the identity exactly,
+    # since B is returned; the two unit conditions only need GF(p)
+    if B.det_mod(p) == 0:
         raise RuntimeError(f"construct_matrix({p},{m}): det(B) = 0 mod {p}")
     if A ** (q - 1) != I + p * B:
         raise RuntimeError(f"construct_matrix({p},{m}): A^(q-1) != I + pB")
+    step = A.mod(p)
     power = I
     for n in range(1, q - 1):
-        power = power * A
-        if (power - I).det() % p == 0:
+        power = (power * step).mod(p)
+        if (power - I).det_mod(p) == 0:
             raise RuntimeError(
                 f"construct_matrix({p},{m}): det(A^{n} - I) = 0 mod {p}"
             )
@@ -373,29 +376,53 @@ class Endomorphism:
         return self.image[x]
 
 
-def enumerate_endomorphisms(G: FiniteGroup) -> list[Endomorphism]:
-    """All endomorphisms of G, sorted by image tuple.
+MAX_SEARCH_TUPLES = 2**20
+"""Most generator-image tuples (|G|^#generators) an endomorphism search tries.
 
-    Candidates are generated from images of a generating set, extended by
-    word propagation, and kept only when the full multiplicativity check
-    passes.  Exhaustive for |G| <= 64.
+C2^4 (16^4 = 65,536 tuples) is well inside; C2^5 (32^5, about 33.5 million)
+is refused up front rather than left to run for hours.
+"""
+
+
+def _endomorphisms(G: FiniteGroup) -> Iterator[Endomorphism]:
+    """Endomorphisms of G, lazily, in increasing order of their image tuples.
+
+    Candidates are generator images in ``itertools.product`` order, extended
+    by word propagation, and yielded only when the full multiplicativity check
+    passes.  That order is already sorted by image tuple: ``generating_set``
+    takes greedily the least index outside the span, so every index below
+    g_{i+1} lies in span(g_1..g_i).  Two candidates first differing at g_i
+    therefore agree on every index below g_i, and their image tuples compare
+    as their images of g_i do.
+
+    Refused with ValueError, before any candidate is tried, when |G| > 64 or
+    the search would try more than MAX_SEARCH_TUPLES generator-image tuples.
     """
     if G.order > 64:
-        raise ValueError("exhaustive search supported for |G| <= 64 only")
+        raise ValueError("endomorphism search supported for |G| <= 64 only")
     gens = G.generating_set()
+    tuples = G.order ** len(gens)
+    if tuples > MAX_SEARCH_TUPLES:
+        raise ValueError(
+            f"endomorphism search would try {G.order}^{len(gens)} = {tuples} "
+            f"generator-image tuples, more than the budget of {MAX_SEARCH_TUPLES}"
+        )
     if not gens:  # trivial group
-        return [Endomorphism((G.identity,))]
-    found = []
+        yield Endomorphism((G.identity,))
+        return
     for images in itertools.product(range(G.order), repeat=len(gens)):
         image = _extend_from_generators(G, gens, images)
         if image is None:
             continue
         try:
-            found.append(Endomorphism.verified(G, image))
+            yield Endomorphism.verified(G, image)
         except ValueError:
             continue
-    found.sort(key=lambda t: t.image)
-    return found
+
+
+def enumerate_endomorphisms(G: FiniteGroup) -> list[Endomorphism]:
+    """All endomorphisms of G, sorted by image tuple (see ``_endomorphisms``)."""
+    return list(_endomorphisms(G))
 
 
 def _extend_from_generators(G, gens, images) -> tuple[int, ...] | None:
@@ -454,8 +481,11 @@ def find_realizing_endomorphism(
     G: FiniteGroup, target: Sequence1
 ) -> Endomorphism | None:
     """First endomorphism (in enumeration order) whose fixed-point counts
-    match the target over its full length, or None."""
-    for theta in enumerate_endomorphisms(G):
+    match the target over its full length, or None.
+
+    The search stops at the first match; it is refused up front on the same
+    terms as ``enumerate_endomorphisms``."""
+    for theta in _endomorphisms(G):
         if fix_counts(G, theta, len(target)).values == target.values:
             return theta
     return None

@@ -168,17 +168,24 @@ def fetch_oeis(
             f"no cached or bundled b-file for {a} (offline mode)"
         )
 
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
     base = base_url or os.environ.get("OEIS_BASE_URL") or DEFAULT_BASE_URL
     url = f"{base.rstrip('/')}/{a}/{name}"
     try:
-        resp = requests.get(url, timeout=timeout)
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        raise FetchHTTPError(exc.code, url) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # URLError and timeouts are OSErrors; HTTPException covers broken replies
         raise FetchNetworkError(f"fetching {url}: {exc}") from exc
-    if resp.status_code != 200:
-        raise FetchHTTPError(resp.status_code, url)
-    bf = parse_bfile(resp.text, source=a)
+    if status != 200:
+        raise FetchHTTPError(status, url)
+    text = body.decode("utf-8")
+    bf = parse_bfile(text, source=a)
     if cache_dir is not None:
         # all or nothing: the cache is read before the fixtures, so a
         # truncated file would silently shorten the prefix from then on
@@ -186,7 +193,7 @@ def fetch_oeis(
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{name}.")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(resp.text)
+                fh.write(text)
             os.replace(tmp, Path(cache_dir) / name)
         except BaseException:
             os.unlink(tmp)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .algebraic import (
@@ -153,6 +154,9 @@ def check(source, upto, fmt, **fields):
     _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
 
 
+_CATALOG_FIXED = ("primes", "local_checks", "offset_policy", "absolute", "scale")
+
+
 @main.command()
 @click.argument("source")
 @click.option("--upto", type=int, default=None, help="Prefix length to check.")
@@ -174,7 +178,15 @@ def localscan(source, upto, prime_limit, primes, local_checks, catalog, fmt,
               offset_policy, absolute, scale, **fields):
     """Per-prime local realizability scan (realizable* / not-realizable)."""
     if catalog:
-        # the preset wins over the sequence flags; --upto and --primes narrow it
+        # the preset fixes its checks, primes and loading; --upto and --primes
+        # narrow it, and any other survey flag given explicitly is refused
+        ctx = click.get_current_context()
+        given = [p.opts[0] for p in ctx.command.params if p.name in _CATALOG_FIXED
+                 and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+        if given:
+            click.echo(f"error: --catalog fixes its own survey; {', '.join(given)} "
+                       f"cannot be combined with it", err=True)
+            sys.exit(1)
         overrides = {"depth": upto, "prime_limit": prime_limit}
         fields.update((k, v) for k, v in overrides.items() if v is not None)
         _report(catalog_spec, source, fmt, **fields)

@@ -28,7 +28,6 @@ from .realizability import (
     Verdict,
     check_realizable,
     dold_sign,
-    magical_report,
     p_part_sequence,
     shift as shift_sequence,
 )
@@ -212,10 +211,11 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         raise DepthError(f"depth {depth} requested, only {len(seq)} terms available")
     seq = Sequence1(seq.values[:depth], seq.label)
 
+    report = check_realizable(seq)
     doc: dict = {
         "sequence_id": seq.label or spec.source,
         "depth": depth,
-        "checks": _report_checks(check_realizable(seq)),
+        "checks": _report_checks(report),
         "local": [],
         "annotations": [],
     }
@@ -240,10 +240,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             )
 
     if spec.include_magical:
-        mag = magical_report(seq, spec.max_shift)
+        # every shift k must pass Dold and sign; shift 0 is the global check
+        if spec.max_shift >= depth:
+            raise ValueError(f"max_shift {spec.max_shift} >= length {depth}")
         entries = []
-        for k, report in mag.entries:
-            witness = _local_failure_witness(report.dold, report.sign)
+        for k in range(spec.max_shift + 1):
+            dold, sign = dold_sign(seq.values[k:]) if k else (report.dold, report.sign)
+            witness = _local_failure_witness(dold, sign)
             entries.append(
                 {
                     "shift": k,
@@ -253,7 +256,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             )
         doc["magical"] = {
             "max_shift": spec.max_shift,
-            "all_pass": mag.all_pass,
+            "all_pass": all(e["witness"] is None for e in entries),
             "entries": entries,
         }
 

@@ -171,3 +171,39 @@ def all_endomorphisms_brute(order, table, identity):
         ):
             found.append(img)
     return found
+
+
+# --- reference endomorphism search: build every candidate, then sort ---------
+
+
+def enumerate_endomorphisms_ref(G):
+    """Every endomorphism of G, all candidates built first, sorted by image."""
+    from seqlab.algebraic import Endomorphism, _extend_from_generators
+
+    gens = G.generating_set()
+    if not gens:  # trivial group
+        return [Endomorphism((G.identity,))]
+    found = []
+    for images in itertools.product(range(G.order), repeat=len(gens)):
+        image = _extend_from_generators(G, gens, images)
+        if image is None:
+            continue
+        try:
+            found.append(Endomorphism.verified(G, image))
+        except ValueError:
+            continue
+    found.sort(key=lambda t: t.image)
+    return found
+
+
+def find_realizing_endomorphism_ref(G, target, endos=None):
+    """First endomorphism of the full sorted list realizing the target, or None.
+
+    ``endos`` is the reference enumeration of G when it is already at hand.
+    """
+    from seqlab.algebraic import fix_counts
+
+    for theta in endos if endos is not None else enumerate_endomorphisms_ref(G):
+        if fix_counts(G, theta, len(target)).values == target.values:
+            return theta
+    return None

@@ -1,4 +1,7 @@
+import io
+import os
 import threading
+import urllib.request
 
 import pytest
 
@@ -164,22 +167,40 @@ def test_env_var_base_url(monkeypatch, tmp_path):
         fetch_oeis("A79", online=True, timeout=0.5)
 
 
+class Response(io.BytesIO):
+    """What ``urllib.request.urlopen`` returns: a readable context manager."""
+
+    def __init__(self, body, status=200):
+        super().__init__(body)
+        self.status = status
+
+
 def test_fetch_cache_write_is_atomic(monkeypatch, tmp_path):
     # a write interrupted before it lands must leave no cache file behind
-    import os
-
-    import requests
-
-    class Response:
-        status_code = 200
-        text = "1 2\n2 4\n3 8\n"
-
     def fail(*args):
         raise OSError("disk full")
 
-    monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: Response(b"1 2\n2 4\n3 8\n"))
     monkeypatch.setattr(os, "replace", fail)
     cache = tmp_path / "cache"
     with pytest.raises(OSError, match="disk full"):
         fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9", cache_dir=cache)
     assert list(cache.iterdir()) == []
+
+
+def test_fetch_non_200_is_http_error(monkeypatch):
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: Response(b"1 2\n", status=203))
+    with pytest.raises(FetchHTTPError) as err:
+        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9")
+    assert err.value.status == 203
+
+
+def test_fetch_timeout_is_network_error(monkeypatch):
+    def timeout(url, timeout):
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(urllib.request, "urlopen", timeout)
+    with pytest.raises(FetchNetworkError):
+        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9")

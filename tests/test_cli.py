@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from seqlab.cli import main
@@ -158,3 +159,34 @@ def test_regular_default_depth_covers_the_primes():
 def test_regular_default_depth_unchanged_below_the_floor():
     res = run_cli("regular", "--kind", "euler", "--primes", "408")
     assert res.output.splitlines()[0] == "2 regular strong-up-to-200"
+
+
+def test_localscan_catalog_plain_form_runs_the_preset():
+    res = run_cli("localscan", "A000032", "--catalog", "--format", "json")
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert (doc["depth"], doc["local"][-1]["prime"]) == (38, 109)
+
+
+def test_localscan_catalog_narrowed_by_upto_and_primes():
+    res = run_cli("localscan", "A000032", "--catalog", "--upto", "10",
+                  "--primes", "20", "--format", "json")
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert (doc["depth"], doc["local"][-1]["prime"]) == (10, 19)
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--local-checks", "dlod"], "--local-checks"),
+    (["--local-checks", "dold,sign"], "--local-checks"),  # even the default value
+    (["--prime", "7"], "--prime"),
+    (["--scale", "5"], "--scale"),
+    (["--abs"], "--abs"),
+    (["--offset-policy", "strict"], "--offset-policy"),
+])
+def test_localscan_catalog_rejects_flags_it_would_ignore(flags, name):
+    res = CliRunner().invoke(main, ["localscan", "A000032", "--catalog", *flags])
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")
+    assert name in res.output
+    assert "realizable" not in res.output

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import seqlab.experiment as experiment
 from seqlab.errors import DepthError
 from seqlab.experiment import (
     OBSERVATION_CATALOG,
@@ -13,6 +14,7 @@ from seqlab.experiment import (
     render_report,
     run_experiment,
 )
+from seqlab.realizability import Sequence1, magical_report, shift
 
 
 def test_load_builtins():
@@ -91,6 +93,41 @@ def test_magical_section():
     assert mag["all_pass"] is False
     assert mag["entries"][0]["status"] == "pass"
     assert mag["entries"][1]["witness"]["n"] == 2
+
+
+def _magical_ref(seq, max_shift):
+    # the section as built from full per-shift reports
+    mag = magical_report(seq, max_shift)
+    entries = []
+    for k, report in mag.entries:
+        witness = experiment._local_failure_witness(report.dold, report.sign)
+        entries.append({"shift": k, "status": "pass" if witness is None else "fail",
+                        "witness": witness})
+    return {"max_shift": max_shift, "all_pass": mag.all_pass, "entries": entries}
+
+
+@pytest.mark.parametrize("source,depth,max_shift,drop", [
+    ("A000032", 30, 1, 0),  # the README example
+    ("e", 60, 5, 0),
+    ("A000032", 38, 5, 0),
+    ("A000032", 30, 3, 1),  # fails the global Dold check, so shift 0 fails
+    ("t", 40, 3, 0),
+    ("e", 10, 0, 0),
+])
+def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
+    spec = ExperimentSpec(source=source, depth=depth, include_local=False,
+                          include_magical=True, max_shift=max_shift, shift=drop)
+    doc = run_experiment(spec)
+    seq = shift(experiment.load_sequence(source, depth=depth), drop)
+    ref = dict(doc, magical=_magical_ref(Sequence1(seq.values[:depth]), max_shift))
+    assert render_report(doc, "json") == render_report(ref, "json")
+
+
+def test_magical_shift_beyond_depth_is_refused():
+    spec = ExperimentSpec(source="e", depth=5, include_local=False,
+                          include_magical=True, max_shift=5)
+    with pytest.raises(ValueError, match="max_shift 5 >= length 5"):
+        run_experiment(spec)
 
 
 def test_catalog_specs_complete():
