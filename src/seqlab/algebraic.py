@@ -388,12 +388,20 @@ def _endomorphisms(G: FiniteGroup) -> Iterator[Endomorphism]:
     """Endomorphisms of G, lazily, in increasing order of their image tuples.
 
     Candidates are generator images in ``itertools.product`` order, extended
-    by word propagation, and yielded only when the full multiplicativity check
-    passes.  That order is already sorted by image tuple: ``generating_set``
-    takes greedily the least index outside the span, so every index below
-    g_{i+1} lies in span(g_1..g_i).  Two candidates first differing at g_i
-    therefore agree on every index below g_i, and their image tuples compare
-    as their images of g_i do.
+    by word propagation.  That order is already sorted by image tuple:
+    ``generating_set`` takes greedily the least index outside the span, so
+    every index below g_{i+1} lies in span(g_1..g_i).  Two candidates first
+    differing at g_i therefore agree on every index below g_i, and their image
+    tuples compare as their images of g_i do.
+
+    A completed extension is an endomorphism, so it is yielded without the
+    O(|G|^2) check of ``Endomorphism.verified``.  ``_extend_from_generators``
+    pops every element x once and checks or sets theta(xg) = theta(x)theta(g)
+    for every generator g, with theta(e) = e.  Every y in G is a product of
+    generators (``generating_set`` closes under products only), and G is
+    associative (``FiniteGroup`` validates it), so by induction on the length
+    of y: theta(x y'g) = theta(x y')theta(g) = theta(x)theta(y')theta(g)
+    = theta(x)theta(y'g).
 
     Refused with ValueError, before any candidate is tried, when |G| > 64 or
     the search would try more than MAX_SEARCH_TUPLES generator-image tuples.
@@ -412,12 +420,8 @@ def _endomorphisms(G: FiniteGroup) -> Iterator[Endomorphism]:
         return
     for images in itertools.product(range(G.order), repeat=len(gens)):
         image = _extend_from_generators(G, gens, images)
-        if image is None:
-            continue
-        try:
-            yield Endomorphism.verified(G, image)
-        except ValueError:
-            continue
+        if image is not None:
+            yield Endomorphism(image)
 
 
 def enumerate_endomorphisms(G: FiniteGroup) -> list[Endomorphism]:

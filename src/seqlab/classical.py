@@ -1,9 +1,11 @@
 """Exact Bernoulli and Euler number engines and the derived integer sequences.
 
 Bernoulli numbers are produced from the tangent numbers (integer arithmetic
-throughout, reassembled as Fractions at the end), Euler numbers from the
-secant numbers; one in-place recurrence gives both.  It is O(N^2) big-integer
-additions/multiplications and comfortably reaches B_600 / E_400 in seconds.
+throughout, reassembled as Fractions), Euler numbers from the secant numbers;
+one recurrence gives both.  It is O(N^2) big-integer additions/multiplications
+and comfortably reaches B_600 / E_400 in seconds.  Each engine keeps one table
+per process and extends it column by column, so a deeper request pays only
+for the new columns and a shallower one is a slice.
 
 Derived sequences, all indexed from 1:
 
@@ -26,30 +28,82 @@ from .matrices import IntMatrix, companion_matrix
 from .realizability import Sequence1
 
 
-def _tangent_secant(M: int, c: int) -> list[int]:
-    # Brent & Harvey's in-place recurrence (arXiv:1108.0286), X_0..X_M: tangent
-    # numbers X_k = T_{k+1} for c = 2, secant numbers X_k = |E_{2k}| for c = 1.
-    X = [1] * (M + 1)
-    for k in range(1, M + 1):
-        X[k] = k * X[k - 1]
-    for k in range(1, M + 1):
-        for j in range(k, M + 1):
-            X[j] = (j - k) * X[j - 1] + (j - k + c) * X[j]
-    return X
+class _Recurrence:
+    """Brent & Harvey's tangent/secant recurrence (arXiv:1108.0286), resumable.
+
+    In their in-place form column j starts at j! and pass k = 1..j sets
+    X_j <- (j-k) X_{j-1} + (j-k+c) X_j, where X_{j-1} has already had pass k;
+    after pass j, X_j is final: the tangent number T_{j+1} for c = 2, the
+    secant number |E_{2j}| for c = 1.  Column j after pass k is divisible by
+    (j-k)!, and the quotients G_j[k] obey the same passes on smaller integers:
+
+        G_j[0] = 1,   G_j[k] = G_{j-1}[k] + (j-k+1)(j-k+c) G_j[k-1],
+
+    with G_{j-1}[j] = 0 and G_j[j] the final X_j.  Column j after every pass
+    is a function of column j-1 after every pass alone, so the only state an
+    extension needs besides the outputs is G_M[1..M] of the last column M,
+    and one list holds it, each G_{j-1}[k] overwritten by G_j[k].
+
+    One instance per engine lives for the whole process.  An extension works
+    on copies of both lists and commits them by one assignment, so an
+    exception part-way through (KeyboardInterrupt included) leaves the
+    previous table, and threads extending at once each commit a consistent
+    table (the last commit wins).
+    """
+
+    def __init__(self, c: int, output) -> None:
+        self._c = c
+        self._output = output  # (j, final X_j) -> the value kept for column j
+        self._state: tuple[tuple, list[int]] = ((), [])  # outputs, G_M[1..M]
+
+    def columns(self, M: int) -> tuple:
+        """The kept values of columns 0..M at least (the whole table so far)."""
+        outputs, column = self._state
+        if M < len(outputs):
+            return outputs
+        c, output = self._c, self._output
+        new, column = list(outputs), list(column)
+        for j in range(len(outputs), M + 1):
+            x = 1
+            for i, a in enumerate(range(j, 1, -1)):  # G_{j-1}[k] -> G_j[k], k = i + 1
+                x = column[i] + a * (a - 1 + c) * x
+                column[i] = x
+            if j:
+                x *= c
+                column.append(x)
+            new.append(output(j, x))
+        outputs = tuple(new)
+        self._state = (outputs, column)
+        return outputs
+
+
+def _bernoulli_from_tangent(k: int, t: int) -> Fraction:
+    # column k holds T_n, n = k + 1; T_n = (-1)^(n-1) 4^n (4^n - 1) B_{2n} / (2n)
+    n = k + 1
+    four_n = 1 << (2 * n)
+    return Fraction((1 if n % 2 else -1) * 2 * n * t, four_n * (four_n - 1))
+
+
+_TANGENT = _Recurrence(2, _bernoulli_from_tangent)  # keeps B_2, B_4, ...
+_SECANT = _Recurrence(1, lambda j, s: s)  # keeps |E_0|, |E_2|, ...
 
 
 def tangent_numbers(N: int) -> list[int]:
     """Tangent numbers T_1..T_N (1, 2, 16, 272, ...), exact integers."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    return _tangent_secant(N - 1, 2)
+    out = []  # from the kept B_{2n}: T_n = |B_{2n}| 4^n (4^n - 1) / (2n)
+    for n, b in enumerate(_TANGENT.columns(N - 1)[:N], start=1):
+        four_n = 1 << (2 * n)
+        out.append(abs(b.numerator) * four_n * (four_n - 1) // (2 * n * b.denominator))
+    return out
 
 
 def secant_numbers(N: int) -> list[int]:
     """Secant numbers S_1..S_N = |E_2|, ..., |E_{2N}| (1, 5, 61, 1385, ...)."""
     if N < 0:
         raise ValueError("N >= 0 required")
-    return _tangent_secant(N, 1)[1:]
+    return list(_SECANT.columns(N)[1 : N + 1])
 
 
 @dataclass(frozen=True)
@@ -90,16 +144,12 @@ def bernoulli_upto(N: int) -> BernoulliTable:
     """Exact B_2, B_4, ..., B_{2N} from tangent numbers.
 
     T_n = (-1)^(n-1) 4^n (4^n - 1) B_{2n} / (2n), so each Bernoulli number is
-    a single exact Fraction division away from the integer engine.
+    a single exact Fraction division away from the integer engine; the
+    process-wide tangent table keeps these Fractions and extends them.
     """
-    T = tangent_numbers(N)
-    values = []
-    four_n = 1
-    for n in range(1, N + 1):
-        four_n *= 4
-        sign = 1 if n % 2 == 1 else -1
-        values.append(Fraction(sign * 2 * n * T[n - 1], four_n * (four_n - 1)))
-    return BernoulliTable(N, tuple(values))
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    return BernoulliTable(N, _TANGENT.columns(N - 1)[:N])
 
 
 def euler_upto(N: int) -> EulerTable:

@@ -35,8 +35,8 @@ class CongruenceCheck:
     holds: bool
 
 
-def _residue(f: Fraction, modulus: int) -> int:
-    """f mod modulus for a rational with invertible denominator."""
+def _residue(f: Fraction | int, modulus: int) -> int:
+    """f mod modulus for an integer or a rational with invertible denominator."""
     if gcd(f.denominator, modulus) != 1:
         raise ValueError(
             f"denominator {f.denominator} not invertible mod {modulus}"
@@ -44,9 +44,9 @@ def _residue(f: Fraction, modulus: int) -> int:
     return f.numerator * pow(f.denominator, -1, modulus) % modulus
 
 
-def _compare(description: str, modulus: int, lhs: Fraction, rhs: Fraction) -> CongruenceCheck:
-    l = _residue(Fraction(lhs), modulus)
-    r = _residue(Fraction(rhs), modulus)
+def _compare(description: str, modulus: int, lhs: Fraction | int, rhs: Fraction | int) -> CongruenceCheck:
+    l = _residue(lhs, modulus)
+    r = _residue(rhs, modulus)
     return CongruenceCheck(description, modulus, l, r, l == r)
 
 

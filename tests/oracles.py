@@ -5,7 +5,8 @@ the defining generating-function recurrence, Euler numbers from inverting the
 cosh power series, and the combinatorial helpers are direct enumerations.
 The realizability reference is the original divisor-by-divisor inversion; it
 only borrows the package's verdict containers, so results compare field by
-field.
+field.  The tangent/secant reference is the original one-shot in-place
+recurrence, rebuilt from scratch on every call.
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ def _factorial(n: int) -> int:
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+def tangent_secant_ref(M: int, c: int) -> list[int]:
+    """Brent & Harvey's in-place recurrence, one shot: X_0..X_M.
+
+    Tangent numbers X_k = T_{k+1} for c = 2, secant numbers X_k = |E_{2k}|
+    for c = 1.
+    """
+    X = [1] * (M + 1)
+    for k in range(1, M + 1):
+        X[k] = k * X[k - 1]
+    for k in range(1, M + 1):
+        for j in range(k, M + 1):
+            X[j] = (j - k) * X[j - 1] + (j - k + c) * X[j]
+    return X
 
 
 def phi_by_count(n: int) -> int:

@@ -1,7 +1,12 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from seqlab.arith import euler_phi, primes_in_range
 from seqlab.congruences import (
+    _residue,
     euler_additive_check,
     good_primitive_root,
     kummer_check,
@@ -120,3 +125,17 @@ def test_full_grids_hold():
         assert checks, family
         bad = [c for c in checks if not c.holds]
         assert not bad, (family, bad[:3])
+
+
+
+@given(
+    st.integers(-10**30, 10**30),
+    st.integers(1, 10**12),
+    st.sampled_from([2**5, 3**4, 7, 11**3, 31]),
+)
+def test_residue_reads_ints_and_fractions_alike(numerator, denominator, modulus):
+    assume(gcd(denominator, modulus) == 1)
+    f = Fraction(numerator, denominator)
+    r = _residue(f, modulus)
+    assert 0 <= r < modulus and (r * f.denominator - f.numerator) % modulus == 0
+    assert _residue(numerator, modulus) == _residue(Fraction(numerator), modulus) == numerator % modulus

@@ -129,16 +129,26 @@ def test_search_matches_brute_force(G):
 def test_find_stops_at_the_first_match(monkeypatch):
     G = elementary_abelian(4)
     calls = []
-    verified = Endomorphism.verified.__func__
+    extend = algebraic._extend_from_generators
 
-    def counting(cls, group, image):
-        calls.append(image)
-        return verified(cls, group, image)
+    def counting(group, gens, images):
+        calls.append(images)
+        return extend(group, gens, images)
 
-    monkeypatch.setattr(Endomorphism, "verified", classmethod(counting))
+    monkeypatch.setattr(algebraic, "_extend_from_generators", counting)
     theta = find_realizing_endomorphism(G, Sequence1((1,) * 6))
     assert theta.image == (0,) * 16
     assert 0 < len(calls) < 100
+
+
+@pytest.mark.parametrize(
+    "G", [bundled_group(name) for name in BUNDLED_GROUPS] + [cyclic(64)] + C2_4,
+    ids=lambda G: G.label)
+def test_every_yielded_map_passes_the_full_check(G):
+    # the search skips Endomorphism.verified (see algebraic._endomorphisms);
+    # the O(|G|^2) check must still accept everything it yields
+    for theta in search(G):
+        assert Endomorphism.verified(G, theta.image) == theta
 
 
 def test_search_budget_refuses_c2_5_up_front(monkeypatch):

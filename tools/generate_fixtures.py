@@ -3,11 +3,18 @@
 Every b-file is computed exactly from first principles (closed forms or
 recurrences); the first entry of each file is pinned to the first term the
 experiments test, with the sequence's own index for that term as the offset.
-Run from the repository root:  python3 tools/generate_fixtures.py
+Run from the repository root:
+
+    python3 tools/generate_fixtures.py           # overwrite every fixture
+    python3 tools/generate_fixtures.py --check   # compare only, write nothing
+
+``--check`` regenerates every fixture in memory and exits 1, naming each file
+whose bundled text differs (or is missing), and 0 when all match.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import sys
 
@@ -97,40 +104,37 @@ def delannoy(n: int) -> int:
     return sum(comb(n, k) * comb(n + k, k) for k in range(n + 1))
 
 
-# --- b-file writing ---------------------------------------------------------
+# --- b-files ----------------------------------------------------------------
 
 
-def write_bfile(a_number: str, start_index: int, values, note: str) -> None:
-    name = f"b{a_number[1:]}.txt"
+def bfile(a_number: str, start_index: int, values, note: str) -> tuple[str, str]:
+    """(file name, text) of one b-file."""
     lines = [f"# {a_number}: {note}", "# generated by tools/generate_fixtures.py"]
     for i, v in enumerate(values, start=start_index):
         lines.append(f"{i} {v}")
-    (FIXTURES / name).write_text("\n".join(lines) + "\n")
-    print(f"wrote {name}: {len(values)} terms from index {start_index}")
+    return f"b{a_number[1:]}.txt", "\n".join(lines) + "\n"
 
 
-def generate_bfiles() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-
-    write_bfile("A000032", 1, [lucas(n) for n in range(1, 401)],
+def generate_bfiles():
+    yield bfile("A000032", 1, [lucas(n) for n in range(1, 401)],
                 "Lucas numbers from L(1) = 1 (L(0) = 2 dropped)")
-    write_bfile("A002895", 1, [domb(n) for n in range(1, 401)],
+    yield bfile("A002895", 1, [domb(n) for n in range(1, 401)],
                 "Domb numbers from a(1) = 4 (a(0) = 1 dropped)")
-    write_bfile("A005259", 0, [apery1(n) for n in range(0, 400)],
+    yield bfile("A005259", 0, [apery1(n) for n in range(0, 400)],
                 "Apery numbers sum C(n,k)^2 C(n+k,k)^2, from a(0) = 1")
-    write_bfile("A005258", 0, [apery2(n) for n in range(0, 400)],
+    yield bfile("A005258", 0, [apery2(n) for n in range(0, 400)],
                 "Apery numbers sum C(n,k)^2 C(n+k,k), from a(0) = 1")
-    write_bfile("A005725", 1, quadrinomials(400),
+    yield bfile("A005725", 1, quadrinomials(400),
                 "quadrinomial coefficients [x^n](1+x+x^2+x^3)^n, from a(1) = 1")
-    write_bfile("A054783", 1, [fibonacci(n * n) for n in range(1, 201)],
+    yield bfile("A054783", 1, [fibonacci(n * n) for n in range(1, 201)],
                 "Fibonacci along the squares F(n^2), from n = 1 (F(0) = 0 dropped)")
-    write_bfile("A053175", 1, catalan_larcombe_french(400),
+    yield bfile("A053175", 1, catalan_larcombe_french(400),
                 "Catalan-Larcombe-French numbers from a(1) = 8 (a(0) = 1 dropped)")
-    write_bfile("A001850", 0, [delannoy(n) for n in range(0, 400)],
+    yield bfile("A001850", 0, [delannoy(n) for n in range(0, 400)],
                 "central Delannoy numbers from a(0) = 1")
 
     e = sequence_e(120)
-    write_bfile("A000364", 1, list(e.values),
+    yield bfile("A000364", 1, list(e.values),
                 "positive Euler numbers |E(2n)| from n = 1 (|E_0| = 1 dropped)")
 
     table = bernoulli_upto(320)
@@ -139,15 +143,15 @@ def generate_bfiles() -> None:
         f = table.B(2 * n) / (2 * n)
         nums.append(f.numerator)
         dens.append(f.denominator)
-    write_bfile("A001067", 1, nums,
+    yield bfile("A001067", 1, nums,
                 "numerator of B(2n)/(2n), signed")
-    write_bfile("A006953", 1, dens,
+    yield bfile("A006953", 1, dens,
                 "denominator of B(2n)/(2n)")
 
-    write_bfile("A010122", 1,
+    yield bfile("A010122", 1,
                 list(itertools.islice(itertools.cycle([1, 1, 1, 1, 6]), 60)),
                 "periodic sequence (1,1,1,1,6), period 5")
-    write_bfile("A001945", 1, list(lehmer_pierce([-1, -1, 0, 1], 200).values),
+    yield bfile("A001945", 1, list(lehmer_pierce([-1, -1, 0, 1], 200).values),
                 "|det(M^n - I)| for the companion matrix of x^3 - x - 1")
 
 
@@ -232,28 +236,46 @@ def quaternion8_table():
     return table, 0, names
 
 
-def write_cayley(name: str, builder, note: str) -> None:
+def cayley(name: str, builder, note: str) -> tuple[str, str]:
+    """(path under the fixtures directory, text) of one Cayley table."""
     table, identity, names = builder if isinstance(builder, tuple) else builder()
     n = len(table)
     lines = [f"# {name}: {note}", str(n), str(identity)]
     for row in table:
         lines.append(" ".join(str(v) for v in row))
     lines.append(" ".join(names))
-    out = FIXTURES / "groups" / f"{name}.cayley"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote groups/{name}.cayley (order {n})")
+    return f"groups/{name}.cayley", "\n".join(lines) + "\n"
 
 
-def generate_groups() -> None:
-    write_cayley("z6", cyclic_table(6), "cyclic group of order 6")
-    write_cayley("s3", symmetric3_table, "symmetric group on 3 letters")
-    write_cayley("d8", dihedral8_table, "dihedral group of order 8")
-    write_cayley("c2c2c2", elementary_abelian8_table,
+def generate_groups():
+    yield cayley("z6", cyclic_table(6), "cyclic group of order 6")
+    yield cayley("s3", symmetric3_table, "symmetric group on 3 letters")
+    yield cayley("d8", dihedral8_table, "dihedral group of order 8")
+    yield cayley("c2c2c2", elementary_abelian8_table,
                  "elementary abelian group (Z/2)^3")
-    write_cayley("q8", quaternion8_table, "quaternion group of order 8")
+    yield cayley("q8", quaternion8_table, "quaternion group of order 8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the regenerated fixtures with the bundled ones; write nothing")
+    args = parser.parse_args(argv)
+    differing = []
+    for name, text in itertools.chain(generate_bfiles(), generate_groups()):
+        path = FIXTURES / name
+        if args.check:
+            if not path.is_file() or path.read_text() != text:
+                differing.append(name)
+                print(f"differs: {name}")
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            print(f"wrote {name}")
+    if args.check:
+        print(f"{len(differing)} of the fixtures differ" if differing else "all fixtures match")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    generate_bfiles()
-    generate_groups()
+    sys.exit(main())
