@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,6 +186,8 @@ def fetch_oeis(
     text = body.decode("utf-8")
     bf = parse_bfile(text, source=a)
     if cache_dir is not None:
+        import tempfile
+
         # all or nothing: the cache is read before the fixtures, so a
         # truncated file would silently shorten the prefix from then on
         Path(cache_dir).mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .arith import divisors, is_prime, p_adic
 from .errors import DegeneratePolynomialError
-from .matrices import IntMatrix, companion_matrix
 from .realizability import Sequence1
 
 
@@ -234,6 +233,8 @@ def lehmer_pierce(char_poly_coeffs: list[int], N: int) -> Sequence1:
     """
     if N < 1:
         raise ValueError("N >= 1 required")
+    from .matrices import IntMatrix, companion_matrix
+
     M = companion_matrix(char_poly_coeffs)
     I = IntMatrix.identity(M.n)
     values = []

@@ -15,22 +15,6 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from .algebraic import (
-    BUNDLED_GROUPS,
-    ConstructionParams,
-    bundled_group,
-    construct_matrix,
-    ell_algebraically_realizable,
-    ell_sequence,
-    enumerate_endomorphisms,
-    find_realizing_endomorphism,
-    fix_counts,
-    parse_cayley,
-    torsion_fix_counts,
-)
-from .arith import primes_in_range
-from .bfile import SHIFT_TO_1, STRICT, fetch_oeis
-from .classical import bernoulli_upto, derived_bernoulli, euler_upto, sequence_e
 from .errors import (
     BFileError,
     DepthError,
@@ -39,18 +23,14 @@ from .errors import (
     FixtureMissingError,
     SeqLabError,
 )
-from .experiment import (
-    CSV,
-    JSON,
-    TABLE,
-    ExperimentSpec,
-    OBSERVATION_CATALOG,
-    catalog_spec,
-    render_report,
-    run_experiment,
-)
-from .primes import BERNOULLI, EULER, scan_primes
-from .realizability import Sequence1
+
+# Each command imports the engines it runs inside its body, so that parsing a
+# command line loads no engine.  The option choices are therefore spelled
+# here; tests pin each list to the library constant that owns it.
+FORMATS = ("table", "json", "csv")  # experiment.TABLE, JSON, CSV
+OFFSET_POLICIES = ("shift-to-1", "strict")  # bfile.SHIFT_TO_1, STRICT
+KINDS = ("bernoulli", "euler")  # primes.BERNOULLI, EULER
+GROUP_NAMES = ("z6", "s3", "d8", "c2c2c2", "q8")  # algebraic.BUNDLED_GROUPS
 
 EXIT_CODES = {
     BFileError: 3,
@@ -81,12 +61,12 @@ def main():
 
 
 fmt_option = click.option(
-    "--format", "fmt", type=click.Choice([TABLE, JSON, CSV]), default=TABLE,
+    "--format", "fmt", type=click.Choice(FORMATS), default="table",
     help="Report output format.",
 )
 source_options = [
-    click.option("--offset-policy", type=click.Choice([SHIFT_TO_1, STRICT]),
-                 default=SHIFT_TO_1, help="How to map file offsets to index 1."),
+    click.option("--offset-policy", type=click.Choice(OFFSET_POLICIES),
+                 default="shift-to-1", help="How to map file offsets to index 1."),
     click.option("--abs", "absolute", is_flag=True,
                  help="Take absolute values of signed entries."),
     click.option("--scale", type=int, default=1,
@@ -113,6 +93,8 @@ def add_options(options):
 def classical(upto, what):
     """Print the classical sequences or number tables."""
     def go():
+        from .classical import bernoulli_upto, derived_bernoulli, euler_upto, sequence_e
+
         if what == "e":
             seq = sequence_e(upto)
             for n in range(1, upto + 1):
@@ -137,6 +119,8 @@ def classical(upto, what):
 def _report(make_spec, source, fmt, **fields):
     """Build the spec inside the error guard, run it and echo the report."""
     def go():
+        from .experiment import render_report, run_experiment
+
         spec = make_spec(source, cache_dir=str(DEFAULT_CACHE), **fields)
         click.echo(render_report(run_experiment(spec), fmt), nl=False)
     _run(go)
@@ -151,6 +135,8 @@ def _report(make_spec, source, fmt, **fields):
 @fmt_option
 def check(source, upto, fmt, **fields):
     """Global realizability checks (Dold, sign, monotone) for one sequence."""
+    from .experiment import ExperimentSpec
+
     _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
 
 
@@ -169,7 +155,8 @@ _CATALOG_FIXED = ("primes", "local_checks", "offset_policy", "absolute", "scale"
 @click.option("--catalog", is_flag=True,
               help="Use the bundled observation-catalog preset for this A-number.")
 @click.option("--magical", "include_magical", is_flag=True, help="Also test shifts.")
-@click.option("--max-shift", type=int, default=5, show_default=True)
+@click.option("--max-shift", type=int, default=5, show_default=True,
+              help="Largest shift to test with --magical (>= 0).")
 @click.option("--shift", type=int, default=0, show_default=True,
               help="Drop this many leading terms before checking.")
 @add_options(source_options)
@@ -177,6 +164,8 @@ _CATALOG_FIXED = ("primes", "local_checks", "offset_policy", "absolute", "scale"
 def localscan(source, upto, prime_limit, primes, local_checks, catalog, fmt,
               offset_policy, absolute, scale, **fields):
     """Per-prime local realizability scan (realizable* / not-realizable)."""
+    from .experiment import ExperimentSpec, catalog_spec
+
     if catalog:
         # the preset fixes its checks, primes and loading; --upto and --primes
         # narrow it, and any other survey flag given explicitly is refused
@@ -201,18 +190,20 @@ def localscan(source, upto, prime_limit, primes, local_checks, catalog, fmt,
 @main.command()
 @click.argument("source")
 @click.option("--max-shift", type=int, default=5, show_default=True,
-              help="Largest shift to test.")
+              help="Largest shift to test (>= 0).")
 @click.option("--upto", type=int, default=None, help="Prefix length to use.")
 @add_options(source_options)
 @fmt_option
 def magical(source, upto, fmt, **fields):
     """Test whether every shift of the sequence stays realizable."""
+    from .experiment import ExperimentSpec
+
     _report(ExperimentSpec, source, fmt, depth=upto, include_local=False,
             include_magical=True, **fields)
 
 
 @main.command()
-@click.option("--kind", type=click.Choice([BERNOULLI, EULER]), default=BERNOULLI,
+@click.option("--kind", type=click.Choice(KINDS), default="bernoulli",
               show_default=True)
 @click.option("--primes", "q_max", type=int, default=100, show_default=True,
               help="Classify primes up to this bound.")
@@ -223,8 +214,11 @@ def magical(source, upto, fmt, **fields):
 def regular(kind, q_max, depth):
     """Classify primes as regular/irregular (Bernoulli or Euler sense)."""
     def go():
+        from .arith import primes_in_range
+        from .primes import BERNOULLI, scan_primes
+
         d = depth
-        if not d:
+        if d is None:
             # classifying q reads up to index (q-3)/2 (Bernoulli) or (q-1)/2 (Euler)
             q = primes_in_range(2, q_max)[-1]
             d = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)
@@ -246,6 +240,14 @@ def regular(kind, q_max, depth):
 def ell(k, m, p, upto, cross_check):
     """Evaluate the p-power sequence ell(k,m,p) and test algebraic realizability."""
     def go():
+        from .algebraic import (
+            ConstructionParams,
+            construct_matrix,
+            ell_algebraically_realizable,
+            ell_sequence,
+            torsion_fix_counts,
+        )
+
         params = ConstructionParams.create(k, m, p)
         seq = ell_sequence(params, upto)
         click.echo(" ".join(str(v) for v in seq.values))
@@ -266,7 +268,7 @@ def ell(k, m, p, upto, cross_check):
 
 
 @main.command()
-@click.option("--name", type=click.Choice(BUNDLED_GROUPS), default=None,
+@click.option("--name", type=click.Choice(GROUP_NAMES), default=None,
               help="A bundled group.")
 @click.option("--file", "path", type=click.Path(exists=True), default=None,
               help="A Cayley-table file.")
@@ -277,6 +279,15 @@ def ell(k, m, p, upto, cross_check):
 def groups(name, path, upto, target):
     """Enumerate endomorphisms of a finite group and their fixed-point counts."""
     def go():
+        from .algebraic import (
+            bundled_group,
+            enumerate_endomorphisms,
+            find_realizing_endomorphism,
+            fix_counts,
+            parse_cayley,
+        )
+        from .realizability import Sequence1
+
         if (name is None) == (path is None):
             raise ValueError("give exactly one of --name or --file")
         if name is not None:
@@ -333,10 +344,14 @@ def oracle(max_prime, max_r, upto, family):
 @click.option("--cache-dir", type=click.Path(), default=str(DEFAULT_CACHE),
               show_default=False, help="Cache directory for fetched b-files.")
 @click.option("--terms", type=int, default=8, show_default=True,
-              help="How many leading terms to echo.")
+              help="How many leading terms to echo (>= 0).")
 def fetch(a_number, online, fixtures_dir, cache_dir, terms):
     """Resolve an A-number to a b-file (bundled fixture, cache, or network)."""
     def go():
+        from .bfile import fetch_oeis
+
+        if terms < 0:
+            raise ValueError(f"--terms must be >= 0, got {terms}")
         bf = fetch_oeis(a_number, online=online, fixtures_dir=fixtures_dir,
                         cache_dir=cache_dir)
         head = ", ".join(str(v) for v in bf.values[:terms])
@@ -347,6 +362,8 @@ def fetch(a_number, online, fixtures_dir, cache_dir, terms):
 @main.command("catalog")
 def catalog_cmd():
     """List the bundled observation-catalog experiments."""
+    from .experiment import OBSERVATION_CATALOG
+
     for a, params in OBSERVATION_CATALOG.items():
         scale = params.get("scale", 1)
         scale_note = f" (scaled x{scale})" if scale != 1 else ""

@@ -13,14 +13,10 @@ human-readable table, all carrying the same information.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 from .arith import primes_in_range
 from .bfile import SHIFT_TO_1, fetch_oeis, parse_bfile, to_sequence
-from .classical import derived_bernoulli, sequence_e
 from .errors import DepthError
 from .realizability import (
     RealizabilityReport,
@@ -65,16 +61,19 @@ def load_sequence(
     and resolved through fixtures/cache/network.
     """
     name = source.strip()
-    if name in ("t", "b", "d"):
+    if name in ("t", "b", "d", "e"):
+        from .classical import derived_bernoulli, sequence_e
+
         n = depth or BUILTIN_DEPTH
-        der = derived_bernoulli(n)
-        seq = {
-            "t": der.numerators,
-            "b": der.denominators,
-            "d": der.clausen_denominators,
-        }[name]
-    elif name == "e":
-        seq = sequence_e(depth or BUILTIN_DEPTH)
+        if name == "e":
+            seq = sequence_e(n)
+        else:
+            der = derived_bernoulli(n)
+            seq = {
+                "t": der.numerators,
+                "b": der.denominators,
+                "d": der.clausen_denominators,
+            }[name]
     else:
         if "/" in name or "\\" in name or name.endswith(".txt"):
             with open(name, "r", encoding="utf-8") as fh:
@@ -129,6 +128,9 @@ class ExperimentSpec:
         if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
             raise ValueError(f"local_checks must be a non-empty subset of "
                              f"{LOCAL_CHECKS}, got {tuple(self.local_checks)}")
+        if self.max_shift < 0:
+            # no shift would be tested, and "magical: yes" would claim too much
+            raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")
 
 
 # Catalogued local-realizability surveys over the bundled fixtures.  Depth is
@@ -275,6 +277,8 @@ def realizable_star_primes(doc: dict) -> list[int]:
 def render_report(doc: dict, fmt: str = TABLE) -> str:
     """Serialize a report document as a table, JSON, or CSV."""
     if fmt == JSON:
+        import json
+
         return json.dumps(doc, indent=2, sort_keys=True)
     if fmt == CSV:
         return _render_csv(doc)
@@ -342,6 +346,9 @@ _CSV_LOCAL = ["prime", "local_status", "witness_check", "witness_n", "witness_va
 
 
 def _render_csv(doc: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_GLOBAL + _CSV_LOCAL + ["annotations"])

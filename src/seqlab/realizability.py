@@ -252,6 +252,8 @@ class MagicalReport:
 
 def magical_report(a: Sequence1, max_shift: int) -> MagicalReport:
     """Check realizability of each shifted prefix (a_{n+k}) for k <= max_shift."""
+    if max_shift < 0:
+        raise ValueError(f"max_shift must be >= 0, got {max_shift}")
     if max_shift >= len(a):
         raise ValueError(f"max_shift {max_shift} >= length {len(a)}")
     entries = tuple((k, check_realizable(shift(a, k))) for k in range(max_shift + 1))

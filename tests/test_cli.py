@@ -190,3 +190,26 @@ def test_localscan_catalog_rejects_flags_it_would_ignore(flags, name):
     assert res.output.startswith("error: ")
     assert name in res.output
     assert "realizable" not in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["magical", "A000032", "--upto", "10", "--max-shift", "-1"],
+    ["localscan", "A005259", "--catalog", "--magical", "--max-shift", "-3"],
+])
+def test_negative_max_shift_is_refused(argv):
+    # no shift would be tested, so "magical: yes" would claim too much
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 1
+    assert res.output == f"error: max_shift must be >= 0, got {argv[-1]}\n"
+
+
+def test_fetch_refuses_negative_terms():
+    res = CliRunner().invoke(main, ["fetch", "A000032", "--terms", "-2", "--cache-dir", ""])
+    assert res.exit_code == 1
+    assert res.output == "error: --terms must be >= 0, got -2\n"
+
+
+def test_regular_upto_zero_is_not_the_default_depth():
+    res = CliRunner().invoke(main, ["regular", "--primes", "20", "--upto", "0"])
+    assert res.exit_code == 1
+    assert res.output == "error: N >= 1 required\n"

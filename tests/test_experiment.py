@@ -130,6 +130,14 @@ def test_magical_shift_beyond_depth_is_refused():
         run_experiment(spec)
 
 
+@pytest.mark.parametrize("max_shift", [-1, -3])
+def test_spec_rejects_negative_max_shift(max_shift):
+    with pytest.raises(ValueError, match="max_shift must be >= 0"):
+        ExperimentSpec(source="e", include_magical=True, max_shift=max_shift)
+    with pytest.raises(ValueError, match="max_shift must be >= 0"):
+        catalog_spec("A005259", include_magical=True, max_shift=max_shift)
+
+
 def test_catalog_specs_complete():
     assert set(OBSERVATION_CATALOG) == {
         "A000032", "A002895", "A005259", "A005258",

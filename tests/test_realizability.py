@@ -252,6 +252,12 @@ def test_magical_lucas_fails_at_shift_1():
     assert (k, name, v.n) == (1, "dold", 2)
 
 
+def test_magical_negative_shift_is_refused():
+    # no shift would be tested, so "all pass" would be a claim with no evidence
+    with pytest.raises(ValueError, match="max_shift must be >= 0"):
+        magical_report(Sequence1(lucas_values(30)), -1)
+
+
 # --- products ----------------------------------------------------------------
 
 

@@ -1,0 +1,156 @@
+"""Start-up: what `import seqlab` and each command load, and the lazy package API.
+
+The import tests run in a fresh interpreter, because the test process has
+long since loaded every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import seqlab
+from seqlab import cli
+from seqlab.algebraic import BUNDLED_GROUPS
+from seqlab.bfile import SHIFT_TO_1, STRICT
+from seqlab.experiment import CSV, JSON, TABLE
+from seqlab.primes import BERNOULLI, EULER
+
+# The package's public names, by defining module, as the eager imports of
+# the package exported them.
+EXPORTS = {
+    "arith": ["PAdicPart", "divisors", "euler_phi", "factorize", "is_prime", "mobius",
+              "p_adic", "p_part", "primes_in_range"],
+    "bfile": ["BFile", "fetch_oeis", "normalize_a_number", "parse_bfile", "to_sequence"],
+    "classical": ["BernoulliTable", "DerivedBernoulli", "EulerTable", "b_product_formula",
+                  "bernoulli_upto", "clausen_denominator", "derived_bernoulli", "euler_upto",
+                  "lehmer_pierce", "secant_numbers", "sequence_e", "tangent_numbers"],
+    "congruences": ["CongruenceCheck", "euler_additive_check", "good_primitive_root",
+                    "kummer_check", "lemma_five_check", "multiplicative_order",
+                    "staying_alive_check", "wagstaff_A", "wagstaff_identity_check",
+                    "young_check"],
+    "algebraic": ["BUNDLED_GROUPS", "ConstructionParams", "Endomorphism", "FiniteGroup",
+                  "bundled_group", "construct_matrix", "ell_algebraically_realizable",
+                  "ell_sequence", "enumerate_endomorphisms", "field_generator",
+                  "find_realizing_endomorphism", "fix_counts", "parse_cayley",
+                  "torsion_fix_counts"],
+    "errors": ["BFileError", "DegeneratePolynomialError", "DepthError", "FetchHTTPError",
+               "FetchNetworkError", "FixtureMissingError", "SeqLabError", "ZeroEntryError"],
+    "experiment": ["OBSERVATION_CATALOG", "ExperimentSpec", "catalog_spec", "load_sequence",
+                   "not_realizable_primes", "realizable_star_primes", "render_report",
+                   "run_experiment"],
+    "matrices": ["IntMatrix", "companion_matrix"],
+    "primes": ["BERNOULLI", "EULER", "BernoulliStatus", "EulerStatus", "EulerStrength",
+               "NumeratorLocalStatus", "PrimeClassification", "classify_bernoulli",
+               "classify_euler", "numerator_local_status", "scan_primes",
+               "weak_euler_profile_check"],
+    "realizability": ["MagicalReport", "OrbitCounts", "RealizabilityReport", "Sequence1",
+                      "Verdict", "arias_criterion", "check_realizable", "dold_sign",
+                      "local_report", "magical_report", "orbit_counts", "p_part_sequence",
+                      "pointwise_product", "shift"],
+}
+ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+ENGINES = {"seqlab.algebraic", "seqlab.primes", "seqlab.congruences", "seqlab.classical",
+           "seqlab.matrices"}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The seqlab modules a fresh interpreter holds after running ``code``."""
+    probe = (
+        f"{code}\n"
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'seqlab')),"
+        " file=sys.stderr)\n"
+    )
+    src = str(Path(seqlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def loaded_after_command(*argv: str) -> set[str]:
+    code = (
+        "import seqlab.cli\n"
+        "try:\n"
+        f"    seqlab.cli.main({list(argv)!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+    )
+    return loaded_after(code)
+
+
+def test_import_seqlab_loads_no_submodule():
+    assert loaded_after("import seqlab") == {"seqlab"}
+
+
+def test_import_cli_loads_only_the_errors():
+    assert loaded_after("import seqlab.cli") == {"seqlab", "seqlab.cli", "seqlab.errors"}
+
+
+def test_catalog_scan_loads_no_number_or_algebraic_engine():
+    loaded = loaded_after_command("localscan", "A000032", "--catalog")
+    assert "seqlab.experiment" in loaded
+    assert not loaded & ENGINES
+
+
+def test_groups_loads_neither_the_runner_nor_bfiles():
+    loaded = loaded_after_command("groups", "--name", "s3")
+    assert "seqlab.algebraic" in loaded
+    assert not loaded & {"seqlab.experiment", "seqlab.bfile"}
+
+
+def test_reading_a_name_loads_its_module_and_caches_it():
+    code = "import seqlab\nassert seqlab.Sequence1 is vars(seqlab)['Sequence1']"
+    loaded = loaded_after(code)
+    assert "seqlab.realizability" in loaded
+    assert not loaded & ENGINES
+
+
+def test_a_submodule_reads_as_an_attribute_of_the_package():
+    code = "import seqlab\nassert seqlab.matrices.IntMatrix is seqlab.IntMatrix"
+    assert loaded_after(code) == {"seqlab", "seqlab.matrices"}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_public_name_is_the_defining_modules_object(module):
+    defining = import_module(f"seqlab.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(seqlab, name) is getattr(defining, name), name
+    assert getattr(seqlab, module) is defining
+
+
+def test_all_lists_exactly_the_public_names():
+    assert sorted(seqlab.__all__) == ALL_NAMES
+
+
+def test_dir_lists_the_public_names():
+    assert set(ALL_NAMES) <= set(dir(seqlab))
+
+
+def test_star_import_binds_the_public_names():
+    namespace: dict = {}
+    exec("from seqlab import *", namespace)
+    for name in ALL_NAMES:
+        assert namespace[name] is getattr(seqlab, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        seqlab.no_such_name
+    assert not hasattr(seqlab, "cli_main")
+    with pytest.raises(ImportError):
+        exec("from seqlab import no_such_name", {})
+
+
+def test_cli_choices_are_the_library_constants():
+    assert cli.FORMATS == (TABLE, JSON, CSV)
+    assert cli.OFFSET_POLICIES == (SHIFT_TO_1, STRICT)
+    assert cli.KINDS == (BERNOULLI, EULER)
+    assert cli.GROUP_NAMES == BUNDLED_GROUPS
