@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .arith import factorize, is_prime
-from .errors import DegeneratePolynomialError
-from .matrices import IntMatrix
+from .arith import factorize, is_prime, p_adic
+from .matrices import IntMatrix, _dets_of_powers_minus_identity
 from .realizability import Sequence1
 
 # ---------------------------------------------------------------------------
@@ -115,15 +114,14 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable
 
 
-def _element_order(a: tuple[int, ...], f: tuple[int, ...], p: int, group_order: int) -> bool:
-    """True when a has full multiplicative order group_order in GF(p^m)."""
-    if _poly_powmod(a, group_order, f, p) != (1,):
-        return False
-    return all(
-        _poly_powmod(a, group_order // q, f, p) != (1,)
-        for q, _ in factorize(group_order)
-        if group_order > 1
-    )
+def _has_order(n: int, is_one: Callable[[int], bool]) -> bool:
+    """Whether x, known to satisfy x^n = 1, has order exactly n.
+
+    ``is_one(e)`` says whether x^e = 1.  The order of x divides n, and it is a
+    proper divisor exactly when it divides n/r for some prime r | n, so one
+    test per prime factor of n decides it.
+    """
+    return not any(is_one(n // r) for r, _ in factorize(n))
 
 
 def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -131,8 +129,9 @@ def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Returns (f, g): f the least monic irreducible of degree m, g the least
     nonzero field element (coefficient vectors ordered as base-p integers)
-    of order exactly p^m - 1.  Order is verified against the factorization
-    of p^m - 1.
+    of order exactly p^m - 1.  Every nonzero g has g^(p^m - 1) = 1 (f is
+    irreducible, so GF(p)[x]/(f) is the field), and the order is tested
+    against the prime factors of p^m - 1.
     """
     if not is_prime(p):
         raise ValueError(f"prime expected, got {p}")
@@ -140,8 +139,6 @@ def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise ValueError(f"degree 1..8 supported, got {m}")
     f = smallest_irreducible(p, m)
     q1 = p**m - 1
-    if q1 == 0:
-        raise RuntimeError("impossible field size")
     for v in range(1, p**m):
         coeffs = []
         t = v
@@ -149,7 +146,7 @@ def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             coeffs.append(t % p)
             t //= p
         g = _trim(tuple(coeffs))
-        if q1 == 1 or _element_order(g, f, p, q1):
+        if _has_order(q1, lambda e: _poly_powmod(g, e, f, p) == (1,)):
             return f, g
     raise RuntimeError(f"no generator found for GF({p}^{m})")  # unreachable
 
@@ -185,8 +182,19 @@ def construct_matrix(p: int, m: int) -> tuple[IntMatrix, IntMatrix]:
 
     A starts as the multiplication-by-generator matrix of GF(q) with entries
     lifted to {0..p-1}; when the raw B fails condition 2 the shift
-    A' = A + p(I + AB) is applied.  Both conditions are re-verified before
+    A' = A + p(I + AB) is applied.  B is defined as (A^(q-1) - I)/p, so the
+    identity holds by construction.  Both conditions are verified before
     returning; failure raises (an implementation bug, not a valid outcome).
+
+    Condition 1 takes one determinant mod p per prime factor r of q-1, not
+    one per n < q-1.  ``divide_exact`` shows A^(q-1) = I mod p, so every
+    eigenvalue t of A mod p (in an algebraic closure of GF(p)) has
+    t^(q-1) = 1, and det(A^n - I) = prod (t^n - 1) mod p.  If
+    det(A^((q-1)/r) - I) is nonzero mod p for every r, no t has order
+    dividing (q-1)/r, so every t has order exactly q-1; then t^n != 1 for
+    each t whenever q-1 does not divide n, and condition 1 holds.
+    Conversely (q-1)/r is itself an n that q-1 does not divide, so the test
+    refuses exactly the pairs that break condition 1.
     """
     f, g = field_generator(p, m)
     q = p**m
@@ -203,21 +211,12 @@ def construct_matrix(p: int, m: int) -> tuple[IntMatrix, IntMatrix]:
     if B.det_mod(p) == 0:
         A = A + p * (I + A * B)
         B = (A ** (q - 1) - I).divide_exact(p)
-
-    # re-verify the postconditions on the returned pair: the identity exactly,
-    # since B is returned; the two unit conditions only need GF(p)
-    if B.det_mod(p) == 0:
-        raise RuntimeError(f"construct_matrix({p},{m}): det(B) = 0 mod {p}")
-    if A ** (q - 1) != I + p * B:
-        raise RuntimeError(f"construct_matrix({p},{m}): A^(q-1) != I + pB")
-    step = A.mod(p)
-    power = I
-    for n in range(1, q - 1):
-        power = (power * step).mod(p)
-        if (power - I).det_mod(p) == 0:
-            raise RuntimeError(
-                f"construct_matrix({p},{m}): det(A^{n} - I) = 0 mod {p}"
-            )
+        if B.det_mod(p) == 0:
+            raise RuntimeError(f"construct_matrix({p},{m}): det(B) = 0 mod {p}")
+    if not _has_order(q - 1, lambda e: (pow(A, e, p) - I).det_mod(p) == 0):
+        raise RuntimeError(
+            f"construct_matrix({p},{m}): det(A^n - I) = 0 mod {p} for some n < {q - 1}"
+        )
     return A, B
 
 
@@ -226,17 +225,7 @@ def ell_sequence(params: ConstructionParams, N: int) -> Sequence1:
     if N < 1:
         raise ValueError("N >= 1 required")
     p, m, k = params.p, params.m, params.k
-    values = []
-    for n in range(1, N + 1):
-        if n % k == 0:
-            e = 0
-            t = n
-            while t % p == 0:
-                t //= p
-                e += 1
-            values.append(p ** (m * (1 + e)))
-        else:
-            values.append(1)
+    values = (p ** (m * (1 + p_adic(n, p).ord)) if n % k == 0 else 1 for n in range(1, N + 1))
     return Sequence1(tuple(values), f"ell({k},{m},{p})")
 
 
@@ -265,21 +254,7 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
         raise ValueError("c >= 1 and N >= 1 required")
     if not is_prime(p):
         raise ValueError(f"prime expected, got {p}")
-    I = IntMatrix.identity(A.n)
-    step = A**c
-    power = I
-    values = []
-    for n in range(1, N + 1):
-        power = power * step
-        d = (power - I).det()
-        if d == 0:
-            raise DegeneratePolynomialError(n)
-        d = abs(d)
-        part = 1
-        while d % p == 0:
-            d //= p
-            part *= p
-        values.append(part)
+    values = (p_adic(abs(d), p).part for d in _dets_of_powers_minus_identity(A**c, N))
     return Sequence1(tuple(values), f"torsion-fix(c={c},p={p})")
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors, is_prime, p_adic
-from .errors import DegeneratePolynomialError
 from .realizability import Sequence1
 
 
@@ -233,16 +232,7 @@ def lehmer_pierce(char_poly_coeffs: list[int], N: int) -> Sequence1:
     """
     if N < 1:
         raise ValueError("N >= 1 required")
-    from .matrices import IntMatrix, companion_matrix
+    from .matrices import _dets_of_powers_minus_identity, companion_matrix
 
-    M = companion_matrix(char_poly_coeffs)
-    I = IntMatrix.identity(M.n)
-    values = []
-    power = I
-    for n in range(1, N + 1):
-        power = power * M
-        d = (power - I).det()
-        if d == 0:
-            raise DegeneratePolynomialError(n)
-        values.append(abs(d))
-    return Sequence1(tuple(values), "lehmer-pierce")
+    dets = _dets_of_powers_minus_identity(companion_matrix(char_poly_coeffs), N)
+    return Sequence1(tuple(abs(d) for d in dets), "lehmer-pierce")

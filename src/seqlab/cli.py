@@ -294,14 +294,15 @@ def groups(name, path, upto, target):
             G = bundled_group(name)
         else:
             G = parse_cayley(Path(path).read_text(), label=str(path))
-        endos = enumerate_endomorphisms(G)
-        click.echo(f"group {G.label or ''} order {G.order}: {len(endos)} endomorphisms")
-        for i, theta in enumerate(endos):
-            counts = fix_counts(G, theta, upto)
-            click.echo(f"  endo {i}: image={list(theta.image)} fix={list(counts.values)}")
+        # everything that can fail runs before the first line is printed
+        endos = [(theta, fix_counts(G, theta, upto)) for theta in enumerate_endomorphisms(G)]
         if target is not None:
             want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
             found = find_realizing_endomorphism(G, want)
+        click.echo(f"group {G.label or ''} order {G.order}: {len(endos)} endomorphisms")
+        for i, (theta, counts) in enumerate(endos):
+            click.echo(f"  endo {i}: image={list(theta.image)} fix={list(counts.values)}")
+        if target is not None:
             if found is None:
                 click.echo("target: not realized by any endomorphism")
             else:
@@ -323,6 +324,11 @@ def oracle(max_prime, max_r, upto, family):
 
         results = run_oracle_grids(max_prime=max_prime, max_r=max_r, upto=upto,
                                    family=family)
+        # a family that ran no check has shown nothing, so it cannot "hold"
+        empty = [fam for fam, checks in results.items() if not checks]
+        if empty:
+            raise ValueError(f"this grid gives no checks for {', '.join(empty)}; "
+                             f"raise --max-prime, --max-r or --upto")
         defects = 0
         for fam, checks in results.items():
             bad = [c for c in checks if not c.holds]

@@ -6,9 +6,9 @@ from __future__ import annotations
 class IntMatrix:
     """Immutable square matrix over the integers.
 
-    Supports +, -, *, integer powers, an exact determinant via fraction-free
-    (Bareiss) elimination, so entries may grow without bound, and the
-    determinant mod a prime by elimination over GF(p).
+    Supports +, -, *, integer powers (also mod m, by ``pow``), an exact
+    determinant via fraction-free (Bareiss) elimination, so entries may grow
+    without bound, and the determinant mod a prime by elimination over GF(p).
     """
 
     __slots__ = ("n", "rows")
@@ -27,10 +27,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def scalar(cls, n: int, c: int) -> "IntMatrix":
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -73,16 +69,23 @@ class IntMatrix:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "IntMatrix":
+    def __pow__(self, k: int, m: int | None = None) -> "IntMatrix":
+        """self**k by square and multiply; ``pow(M, k, m)`` reduces every
+        product mod m, so its entries stay below m."""
         if k < 0:
             raise ValueError("only non-negative matrix powers are supported")
-        result = IntMatrix.identity(self.n)
-        base = self
+
+        def reduce(M: IntMatrix) -> IntMatrix:
+            return M if m is None else M.mod(m)
+
+        result = reduce(IntMatrix.identity(self.n))
+        base = reduce(self)
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = reduce(result * base)
             k >>= 1
+            if k:
+                base = reduce(base * base)
         return result
 
     def mod(self, m: int) -> "IntMatrix":
@@ -165,3 +168,23 @@ def companion_matrix(coeffs: list[int]) -> IntMatrix:
     for i in range(d):
         rows[i][d - 1] = -coeffs[i]
     return IntMatrix(rows)
+
+
+def _dets_of_powers_minus_identity(M: IntMatrix, N: int) -> list[int]:
+    """Exact det(M^n - I) for n = 1..N.
+
+    Raises DegeneratePolynomialError(n) at the first n whose determinant
+    vanishes: M^n then fixes a nonzero vector.
+    """
+    I = IntMatrix.identity(M.n)
+    power = I
+    dets = []
+    for n in range(1, N + 1):
+        power = power * M
+        d = (power - I).det()
+        if d == 0:
+            from .errors import DegeneratePolynomialError  # loaded only to raise
+
+            raise DegeneratePolynomialError(n)
+        dets.append(d)
+    return dets

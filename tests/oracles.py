@@ -6,7 +6,8 @@ cosh power series, and the combinatorial helpers are direct enumerations.
 The realizability reference is the original divisor-by-divisor inversion; it
 only borrows the package's verdict containers, so results compare field by
 field.  The tangent/secant reference is the original one-shot in-place
-recurrence, rebuilt from scratch on every call.
+recurrence, rebuilt from scratch on every call.  The matrix-construction
+reference checks the unit condition at every exponent below q-1.
 """
 
 from __future__ import annotations
@@ -223,3 +224,43 @@ def find_realizing_endomorphism_ref(G, target, endos=None):
         if fix_counts(G, theta, len(target)).values == target.values:
             return theta
     return None
+
+
+# --- reference matrix construction: unit condition checked at every n < q-1 --
+
+
+def construct_matrix_ref(p, m):
+    """The pair (A, B) built as ``construct_matrix`` does, verified the long way:
+    the identity A^(q-1) = I + pB recomputed exactly, and det(A^n - I) mod p
+    taken at each of the q-2 exponents 0 < n < q-1."""
+    from seqlab.algebraic import _poly_mul, _poly_rem, field_generator
+    from seqlab.matrices import IntMatrix
+
+    f, g = field_generator(p, m)
+    q = p**m
+    cols = []
+    for j in range(m):
+        xj = tuple([0] * j + [1])
+        prod = _poly_rem(_poly_mul(g, xj, p), f, p)
+        cols.append(tuple(prod) + (0,) * (m - len(prod)))
+    A = IntMatrix([[cols[j][i] for j in range(m)] for i in range(m)])
+    I = IntMatrix.identity(m)
+
+    B = (A ** (q - 1) - I).divide_exact(p)
+    if B.det_mod(p) == 0:
+        A = A + p * (I + A * B)
+        B = (A ** (q - 1) - I).divide_exact(p)
+
+    if B.det_mod(p) == 0:
+        raise RuntimeError(f"construct_matrix({p},{m}): det(B) = 0 mod {p}")
+    if A ** (q - 1) != I + p * B:
+        raise RuntimeError(f"construct_matrix({p},{m}): A^(q-1) != I + pB")
+    step = A.mod(p)
+    power = I
+    for n in range(1, q - 1):
+        power = (power * step).mod(p)
+        if (power - I).det_mod(p) == 0:
+            raise RuntimeError(
+                f"construct_matrix({p},{m}): det(A^{n} - I) = 0 mod {p}"
+            )
+    return A, B

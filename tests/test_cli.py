@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -213,3 +216,37 @@ def test_regular_upto_zero_is_not_the_default_depth():
     res = CliRunner().invoke(main, ["regular", "--primes", "20", "--upto", "0"])
     assert res.exit_code == 1
     assert res.output == "error: N >= 1 required\n"
+
+
+def readme_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line.split("#")[0])[1:]
+            for line in block.splitlines() if line.startswith("seqlab ")]
+
+
+def test_readme_lists_the_commands():
+    assert len(readme_commands()) >= 17
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv):
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    assert res.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["groups", "--name", "s3", "--upto", "0"],
+    ["groups", "--name", "s3", "--target", ""],
+    ["oracle", "--max-prime", "1"],
+    ["oracle", "--max-r", "0"],
+    ["oracle", "--family", "young", "--upto", "2"],
+], ids=" ".join)
+def test_refused_input_prints_nothing(argv):
+    # a partial report, or a family that tested nothing reported as holding,
+    # would claim more than was checked
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")

@@ -3,7 +3,9 @@
 The endomorphism search yields candidates lazily, already in image order, and
 stops at the first realizing one; the reference (``oracles``) builds every
 candidate and sorts.  ``IntMatrix.det_mod`` eliminates over GF(p); the
-reference is the exact Bareiss determinant reduced mod p.
+reference is the exact Bareiss determinant reduced mod p.  ``construct_matrix``
+checks its unit condition by one order test; the reference takes a
+determinant at every exponent below q-1.
 """
 
 import random
@@ -24,6 +26,7 @@ from seqlab.algebraic import (
     find_realizing_endomorphism,
     fix_counts,
 )
+from seqlab.arith import factorize, primes_in_range
 from seqlab.cli import main
 from seqlab.matrices import IntMatrix
 from seqlab.realizability import Sequence1
@@ -193,3 +196,42 @@ def test_det_mod_singular_mod_p(p):
     M = IntMatrix([[p, 1, 0], [0, 1, 0], [0, 0, 1]])
     assert M.det() == p
     assert M.det_mod(p) == 0
+
+
+@settings(max_examples=200)
+@given(rows=matrices, k=st.integers(0, 40), p=st.sampled_from([2, 3, 5, 7, 101]))
+def test_modular_power_matches_the_exact_power(rows, k, p):
+    M = IntMatrix(rows)
+    assert pow(M, k, p) == (M**k).mod(p)
+
+
+# --- matrix construction: order test against every exponent -----------------
+
+FIELDS = [(p, m) for p in primes_in_range(2, 49) for m in range(1, 9) if p**m <= 2300]
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
+def test_construct_matrix_matches_reference(p, m):
+    assert algebraic.construct_matrix(p, m) == oracles.construct_matrix_ref(p, m)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_construct_matrix_refuses_a_non_generator(monkeypatch, p, m):
+    # g^2 has order (q-1)/2, so det(A^((q-1)/2) - I) = 0 mod p
+    f, g = algebraic.field_generator(p, m)
+    g2 = algebraic._poly_rem(algebraic._poly_mul(g, g, p), f, p)
+    monkeypatch.setattr(algebraic, "field_generator", lambda p, m: (f, g2))
+    with pytest.raises(RuntimeError, match=r"det\(A\^n - I\) = 0"):
+        algebraic.construct_matrix(p, m)
+    with pytest.raises(RuntimeError, match=rf"det\(A\^{(p**m - 1) // 2} - I\) = 0"):
+        oracles.construct_matrix_ref(p, m)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (13, 3), (47, 2), (11, 3),
+                                 (43, 2), (2, 8), (5, 4), (31, 3)])
+def test_construct_matrix_takes_few_determinants(monkeypatch, p, m):
+    calls = []
+    det_mod = IntMatrix.det_mod
+    monkeypatch.setattr(IntMatrix, "det_mod", lambda M, q: calls.append(q) or det_mod(M, q))
+    algebraic.construct_matrix(p, m)
+    assert len(calls) <= len(factorize(p**m - 1)) + 2
