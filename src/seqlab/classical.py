@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .arith import divisors, is_prime, p_adic
 from .realizability import Sequence1
@@ -194,11 +195,13 @@ def derived_bernoulli(N: int, table: BernoulliTable | None = None) -> DerivedBer
     if table.max_index < N:
         raise ValueError(f"table depth {table.max_index} < requested {N}")
     nums, dens, claus = [], [], []
-    for n in range(1, N + 1):
-        f = abs(table.B(2 * n) / (2 * n))
-        nums.append(f.numerator)
-        dens.append(f.denominator)
-        claus.append(clausen_denominator(n))
+    for n, b in enumerate(table.values[:N], start=1):
+        # B_{2n} = a/d in lowest terms, and d is the von Staudt-Clausen
+        # denominator; |a|/(2n d) reduces by gcd(a, 2n) alone, as gcd(a, d) = 1
+        g = gcd(b.numerator, 2 * n)
+        nums.append(abs(b.numerator) // g)
+        dens.append(2 * n * b.denominator // g)
+        claus.append(b.denominator)
     return DerivedBernoulli(
         N,
         Sequence1(tuple(nums), "t"),

@@ -279,13 +279,7 @@ def ell(k, m, p, upto, cross_check):
 def groups(name, path, upto, target):
     """Enumerate endomorphisms of a finite group and their fixed-point counts."""
     def go():
-        from .algebraic import (
-            bundled_group,
-            enumerate_endomorphisms,
-            find_realizing_endomorphism,
-            fix_counts,
-            parse_cayley,
-        )
+        from .algebraic import bundled_group, enumerate_endomorphisms, fix_counts, parse_cayley
         from .realizability import Sequence1
 
         if (name is None) == (path is None):
@@ -298,7 +292,10 @@ def groups(name, path, upto, target):
         endos = [(theta, fix_counts(G, theta, upto)) for theta in enumerate_endomorphisms(G)]
         if target is not None:
             want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
-            found = find_realizing_endomorphism(G, want)
+            # the first match in enumeration order, as find_realizing_endomorphism
+            # would give, without enumerating a second time
+            found = next((theta for theta, _ in endos
+                          if fix_counts(G, theta, len(want)).values == want.values), None)
         click.echo(f"group {G.label or ''} order {G.order}: {len(endos)} endomorphisms")
         for i, (theta, counts) in enumerate(endos):
             click.echo(f"  endo {i}: image={list(theta.image)} fix={list(counts.values)}")

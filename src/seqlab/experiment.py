@@ -24,7 +24,7 @@ from .realizability import (
     Verdict,
     check_realizable,
     dold_sign,
-    p_part_sequence,
+    localize,
     shift as shift_sequence,
 )
 
@@ -228,8 +228,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         else:
             primes = primes_in_range(2, spec.prime_limit or DEFAULT_PRIME_LIMIT)
         failing = []
+        parts = localize(seq.values, primes)
+        # a prime missing from ``parts`` divides no term, so its q-part is all
+        # ones: o_1 = 1 and o_n = sum_{d|n} mu(n/d) = 0 for n > 1, and both
+        # Dold and sign pass with no inversion
+        trivial = Verdict.pass_up_to(depth)
         for q in primes:
-            dold, sign = dold_sign(p_part_sequence(seq, q).values)
+            dold, sign = dold_sign(parts[q]) if q in parts else (trivial, trivial)
             witness = _local_failure_witness(dold, sign, spec.local_checks)
             status = "realizable*" if witness is None else "not-realizable"
             if witness is not None:

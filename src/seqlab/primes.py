@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .arith import is_prime, p_adic, primes_in_range
 from .classical import DerivedBernoulli, derived_bernoulli, sequence_e
 from .errors import DepthError
-from .realizability import Sequence1, Verdict
+from .realizability import Sequence1, Verdict, localize
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -170,11 +170,11 @@ def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
         raise ValueError(f"odd prime expected, got {q}")
     half = (q - 1) // 2
     N = len(e)
-    if all(e[n] % q != 0 for n in range(1, N + 1)):
+    parts = localize(e.values, (q,)).get(q)
+    if parts is None:
         return Verdict.pass_up_to(N)
-    for n in range(1, N + 1):
+    for n, actual in enumerate(parts, start=1):
         expected = q ** (1 + p_adic(n, q).ord) if n % half == 0 else 1
-        actual = p_adic(e[n], q).part
         if actual != expected:
             return Verdict.fail_at(n, actual, N, expected=expected)
     return Verdict.pass_up_to(N)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from math import gcd, prod
+from typing import Iterable, Iterator
 
-from .arith import divisors, factorize, is_prime, mobius
+from .arith import factorize, is_prime, mobius
 from .errors import ZeroEntryError
 
 PASS = "pass-up-to"
@@ -169,15 +170,21 @@ def check_realizable(a: Sequence1) -> RealizabilityReport:
     under divisibility, and it often witnesses local failures more cheaply
     than full inversion.
     """
-    N = len(a)
-    dold, sign = dold_sign(a.values)
+    values = a.values
+    N = len(values)
+    dold, sign = dold_sign(values)
+    # one pass over multiples: d ascends, so the first d recorded for m is
+    # the least proper divisor of m with a_d > a_m
+    bad: dict[int, int] = {}
+    for d, ad in enumerate(values[: N // 2], start=1):
+        for m, am in zip(range(2 * d, N + 1, d), values[2 * d - 1 :: d]):
+            if ad > am and m not in bad:
+                bad[m] = d
     monotone = Verdict.pass_up_to(N)
-    for n in range(1, N + 1):
-        bad = [d for d in divisors(n) if d < n and a[d] > a[n]]
-        if bad:
-            d = bad[0]
-            monotone = Verdict.fail_at(n, a[n], N, divisor=d, divisor_value=a[d])
-            break
+    if bad:
+        n = min(bad)
+        d = bad[n]
+        monotone = Verdict.fail_at(n, values[n - 1], N, divisor=d, divisor_value=values[d - 1])
     return RealizabilityReport(N, dold, sign, monotone)
 
 
@@ -199,21 +206,51 @@ def arias_criterion(a: Sequence1) -> Verdict:
     return Verdict.pass_up_to(N)
 
 
+def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Entrywise q-parts of a strictly positive prefix, for each q in ``primes``
+    that divides some term; a prime dividing no term has no entry.
+
+    Each term v is reduced once modulo P, the product of the distinct primes,
+    and only the q dividing g = gcd(v mod P, P) = gcd(v, P) are stripped from
+    v (the batch step of D. J. Bernstein, "How to find smooth parts of
+    integers", 2004).  Errors follow the primes in ascending order: a first
+    prime that is not prime raises ValueError; otherwise a zero term raises
+    ZeroEntryError at its least index; otherwise any later non-prime raises
+    ValueError.
+    """
+    primes = sorted(primes)
+    if not primes:
+        return {}
+    if not is_prime(primes[0]):
+        raise ValueError(f"localization prime expected, got {primes[0]}")
+    if 0 in values:
+        raise ZeroEntryError(values.index(0) + 1)
+    distinct = sorted(set(primes))
+    for q in distinct:
+        if not is_prime(q):
+            raise ValueError(f"localization prime expected, got {q}")
+    P = prod(distinct)
+    parts: dict[int, list[int]] = {}
+    for i, v in enumerate(values):
+        g = gcd(v % P, P)
+        for q in distinct:
+            if g == 1:
+                break
+            if g % q == 0:
+                g //= q
+                part = 1
+                while v % q == 0:
+                    v //= q
+                    part *= q
+                parts.setdefault(q, [1] * len(values))[i] = part
+    return {q: tuple(column) for q, column in parts.items()}
+
+
 def p_part_sequence(a: Sequence1, q: int) -> Sequence1:
     """Entrywise q-part of a strictly positive prefix (localization at q)."""
-    if not is_prime(q):
-        raise ValueError(f"localization prime expected, got {q}")
-    parts = []
-    for n, v in enumerate(a.values, start=1):
-        if v == 0:
-            raise ZeroEntryError(n)
-        part = 1
-        while v % q == 0:
-            v //= q
-            part *= q
-        parts.append(part)
+    parts = localize(a.values, (q,)).get(q, (1,) * len(a))
     label = f"{a.label}@{q}" if a.label else f"@{q}"
-    return Sequence1(tuple(parts), label)
+    return Sequence1(parts, label)
 
 
 def local_report(a: Sequence1, q: int) -> RealizabilityReport:

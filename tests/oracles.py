@@ -7,7 +7,9 @@ The realizability reference is the original divisor-by-divisor inversion; it
 only borrows the package's verdict containers, so results compare field by
 field.  The tangent/secant reference is the original one-shot in-place
 recurrence, rebuilt from scratch on every call.  The matrix-construction
-reference checks the unit condition at every exponent below q-1.
+reference checks the unit condition at every exponent below q-1.  The p-part
+reference strips one prime from every term, as localization did before the
+batched reduction.
 """
 
 from __future__ import annotations
@@ -148,6 +150,24 @@ def check_realizable_ref(values):
             monotone = Verdict.fail_at(n, a[n], N, divisor=d, divisor_value=a[d])
             break
     return RealizabilityReport(N, dold, sign, monotone)
+
+
+def p_part_sequence_ref(values, q) -> tuple[int, ...]:
+    """Entrywise q-part, one term and one division by q at a time."""
+    from seqlab.errors import ZeroEntryError
+
+    if q < 2 or any(q % d == 0 for d in range(2, q)):
+        raise ValueError(f"localization prime expected, got {q}")
+    parts = []
+    for n, v in enumerate(values, start=1):
+        if v == 0:
+            raise ZeroEntryError(n)
+        part = 1
+        while v % q == 0:
+            v //= q
+            part *= q
+        parts.append(part)
+    return tuple(parts)
 
 
 def arias_criterion_ref(values):

@@ -56,6 +56,13 @@ def test_von_staudt_clausen_denominators(btable300):
         assert btable300.B(2 * n).denominator == clausen_denominator(n)
 
 
+def test_derived_clausen_sequence_is_the_theorem(derived300):
+    # derived_bernoulli reads d_n off the table; the theorem computes it
+    assert derived300.clausen_denominators.values == tuple(
+        clausen_denominator(n) for n in range(1, 301)
+    )
+
+
 def test_euler_values():
     tbl = euler_upto(5)
     assert tbl.E(4) == 5

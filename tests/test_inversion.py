@@ -1,8 +1,12 @@
-"""Differential tests: the shared push-form inversion against the reference.
+"""Differential tests: the shared push-form inversion and the batched
+localization against the references.
 
 The reference (``oracles``) rebuilds divisors and Mobius values for every
 index; the package inverts once over a Mobius table and skips indices whose
-term is 1.  Verdicts, witnesses and whole reports must agree.
+term is 1, and finds its monotone witness in one pass over multiples.  The
+p-part reference strips each prime from each term; the package reduces each
+term once modulo the product of the primes.  Verdicts, witnesses, q-parts,
+errors and whole reports must agree.
 """
 
 from math import gcd
@@ -18,6 +22,7 @@ from seqlab.realizability import (
     arias_criterion,
     check_realizable,
     dold_sign,
+    localize,
     orbit_counts,
     p_part_sequence,
 )
@@ -34,7 +39,22 @@ def p_part_like(draw):
     return [q**e for e in draw(st.lists(exps, min_size=1, max_size=72))]
 
 
-prefixes = st.one_of(dense, p_part_like())
+@st.composite
+def late_monotone_failures(draw):
+    # strictly increasing but for one late composite n, whose term drops below
+    # a_c for its divisors c <= d < n: several bad divisors, the least is c;
+    # sometimes a second failure at a larger index that must not win
+    N = draw(st.integers(min_value=12, max_value=80))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=N, max_size=N))
+    values = [sum(steps[: i + 1]) for i in range(N)]
+    late = [m for m in range(N // 2, N + 1) if sum(m % d == 0 for d in range(2, m)) >= 2]
+    for n in sorted(draw(st.lists(st.sampled_from(late), min_size=1, max_size=2, unique=True))):
+        c = draw(st.sampled_from([d for d in range(2, n) if n % d == 0]))
+        values[n - 1] = values[c - 1] - 1
+    return values
+
+
+prefixes = st.one_of(dense, p_part_like(), late_monotone_failures())
 
 
 @settings(max_examples=200)
@@ -63,6 +83,84 @@ def test_p_part_sequence_matches_gcd(values, q):
     assert p_part_sequence(Sequence1(values), q).values == expected
 
 
+@settings(max_examples=200)
+@given(late_monotone_failures())
+def test_late_monotone_witness_matches_reference(values):
+    monotone = check_realizable(Sequence1(values)).monotone
+    assert not monotone.passed
+    assert monotone == oracles.check_realizable_ref(values).monotone
+
+
+SMALL_PRIMES = oracles.primes_by_trial(2, 250)
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared field by field
+        return type(exc), str(exc)
+
+
+def localize_ref(values, primes):
+    """The per-prime loop: every prime in ascending order, all-ones parts dropped."""
+    out = {}
+    for q in sorted(primes):
+        parts = oracles.p_part_sequence_ref(values, q)
+        if any(part != 1 for part in parts):
+            out[q] = parts
+    return out
+
+
+@st.composite
+def localization_inputs(draw):
+    # a window of consecutive primes, terms divisible by high powers of several
+    # window primes, of the primes at its edges and of the primes just outside
+    i = draw(st.integers(min_value=0, max_value=len(SMALL_PRIMES) - 1))
+    j = draw(st.integers(min_value=i + 1, max_value=min(len(SMALL_PRIMES), i + 12)))
+    window = SMALL_PRIMES[i:j]
+    near = window + [window[0], window[-1]] + SMALL_PRIMES[max(i - 1, 0) : i] + SMALL_PRIMES[j : j + 1]
+    values = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        v = draw(st.integers(min_value=1, max_value=10**6))
+        for q in draw(st.lists(st.sampled_from(near), max_size=4)):
+            v *= q ** draw(st.integers(min_value=1, max_value=60))
+        values.append(v)
+    primes = window + draw(st.lists(st.sampled_from(window), max_size=3))  # duplicates
+    return values, draw(st.permutations(primes))
+
+
+@settings(max_examples=300)
+@given(localization_inputs())
+def test_localize_matches_reference(args):
+    values, primes = args
+    assert localize(tuple(values), primes) == localize_ref(values, primes)
+
+
+@settings(max_examples=300)
+@given(
+    localization_inputs(),
+    st.lists(st.sampled_from([0, 1, 4, 9, 1000, -1, -2, -7]), max_size=2),
+    st.lists(st.integers(min_value=0, max_value=29), max_size=2),
+)
+def test_localize_errors_match_reference(args, non_primes, zeros):
+    values, primes = args
+    for i in zeros:
+        if i < len(values):
+            values[i] = 0
+    primes = list(primes) + non_primes
+    got = outcome(localize, tuple(values), primes)
+    assert got == outcome(localize_ref, values, primes)
+    for q in primes:
+        want = outcome(oracles.p_part_sequence_ref, values, q)
+        got = outcome(lambda: p_part_sequence(Sequence1(values), q).values)
+        assert got == want
+
+
+def test_localize_strips_each_duplicate_prime_once():
+    assert localize((61, 1, 61**3), [61, 61, 7]) == {61: (61, 1, 61**3)}
+
+
 def test_all_ones_prefix_passes_everything():
     ref = oracles.check_realizable_ref([1] * 300)
     assert dold_sign((1,) * 300) == (ref.dold, ref.sign)
@@ -76,7 +174,12 @@ SPECS = [catalog_spec(a) for a in OBSERVATION_CATALOG] + [
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.source)
 def test_reports_match_reference_verdicts(spec, monkeypatch):
+    # the reference localizes at every prime, the trivial ones included, so
+    # every prime's all-ones part goes through the reference inversion too
     doc = run_experiment(spec)
+
+    def reference_localize(values, primes):
+        return {q: oracles.p_part_sequence_ref(values, q) for q in sorted(primes)}
 
     def reference_dold_sign(values):
         ref = oracles.check_realizable_ref(values)
@@ -85,6 +188,7 @@ def test_reports_match_reference_verdicts(spec, monkeypatch):
     def reference_check(seq):
         return oracles.check_realizable_ref(seq.values)
 
+    monkeypatch.setattr(experiment, "localize", reference_localize)
     monkeypatch.setattr(experiment, "dold_sign", reference_dold_sign)
     monkeypatch.setattr(experiment, "check_realizable", reference_check)
     monkeypatch.setattr(realizability, "check_realizable", reference_check)

@@ -168,6 +168,30 @@ def test_search_budget_refuses_c2_5_up_front(monkeypatch):
         find_realizing_endomorphism(G, Sequence1((1,) * 6))
 
 
+@pytest.mark.parametrize("target", ["1,2,3", "4,4,4,8,4,4,4,8"])
+def test_groups_target_searches_once(monkeypatch, target):
+    # d8 has 8^2 = 64 generator-image tuples; the target is matched in the
+    # list the command has already built, in the same order
+    G = bundled_group("d8")
+    want = find_realizing_endomorphism(G, Sequence1(tuple(int(x) for x in target.split(","))))
+    calls = []
+    extend = algebraic._extend_from_generators
+
+    def counting(group, gens, images):
+        calls.append(images)
+        return extend(group, gens, images)
+
+    monkeypatch.setattr(algebraic, "_extend_from_generators", counting)
+    res = CliRunner().invoke(main, ["groups", "--name", "d8", "--target", target])
+    assert res.exit_code == 0
+    assert len(calls) == 64
+    last = res.output.splitlines()[-1]
+    if want is None:
+        assert last == "target: not realized by any endomorphism"
+    else:
+        assert last == f"target: realized by image={list(want.image)}"
+
+
 def test_groups_command_refuses_over_budget(tmp_path):
     G = elementary_abelian(5)
     path = tmp_path / "c2-5.cayley"
