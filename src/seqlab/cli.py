@@ -93,26 +93,22 @@ def add_options(options):
 def classical(upto, what):
     """Print the classical sequences or number tables."""
     def go():
-        from .classical import bernoulli_upto, derived_bernoulli, euler_upto, sequence_e
+        from .classical import bernoulli_upto, euler_upto
+        from .experiment import _builtin
 
-        if what == "e":
-            seq = sequence_e(upto)
-            for n in range(1, upto + 1):
-                click.echo(f"{n} {seq[n]}")
-        elif what in ("t", "b", "d"):
-            der = derived_bernoulli(upto)
-            seq = {"t": der.numerators, "b": der.denominators,
-                   "d": der.clausen_denominators}[what]
-            for n in range(1, upto + 1):
-                click.echo(f"{n} {seq[n]}")
-        elif what == "bernoulli":
+        if upto < 1:
+            raise ValueError(f"--upto must be >= 1, got {upto}")
+        if what == "bernoulli":
             table = bernoulli_upto(upto)
             for n in range(1, upto + 1):
                 click.echo(f"B_{2 * n} = {table.B(2 * n)}")
-        else:
+        elif what == "euler":
             table = euler_upto(upto)
             for n in range(1, upto + 1):
                 click.echo(f"E_{2 * n} = {table.E(2 * n)}")
+        else:
+            for n, v in enumerate(_builtin(what, upto), start=1):
+                click.echo(f"{n} {v}")
     _run(go)
 
 
@@ -208,21 +204,13 @@ def magical(source, upto, fmt, **fields):
 @click.option("--primes", "q_max", type=int, default=100, show_default=True,
               help="Classify primes up to this bound.")
 @click.option("--upto", "depth", type=int, default=None,
-              help="Search depth (default: enough for the largest prime q <= "
-                   "--primes, max(300, (q-3)/2) for Bernoulli and "
-                   "max(200, (q-1)/2) for Euler).")
+              help="Search depth (default: enough for the largest prime <= --primes).")
 def regular(kind, q_max, depth):
     """Classify primes as regular/irregular (Bernoulli or Euler sense)."""
     def go():
-        from .arith import primes_in_range
         from .primes import BERNOULLI, scan_primes
 
-        d = depth
-        if d is None:
-            # classifying q reads up to index (q-3)/2 (Bernoulli) or (q-1)/2 (Euler)
-            q = primes_in_range(2, q_max)[-1]
-            d = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)
-        for cls in scan_primes(kind, q_max, d):
+        for cls in scan_primes(kind, q_max, depth):
             if kind == BERNOULLI:
                 click.echo(f"{cls.q} {cls.bernoulli_status}")
             else:
@@ -250,19 +238,20 @@ def ell(k, m, p, upto, cross_check):
 
         params = ConstructionParams.create(k, m, p)
         seq = ell_sequence(params, upto)
-        click.echo(" ".join(str(v) for v in seq.values))
-        if p == 2:
-            click.echo("algebraically realizable: criterion not applicable at p=2")
-        else:
-            ok = ell_algebraically_realizable(k, m, p)
-            click.echo(f"algebraically realizable: {'yes' if ok else 'no'} "
-                       f"(k | p^m - 1 is {'satisfied' if ok else 'violated'})")
+        # everything that can fail runs before the first line is printed
+        ok = None if p == 2 else ell_algebraically_realizable(k, m, p)
         if cross_check:
             if params.c is None:
                 raise ValueError(f"k = {k} does not divide p^m - 1 = {p ** m - 1}")
             A, _ = construct_matrix(p, m)
-            realized = torsion_fix_counts(A, params.c, p, upto)
-            match = realized.values == seq.values
+            match = torsion_fix_counts(A, params.c, p, upto).values == seq.values
+        click.echo(" ".join(str(v) for v in seq.values))
+        if ok is None:
+            click.echo("algebraically realizable: criterion not applicable at p=2")
+        else:
+            click.echo(f"algebraically realizable: {'yes' if ok else 'no'} "
+                       f"(k | p^m - 1 is {'satisfied' if ok else 'violated'})")
+        if cross_check:
             click.echo(f"torsion-module realization matches: {'yes' if match else 'NO'}")
     _run(go)
 

@@ -40,6 +40,16 @@ JSON = "json"
 CSV = "csv"
 
 
+def _builtin(name: str, N: int) -> Sequence1:
+    """The builtin sequence 't', 'b', 'd' or 'e' up to index N."""
+    from .classical import derived_bernoulli, sequence_e
+
+    if name == "e":
+        return sequence_e(N)
+    der = derived_bernoulli(N)
+    return {"t": der.numerators, "b": der.denominators, "d": der.clausen_denominators}[name]
+
+
 def load_sequence(
     source: str,
     *,
@@ -62,18 +72,7 @@ def load_sequence(
     """
     name = source.strip()
     if name in ("t", "b", "d", "e"):
-        from .classical import derived_bernoulli, sequence_e
-
-        n = depth or BUILTIN_DEPTH
-        if name == "e":
-            seq = sequence_e(n)
-        else:
-            der = derived_bernoulli(n)
-            seq = {
-                "t": der.numerators,
-                "b": der.denominators,
-                "d": der.clausen_denominators,
-            }[name]
+        seq = _builtin(name, depth or BUILTIN_DEPTH)
     else:
         if "/" in name or "\\" in name or name.endswith(".txt"):
             with open(name, "r", encoding="utf-8") as fh:
@@ -226,7 +225,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         if spec.primes is not None:
             primes = sorted(spec.primes)
         else:
-            primes = primes_in_range(2, spec.prime_limit or DEFAULT_PRIME_LIMIT)
+            primes = primes_in_range(
+                2, DEFAULT_PRIME_LIMIT if spec.prime_limit is None else spec.prime_limit
+            )
         failing = []
         parts = localize(seq.values, primes)
         # a prime missing from ``parts`` divides no term, so its q-part is all

@@ -7,7 +7,8 @@ e_n = |E_{2n}| with 0 < n < (q-1)/2.  Euler-regular primes split further:
 property, so the verdict always carries its bound), "weak" ones divide some
 later term.  These classifications are exactly the local realizability
 behaviour of the numerator and Euler sequences, which the consistency tests
-exercise both ways.
+exercise both ways, and they are computed that way: each reads the least index
+at which q divides a term off one ``localize`` call, which serves a whole scan.
 """
 
 from __future__ import annotations
@@ -70,17 +71,56 @@ class PrimeClassification:
     euler_strength: EulerStrength | None = None
 
 
-def classify_bernoulli(q: int, tbl: DerivedBernoulli) -> BernoulliStatus:
-    """Bernoulli regularity of an odd prime q >= 3 from a numerator table."""
+def _odd_prime(q: int) -> None:
     if q < 3 or not is_prime(q):
         raise ValueError(f"odd prime expected, got {q}")
-    bound = (q - 3) // 2
-    if tbl.max_index < bound:
-        raise DepthError(f"need numerators up to {bound}, table has {tbl.max_index}")
-    for k in range(1, bound + 1):
-        if tbl.numerators[k] % q == 0:
-            return BernoulliStatus(IRREGULAR, k)
+
+
+def _least_dividing(parts: tuple[int, ...]) -> int | None:
+    # the least n whose q-part exceeds 1, that is the least n with q | a_n
+    return next((n for n, part in enumerate(parts, start=1) if part > 1), None)
+
+
+def _bernoulli_status(q: int, least: int | None) -> BernoulliStatus:
+    if least is not None and least <= (q - 3) // 2:
+        return BernoulliStatus(IRREGULAR, least)
     return BernoulliStatus(REGULAR)
+
+
+def _euler_status(q: int, least: int | None, depth: int) -> tuple[EulerStatus, EulerStrength]:
+    if least is None:
+        return EulerStatus(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
+    if least < (q - 1) // 2:
+        return EulerStatus(IRREGULAR, least), EulerStrength(NOT_APPLICABLE)
+    return EulerStatus(REGULAR), EulerStrength(WEAK, witness=least)
+
+
+def _bernoulli_statuses(primes: list[int], tbl: DerivedBernoulli) -> list[BernoulliStatus]:
+    # ascending primes; the least prime beyond the table is the one refused
+    late = next((q for q in primes if (q - 3) // 2 > tbl.max_index), None)
+    if late is not None:
+        raise DepthError(f"need numerators up to {(late - 3) // 2}, table has {tbl.max_index}")
+    # one localization of t_1..t_L, L the largest prime's bound, serves every prime
+    parts = localize(tbl.numerators.values[: max(0, (primes[-1] - 3) // 2)], primes)
+    return [_bernoulli_status(q, _least_dividing(parts.get(q, ()))) for q in primes]
+
+
+def _euler_statuses(
+    primes: list[int], e: Sequence1, depth: int
+) -> list[tuple[EulerStatus, EulerStrength]]:
+    late = next((q for q in primes if (q - 1) // 2 > depth), None)
+    if late is not None:
+        raise DepthError(f"depth {depth} < (q-1)/2 = {(late - 1) // 2}")
+    if len(e) < depth:
+        raise DepthError(f"e-sequence has {len(e)} terms, depth {depth} requested")
+    parts = localize(e.values[:depth], primes)
+    return [_euler_status(q, _least_dividing(parts.get(q, ())), depth) for q in primes]
+
+
+def classify_bernoulli(q: int, tbl: DerivedBernoulli) -> BernoulliStatus:
+    """Bernoulli regularity of an odd prime q >= 3 from a numerator table."""
+    _odd_prime(q)
+    return _bernoulli_statuses([q], tbl)[0]
 
 
 def classify_euler(q: int, e: Sequence1, depth: int) -> tuple[EulerStatus, EulerStrength]:
@@ -90,70 +130,32 @@ def classify_euler(q: int, e: Sequence1, depth: int) -> tuple[EulerStatus, Euler
     e_n with n <= depth (reported with that bound), weak carries the least
     dividing index, which necessarily sits at or beyond (q-1)/2.
     """
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"odd prime expected, got {q}")
-    bound = (q - 1) // 2
-    if depth < bound:
-        raise DepthError(f"depth {depth} < (q-1)/2 = {bound}")
-    if len(e) < depth:
-        raise DepthError(f"e-sequence has {len(e)} terms, depth {depth} requested")
-    for n in range(1, bound):
-        if e[n] % q == 0:
-            return EulerStatus(IRREGULAR, n), EulerStrength(NOT_APPLICABLE)
-    for n in range(bound, depth + 1):
-        if e[n] % q == 0:
-            return EulerStatus(REGULAR), EulerStrength(WEAK, witness=n)
-    return EulerStatus(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
+    _odd_prime(q)
+    return _euler_statuses([q], e, depth)[0]
 
 
-def scan_primes(
-    kind: str,
-    q_max: int,
-    depth: int,
-    *,
-    derived: DerivedBernoulli | None = None,
-    e: Sequence1 | None = None,
-) -> list[PrimeClassification]:
-    """Classify every prime <= q_max (2 included, reported regular).
+def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeClassification]:
+    """Classify every prime <= q_max from one localization of t or e.
 
-    Prebuilt tables may be passed in to avoid rebuilding; they must cover
-    ``depth``.
+    The numerators and the Euler numbers are odd, so 2 divides no term and
+    comes out regular (strong for Euler) by the same rule as every other
+    prime.  The default depth reaches the index the largest prime q <= q_max
+    needs: max(300, (q-3)/2) for Bernoulli, max(200, (q-1)/2) for Euler.
     """
     if kind not in (BERNOULLI, EULER):
         raise ValueError(f"kind must be {BERNOULLI!r} or {EULER!r}")
-    out: list[PrimeClassification] = []
+    if depth is None:
+        q = primes_in_range(2, q_max)[-1]
+        depth = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)
     if kind == BERNOULLI:
-        if derived is None:
-            derived = derived_bernoulli(depth)
-        for q in primes_in_range(2, q_max):
-            if q == 2:
-                out.append(PrimeClassification(2, depth, BernoulliStatus(REGULAR)))
-            else:
-                out.append(
-                    PrimeClassification(q, depth, classify_bernoulli(q, derived))
-                )
-    else:
-        if e is None:
-            e = sequence_e(depth)
-        for q in primes_in_range(2, q_max):
-            if q == 2:
-                # every e_n is odd, so 2 never divides: strong by parity
-                out.append(
-                    PrimeClassification(
-                        2,
-                        depth,
-                        euler_status=EulerStatus(REGULAR),
-                        euler_strength=EulerStrength(STRONG_UP_TO, bound=depth),
-                    )
-                )
-            else:
-                status, strength = classify_euler(q, e, depth)
-                out.append(
-                    PrimeClassification(
-                        q, depth, euler_status=status, euler_strength=strength
-                    )
-                )
-    return out
+        derived = derived_bernoulli(depth)
+        primes = primes_in_range(2, q_max)
+        return [PrimeClassification(q, depth, status)
+                for q, status in zip(primes, _bernoulli_statuses(primes, derived))]
+    e = sequence_e(depth)
+    primes = primes_in_range(2, q_max)
+    return [PrimeClassification(q, depth, euler_status=status, euler_strength=strength)
+            for q, (status, strength) in zip(primes, _euler_statuses(primes, e, depth))]
 
 
 def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
@@ -166,8 +168,7 @@ def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
     not a theorem check; callers must not promote a PASS into a property of
     the infinite sequence.
     """
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"odd prime expected, got {q}")
+    _odd_prime(q)
     half = (q - 1) // 2
     N = len(e)
     parts = localize(e.values, (q,)).get(q)
@@ -202,25 +203,22 @@ def numerator_local_status(
     q: int, N: int, derived: DerivedBernoulli | None = None
 ) -> NumeratorLocalStatus:
     """Trivial localization for regular q; least failure pair for irregular q."""
+    upto = max(N, (q - 3) // 2)
     if derived is None:
-        derived = derived_bernoulli(max(N, (q - 3) // 2))
-    if derived.max_index < N or derived.max_index < (q - 3) // 2:
-        raise DepthError(
-            f"need numerators up to {max(N, (q - 3) // 2)}, table has {derived.max_index}"
-        )
-    t = derived.numerators
-    status = classify_bernoulli(q, derived)
-    if status.status == REGULAR:
-        for n in range(1, N + 1):
-            if t[n] % q == 0:
-                raise RuntimeError(
-                    f"regular prime {q} divides numerator at {n}: engine defect"
-                )
+        derived = derived_bernoulli(upto)
+    if derived.max_index < upto:
+        raise DepthError(f"need numerators up to {upto}, table has {derived.max_index}")
+    _odd_prime(q)
+    parts = localize(derived.numerators.values[:upto], (q,)).get(q, ())
+    least = _least_dividing(parts)
+    k = _bernoulli_status(q, least).witness
+    if k is None:
+        if least is not None and least <= N:
+            raise RuntimeError(f"regular prime {q} divides numerator at {least}: engine defect")
         return NumeratorLocalStatus(q, N, "trivial-localization")
-    k = status.witness
-    part_k = p_adic(t[k], q).part
     for m in range(2 * k, N + 1, k):
-        part_m = p_adic(t[m], q).part
-        if part_k > part_m:
-            return NumeratorLocalStatus(q, N, "monotone-failure", k, m, part_k, part_m)
+        if parts[k - 1] > parts[m - 1]:
+            return NumeratorLocalStatus(
+                q, N, "monotone-failure", k, m, parts[k - 1], parts[m - 1]
+            )
     raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")

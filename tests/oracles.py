@@ -9,7 +9,10 @@ field.  The tangent/secant reference is the original one-shot in-place
 recurrence, rebuilt from scratch on every call.  The matrix-construction
 reference checks the unit condition at every exponent below q-1.  The p-part
 reference strips one prime from every term, as localization did before the
-batched reduction.
+batched reduction.  The prime-classification references try one prime and
+one term at a time, as the classification did before it read every prime's
+least dividing index from one localization; they borrow the package's
+status containers and its number tables.
 """
 
 from __future__ import annotations
@@ -284,3 +287,104 @@ def construct_matrix_ref(p, m):
                 f"construct_matrix({p},{m}): det(A^{n} - I) = 0 mod {p}"
             )
     return A, B
+
+
+# --- reference prime classification: one prime and one term at a time -------
+
+
+def _odd_prime_ref(q):
+    if q < 3 or any(q % d == 0 for d in range(2, q)):
+        raise ValueError(f"odd prime expected, got {q}")
+
+
+def classify_bernoulli_ref(q, tbl):
+    """Least k <= (q-3)/2 with q | t_k, found by trying each k in turn."""
+    from seqlab.errors import DepthError
+    from seqlab.primes import IRREGULAR, REGULAR, BernoulliStatus
+
+    _odd_prime_ref(q)
+    bound = (q - 3) // 2
+    if tbl.max_index < bound:
+        raise DepthError(f"need numerators up to {bound}, table has {tbl.max_index}")
+    for k in range(1, bound + 1):
+        if tbl.numerators[k] % q == 0:
+            return BernoulliStatus(IRREGULAR, k)
+    return BernoulliStatus(REGULAR)
+
+
+def classify_euler_ref(q, e, depth):
+    """Least n < (q-1)/2 with q | e_n (irregular), else the least n <= depth
+    (weak), else strong up to depth, each found by trying every n in turn."""
+    from seqlab.errors import DepthError
+    from seqlab.primes import (
+        IRREGULAR, NOT_APPLICABLE, REGULAR, STRONG_UP_TO, WEAK, EulerStatus, EulerStrength,
+    )
+
+    _odd_prime_ref(q)
+    bound = (q - 1) // 2
+    if depth < bound:
+        raise DepthError(f"depth {depth} < (q-1)/2 = {bound}")
+    if len(e) < depth:
+        raise DepthError(f"e-sequence has {len(e)} terms, depth {depth} requested")
+    for n in range(1, bound):
+        if e[n] % q == 0:
+            return EulerStatus(IRREGULAR, n), EulerStrength(NOT_APPLICABLE)
+    for n in range(bound, depth + 1):
+        if e[n] % q == 0:
+            return EulerStatus(REGULAR), EulerStrength(WEAK, witness=n)
+    return EulerStatus(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
+
+
+def scan_primes_ref(kind, q_max, depth):
+    """Every prime <= q_max classified by the references above, with 2 put in
+    by hand (regular; strong for Euler, as every e_n is odd)."""
+    from seqlab.classical import derived_bernoulli, sequence_e
+    from seqlab.primes import (
+        BERNOULLI, REGULAR, STRONG_UP_TO, BernoulliStatus, EulerStatus, EulerStrength,
+        PrimeClassification,
+    )
+
+    out = []
+    if kind == BERNOULLI:
+        derived = derived_bernoulli(depth)
+        for q in primes_by_trial(2, q_max):
+            status = BernoulliStatus(REGULAR) if q == 2 else classify_bernoulli_ref(q, derived)
+            out.append(PrimeClassification(q, depth, status))
+    else:
+        e = sequence_e(depth)
+        for q in primes_by_trial(2, q_max):
+            if q == 2:
+                status, strength = EulerStatus(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
+            else:
+                status, strength = classify_euler_ref(q, e, depth)
+            out.append(PrimeClassification(q, depth, euler_status=status, euler_strength=strength))
+    return out
+
+
+def numerator_local_status_ref(q, N, derived=None):
+    """Regular q: check q divides no t_n, n <= N.  Irregular q with witness k:
+    the first multiple m of k whose q-part is below that of t_k."""
+    from seqlab.classical import derived_bernoulli
+    from seqlab.errors import DepthError
+    from seqlab.primes import REGULAR, NumeratorLocalStatus
+
+    if derived is None:
+        derived = derived_bernoulli(max(N, (q - 3) // 2))
+    if derived.max_index < N or derived.max_index < (q - 3) // 2:
+        raise DepthError(
+            f"need numerators up to {max(N, (q - 3) // 2)}, table has {derived.max_index}"
+        )
+    t = derived.numerators
+    status = classify_bernoulli_ref(q, derived)
+    if status.status == REGULAR:
+        for n in range(1, N + 1):
+            if t[n] % q == 0:
+                raise RuntimeError(f"regular prime {q} divides numerator at {n}: engine defect")
+        return NumeratorLocalStatus(q, N, "trivial-localization")
+    k = status.witness
+    part_k = p_part_sequence_ref((t[k],), q)[0]
+    for m in range(2 * k, N + 1, k):
+        part_m = p_part_sequence_ref((t[m],), q)[0]
+        if part_k > part_m:
+            return NumeratorLocalStatus(q, N, "monotone-failure", k, m, part_k, part_m)
+    raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")

@@ -125,10 +125,10 @@ def test_criterion_05_local_witnesses(derived300, e200):
 
 
 def test_criterion_06_prime_classifications(derived300, e200):
-    scan_b = scan_primes(BERNOULLI, 150, 300, derived=derived300)
+    scan_b = scan_primes(BERNOULLI, 150, 300)
     irregular_b = [c.q for c in scan_b if c.bernoulli_status.status == IRREGULAR]
     ok = irregular_b == [37, 59, 67, 101, 103, 131, 149]
-    scan_e = scan_primes(EULER, 103, 200, e=e200)
+    scan_e = scan_primes(EULER, 103, 200)
     irregular_e = [c.q for c in scan_e if c.euler_status.status == IRREGULAR]
     ok = ok and irregular_e == [19, 31, 43, 47, 61, 67, 71, 79, 101]
     strong = [c.q for c in scan_e

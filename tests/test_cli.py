@@ -236,17 +236,86 @@ def test_readme_command_runs(argv):
     assert res.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ["groups", "--name", "s3", "--upto", "0"],
-    ["groups", "--name", "s3", "--target", ""],
-    ["oracle", "--max-prime", "1"],
-    ["oracle", "--max-r", "0"],
-    ["oracle", "--family", "young", "--upto", "2"],
-], ids=" ".join)
-def test_refused_input_prints_nothing(argv):
+# Invalid values for every command that takes options: zero, negatives, empty
+# lists, non-primes and out-of-domain parameters, each with its exit code.
+# None starts a large search.
+REFUSALS = [
+    *[(["classical", "--what", what, "--upto", n], 1)
+      for what in ("e", "t", "b", "d", "bernoulli", "euler") for n in ("0", "-2")],
+    (["check", "e", "--upto", "0"], 1),
+    (["check", "e", "--upto", "-5"], 1),
+    (["check", "e", "--shift", "-1"], 1),
+    (["check", "e", "--upto", "10", "--shift", "10"], 1),
+    (["check", "A000032", "--scale", "0"], 1),
+    (["check", "A000032", "--scale", "-2"], 1),
+    (["localscan", "e", "--upto", "20", "--prime", "4"], 1),
+    (["localscan", "e", "--upto", "20", "--prime", "0"], 1),
+    (["localscan", "e", "--upto", "20", "--prime", "-3"], 1),
+    (["localscan", "e", "--upto", "20", "--primes", "0"], 1),
+    (["localscan", "e", "--upto", "20", "--primes", "-5"], 1),
+    (["localscan", "e", "--upto", "20", "--primes", "1"], 1),
+    (["localscan", "A000032", "--catalog", "--primes", "0"], 1),
+    (["localscan", "e", "--upto", "20", "--local-checks", ""], 1),
+    (["localscan", "e", "--upto", "0"], 1),
+    (["localscan", "e", "--upto", "20", "--magical", "--max-shift", "-1"], 1),
+    (["magical", "A000032", "--upto", "10", "--max-shift", "-1"], 1),
+    (["magical", "A000032", "--upto", "0"], 1),
+    (["magical", "A000032", "--upto", "10", "--max-shift", "10"], 1),
+    (["regular", "--primes", "1"], 1),
+    (["regular", "--primes", "0"], 1),
+    (["regular", "--primes", "-5"], 1),
+    (["regular", "--primes", "20", "--upto", "0"], 1),
+    (["regular", "--kind", "euler", "--upto", "-1"], 1),
+    (["regular", "--kind", "bernoulli", "--primes", "700", "--upto", "10"], 7),
+    (["regular", "--kind", "euler", "--primes", "103", "--upto", "40"], 7),
+    (["ell", "--k", "0", "--m", "1", "--p", "5"], 1),
+    (["ell", "--k", "-1", "--m", "1", "--p", "5"], 1),
+    (["ell", "--k", "1", "--m", "0", "--p", "5"], 1),
+    (["ell", "--k", "1", "--m", "1", "--p", "4"], 1),
+    (["ell", "--k", "1", "--m", "1", "--p", "-5"], 1),
+    (["ell", "--k", "1", "--m", "1", "--p", "5", "--upto", "0"], 1),
+    (["ell", "--k", "5", "--m", "1", "--p", "5"], 1),
+    (["ell", "--k", "3", "--m", "1", "--p", "5", "--upto", "5", "--cross-check"], 1),
+    (["ell", "--k", "3", "--m", "1", "--p", "2", "--upto", "5", "--cross-check"], 1),
+    (["groups", "--name", "s3", "--upto", "0"], 1),
+    (["groups", "--name", "s3", "--upto", "-2"], 1),
+    (["groups", "--name", "s3", "--target", ""], 1),
+    (["groups", "--name", "s3", "--target", "1,-1"], 1),
+    (["groups"], 1),
+    (["oracle", "--max-prime", "1"], 1),
+    (["oracle", "--max-prime", "-3"], 1),
+    (["oracle", "--max-r", "0"], 1),
+    (["oracle", "--max-r", "-1"], 1),
+    (["oracle", "--upto", "0"], 1),
+    (["oracle", "--family", "young", "--upto", "2"], 1),
+    (["fetch", "A000032", "--terms", "-2", "--cache-dir", ""], 1),
+    (["fetch", "", "--cache-dir", ""], 1),
+    (["fetch", "A0", "--cache-dir", ""], 1),
+    (["fetch", "A999999", "--cache-dir", ""], 6),
+]
+
+
+@pytest.mark.parametrize("argv,code", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_refused_input_prints_nothing(argv, code):
     # a partial report, or a family that tested nothing reported as holding,
     # would claim more than was checked
     res = CliRunner().invoke(main, argv)
-    assert res.exit_code == 1
+    assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr.startswith("error: ")
+
+
+def test_refusals_cover_every_command_with_options():
+    assert {argv[0] for argv, _ in REFUSALS} == {
+        name for name, command in main.commands.items() if command.params}
+
+
+def test_ell_cross_check_at_two_is_answered():
+    res = CliRunner().invoke(main, ["ell", "--k", "1", "--m", "2", "--p", "2", "--upto", "6",
+                                    "--cross-check"])
+    assert res.exit_code == 0
+    assert res.stdout.splitlines() == [
+        "4 16 4 64 4 16",
+        "algebraically realizable: criterion not applicable at p=2",
+        "torsion-module realization matches: yes",
+    ]

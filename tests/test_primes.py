@@ -1,8 +1,10 @@
 import pytest
 
+import seqlab.classical
+import seqlab.primes
 from seqlab.arith import p_adic, primes_in_range
-from seqlab.classical import derived_bernoulli
-from seqlab.errors import DepthError
+from seqlab.classical import DerivedBernoulli, derived_bernoulli, sequence_e
+from seqlab.errors import DepthError, SeqLabError
 from seqlab.primes import (
     BERNOULLI,
     EULER,
@@ -18,6 +20,13 @@ from seqlab.primes import (
     weak_euler_profile_check,
 )
 from seqlab.realizability import Sequence1, local_report
+
+from oracles import (
+    classify_bernoulli_ref,
+    classify_euler_ref,
+    numerator_local_status_ref,
+    scan_primes_ref,
+)
 
 
 def test_classify_bernoulli_examples(derived300):
@@ -56,27 +65,27 @@ def test_classify_euler_depth_guard(e200):
 
 
 def test_scan_bernoulli_small(derived300):
-    out = scan_primes(BERNOULLI, 30, 15, derived=derived300)
+    out = scan_primes(BERNOULLI, 30, 15)
     assert [c.q for c in out] == primes_in_range(2, 30)
     assert all(c.bernoulli_status.status == REGULAR for c in out)
 
 
 def test_scan_bernoulli_irregular_to_110(derived300):
-    out = scan_primes(BERNOULLI, 110, 60, derived=derived300)
+    out = scan_primes(BERNOULLI, 110, 60)
     irregular = [c.q for c in out if c.bernoulli_status.status == IRREGULAR]
     assert irregular == [37, 59, 67, 101, 103]
 
 
 def test_scan_euler_irregular_to_50(e200):
-    out = scan_primes(EULER, 50, 50, e=e200)
+    out = scan_primes(EULER, 50, 50)
     irregular = [c.q for c in out if c.euler_status.status == IRREGULAR]
     assert irregular == [19, 31, 43, 47]
 
 
 def test_scan_includes_two_as_regular(derived300, e200):
-    b = scan_primes(BERNOULLI, 10, 20, derived=derived300)
+    b = scan_primes(BERNOULLI, 10, 20)
     assert b[0].q == 2 and b[0].bernoulli_status.status == REGULAR
-    e = scan_primes(EULER, 10, 20, e=e200)
+    e = scan_primes(EULER, 10, 20)
     assert e[0].q == 2 and e[0].euler_strength.kind == STRONG_UP_TO
 
 
@@ -160,3 +169,135 @@ def test_classification_monotone_in_depth(e200):
             assert k2.kind == WEAK and k2.witness == k1.witness
         if k1.kind == STRONG_UP_TO and k2.kind == WEAK:
             assert k2.witness > 60
+
+
+# --- differential tests against the per-prime reference loops ----------------
+
+
+def outcome(func, *args):
+    """A call's result, or the type and message of the refusal it raised."""
+    try:
+        return func(*args)
+    except (ValueError, RuntimeError, SeqLabError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", [BERNOULLI, EULER])
+@pytest.mark.parametrize("depth", [599, 600, 601])
+def test_scan_matches_reference_at_benchmark_depths(kind, depth):
+    # every prime <= 1202, as the benchmark's scan_primes tasks classify them
+    assert scan_primes(kind, 2 * depth, depth) == scan_primes_ref(kind, 2 * depth, depth)
+
+
+@pytest.mark.parametrize("depth", [599, 601])
+def test_one_prime_matches_reference_at_benchmark_depths(depth):
+    derived, e = derived_bernoulli(depth), sequence_e(depth)
+    for q in primes_in_range(3, 2 * depth):
+        assert outcome(classify_bernoulli, q, derived) == \
+            outcome(classify_bernoulli_ref, q, derived), q
+        assert outcome(classify_euler, q, e, depth) == \
+            outcome(classify_euler_ref, q, e, depth), q
+
+
+@pytest.mark.parametrize("kind", [BERNOULLI, EULER])
+def test_scan_matches_reference_for_every_last_prime(kind):
+    # each q_max makes a different prime the last (largest) one of the scan
+    for q_max in range(2, 131):
+        assert scan_primes(kind, q_max, 70) == scan_primes_ref(kind, q_max, 70), q_max
+
+
+@pytest.mark.parametrize("kind", [BERNOULLI, EULER])
+def test_shallow_scan_refuses_as_the_reference_does(kind):
+    # too shallow for some prime: the same error, for the same least prime
+    for depth in range(1, 70):
+        for q_max in (2, 3, 5, 37, 103, 140):
+            assert outcome(scan_primes, kind, q_max, depth) == \
+                outcome(scan_primes_ref, kind, q_max, depth), (depth, q_max)
+
+
+def test_one_prime_on_shallow_tables_matches_reference(e200):
+    for depth in (1, 3, 8, 20):
+        derived = derived_bernoulli(depth)
+        e = Sequence1(e200.values[:depth], "e")
+        for q in [-7, 0, 1, 2, 4, 9, 91] + primes_in_range(3, 60):
+            assert outcome(classify_bernoulli, q, derived) == \
+                outcome(classify_bernoulli_ref, q, derived), (depth, q)
+            for d in (depth - 1, depth, depth + 1):
+                assert outcome(classify_euler, q, e, d) == \
+                    outcome(classify_euler_ref, q, e, d), (depth, q, d)
+
+
+# The true tables never put a prime's least dividing index at its bound:
+# (q, q-3) is an irregular pair only for Wolstenholme primes (the least is
+# 16843), and q never divides t_{(q-1)/2} (von Staudt-Clausen).  Tables built
+# for the purpose put it there, one below and one above, for every odd prime.
+
+
+def placed(bound, primes, offset, length):
+    """Odd terms with each q dividing first (and only) at index bound(q) + offset."""
+    terms = [1] * length
+    for q in primes:
+        n = bound(q) + offset
+        if 1 <= n <= length:
+            terms[n - 1] *= q
+    return tuple(terms)
+
+
+def placed_numerators(primes, offset, length):
+    ones = Sequence1((1,) * length)
+    t = Sequence1(placed(lambda q: (q - 3) // 2, primes, offset, length), "t")
+    return DerivedBernoulli(length, t, ones, ones)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_scan_of_placed_divisors_matches_reference(monkeypatch, offset):
+    for q_max in range(2, 90):
+        odd = primes_in_range(2, q_max)[1:]
+        depth = (q_max - 1) // 2 + 2
+        table = placed_numerators(odd, offset, depth)
+        e = Sequence1(placed(lambda q: (q - 1) // 2, odd, offset, depth), "e")
+        for module in (seqlab.classical, seqlab.primes):
+            monkeypatch.setattr(module, "derived_bernoulli", lambda N: table)
+            monkeypatch.setattr(module, "sequence_e", lambda N: e)
+        for kind in (BERNOULLI, EULER):
+            assert scan_primes(kind, q_max, depth) == scan_primes_ref(kind, q_max, depth), \
+                (kind, q_max)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_one_prime_on_placed_divisors_matches_reference(offset):
+    odd = primes_in_range(3, 90)
+    table = placed_numerators(odd, offset, 48)
+    e = Sequence1(placed(lambda q: (q - 1) // 2, odd, offset, 48), "e")
+    for q in odd:
+        assert outcome(classify_bernoulli, q, table) == outcome(classify_bernoulli_ref, q, table), q
+        assert outcome(classify_euler, q, e, 48) == outcome(classify_euler_ref, q, e, 48), q
+        for N in range(0, 48):
+            assert outcome(numerator_local_status, q, N, table) == \
+                outcome(numerator_local_status_ref, q, N, table), (q, N)
+
+
+def test_numerator_local_status_matches_reference(derived300):
+    for q in [-3, 1, 2, 4, 91] + primes_in_range(3, 130):
+        for N in (0, 1, 10, 16, 20, 22, 31, 32, 44, 60, 150, 300, 301):
+            assert outcome(numerator_local_status, q, N, derived300) == \
+                outcome(numerator_local_status_ref, q, N, derived300), (q, N)
+
+
+def test_numerator_local_status_below_the_witness():
+    # N = 10 < 16, the witness of 37: no multiple to compare, so DepthError
+    with pytest.raises(DepthError, match="no monotonicity witness"):
+        numerator_local_status(37, 10)
+    assert outcome(numerator_local_status, 37, 10) == outcome(numerator_local_status_ref, 37, 10)
+    shallow = derived_bernoulli(12)
+    assert outcome(numerator_local_status, 37, 10, shallow) == \
+        (DepthError, "need numerators up to 17, table has 12")
+    assert outcome(numerator_local_status_ref, 37, 10, shallow) == \
+        (DepthError, "need numerators up to 17, table has 12")
+
+
+def test_scan_default_depth_follows_the_largest_prime():
+    assert scan_primes(BERNOULLI, 100)[0].depth == 300
+    assert scan_primes(EULER, 100)[0].depth == 200
+    assert scan_primes(BERNOULLI, 700)[-1].depth == (691 - 3) // 2
+    assert scan_primes(EULER, 500)[-1].depth == (499 - 1) // 2
