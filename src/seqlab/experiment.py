@@ -72,7 +72,7 @@ def load_sequence(
     """
     name = source.strip()
     if name in ("t", "b", "d", "e"):
-        seq = _builtin(name, depth or BUILTIN_DEPTH)
+        seq = _builtin(name, BUILTIN_DEPTH if depth is None else depth)
     else:
         if "/" in name or "\\" in name or name.endswith(".txt"):
             with open(name, "r", encoding="utf-8") as fh:
@@ -127,6 +127,9 @@ class ExperimentSpec:
         if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
             raise ValueError(f"local_checks must be a non-empty subset of "
                              f"{LOCAL_CHECKS}, got {tuple(self.local_checks)}")
+        if self.depth is not None and self.depth < 1:
+            # a depth below 1 checks no term, so "pass-up-to" would claim too much
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.max_shift < 0:
             # no shift would be tested, and "magical: yes" would claim too much
             raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")

@@ -1,16 +1,21 @@
+import argparse
+import functools
+import inspect
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from seqlab.cli import main
+from seqlab import cli
+from conftest import invoke
 
 
 def run_cli(*args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
+    return invoke(args)
 
 
 def test_classical_e():
@@ -115,14 +120,14 @@ def test_fetch_offline_fixture():
 
 
 def test_fetch_missing_fixture_exit_code():
-    res = CliRunner().invoke(main, ["fetch", "A999999", "--cache-dir", ""])
+    res = invoke(["fetch", "A999999", "--cache-dir", ""])
     assert res.exit_code == 6  # FixtureMissingError
 
 
 def test_bad_bfile_exit_code(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2\n5 9\n")
-    res = CliRunner().invoke(main, ["check", str(p)])
+    res = invoke(["check", str(p)])
     assert res.exit_code == 3  # BFileError
 
 
@@ -140,8 +145,8 @@ def test_offline_determinism():
 def test_localscan_rejects_unknown_local_checks():
     # a misspelt or unsupported check must not leave a failing prime realizable*
     for checks in ("dlod", "monotone", ""):
-        res = CliRunner().invoke(main, ["localscan", "e", "--upto", "20", "--prime", "61",
-                                        "--local-checks", checks])
+        res = invoke(["localscan", "e", "--upto", "20", "--prime", "61",
+                      "--local-checks", checks])
         assert res.exit_code == 1, checks
         assert "local_checks" in res.output
         assert "realizable*" not in res.output
@@ -188,7 +193,7 @@ def test_localscan_catalog_narrowed_by_upto_and_primes():
     (["--offset-policy", "strict"], "--offset-policy"),
 ])
 def test_localscan_catalog_rejects_flags_it_would_ignore(flags, name):
-    res = CliRunner().invoke(main, ["localscan", "A000032", "--catalog", *flags])
+    res = invoke(["localscan", "A000032", "--catalog", *flags])
     assert res.exit_code == 1
     assert res.output.startswith("error: ")
     assert name in res.output
@@ -201,19 +206,19 @@ def test_localscan_catalog_rejects_flags_it_would_ignore(flags, name):
 ])
 def test_negative_max_shift_is_refused(argv):
     # no shift would be tested, so "magical: yes" would claim too much
-    res = CliRunner().invoke(main, argv)
+    res = invoke(argv)
     assert res.exit_code == 1
     assert res.output == f"error: max_shift must be >= 0, got {argv[-1]}\n"
 
 
 def test_fetch_refuses_negative_terms():
-    res = CliRunner().invoke(main, ["fetch", "A000032", "--terms", "-2", "--cache-dir", ""])
+    res = invoke(["fetch", "A000032", "--terms", "-2", "--cache-dir", ""])
     assert res.exit_code == 1
     assert res.output == "error: --terms must be >= 0, got -2\n"
 
 
 def test_regular_upto_zero_is_not_the_default_depth():
-    res = CliRunner().invoke(main, ["regular", "--primes", "20", "--upto", "0"])
+    res = invoke(["regular", "--primes", "20", "--upto", "0"])
     assert res.exit_code == 1
     assert res.output == "error: N >= 1 required\n"
 
@@ -231,7 +236,7 @@ def test_readme_lists_the_commands():
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_command_runs(argv):
-    res = CliRunner().invoke(main, argv)
+    res = invoke(argv)
     assert res.exit_code == 0, res.output
     assert res.stdout
 
@@ -244,6 +249,7 @@ REFUSALS = [
       for what in ("e", "t", "b", "d", "bernoulli", "euler") for n in ("0", "-2")],
     (["check", "e", "--upto", "0"], 1),
     (["check", "e", "--upto", "-5"], 1),
+    (["check", "A000032", "--upto", "-5"], 1),
     (["check", "e", "--shift", "-1"], 1),
     (["check", "e", "--upto", "10", "--shift", "10"], 1),
     (["check", "A000032", "--scale", "0"], 1),
@@ -257,9 +263,12 @@ REFUSALS = [
     (["localscan", "A000032", "--catalog", "--primes", "0"], 1),
     (["localscan", "e", "--upto", "20", "--local-checks", ""], 1),
     (["localscan", "e", "--upto", "0"], 1),
+    (["localscan", "A000032", "--upto", "-3", "--primes", "20"], 1),
+    (["localscan", "A000032", "--catalog", "--upto", "-1"], 1),
     (["localscan", "e", "--upto", "20", "--magical", "--max-shift", "-1"], 1),
     (["magical", "A000032", "--upto", "10", "--max-shift", "-1"], 1),
     (["magical", "A000032", "--upto", "0"], 1),
+    (["magical", "A000032", "--upto", "-2"], 1),
     (["magical", "A000032", "--upto", "10", "--max-shift", "10"], 1),
     (["regular", "--primes", "1"], 1),
     (["regular", "--primes", "0"], 1),
@@ -299,23 +308,103 @@ REFUSALS = [
 def test_refused_input_prints_nothing(argv, code):
     # a partial report, or a family that tested nothing reported as holding,
     # would claim more than was checked
-    res = CliRunner().invoke(main, argv)
+    res = invoke(argv)
     assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr.startswith("error: ")
 
 
+def commands() -> dict[str, argparse.ArgumentParser]:
+    top = cli.parser()
+    return next(action.choices for action in top._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def test_refusals_cover_every_command_with_options():
     assert {argv[0] for argv, _ in REFUSALS} == {
-        name for name, command in main.commands.items() if command.params}
+        name for name, command in commands().items()
+        if any(not isinstance(action, argparse._HelpAction) for action in command._actions)}
 
 
 def test_ell_cross_check_at_two_is_answered():
-    res = CliRunner().invoke(main, ["ell", "--k", "1", "--m", "2", "--p", "2", "--upto", "6",
-                                    "--cross-check"])
+    res = invoke(["ell", "--k", "1", "--m", "2", "--p", "2", "--upto", "6",
+                  "--cross-check"])
     assert res.exit_code == 0
     assert res.stdout.splitlines() == [
         "4 16 4 64 4 16",
         "algebraically realizable: criterion not applicable at p=2",
         "torsion-module realization matches: yes",
     ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "e", "--format", "xml"],
+    ["ell", "--m", "1", "--p", "5"],  # --k is required
+    ["groups", "--file", "no-such-file.cayley"],
+    ["check", "e", "--no-such-option"],
+    ["check", "e", "--up", "5"],  # no abbreviations: --up is not --upto
+    ["localscan", "e", "--prim", "7"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_exit_2_before_any_output(argv):
+    res = invoke(argv)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+
+
+def test_a_value_starting_with_a_dash_attaches_with_equals():
+    # negative integers need no "=" (see REFUSALS); other such values do
+    res = invoke(["groups", "--name", "s3", "--target=-1,2"])
+    assert res.exit_code == 1
+    assert res.stderr == "error: Sequence1 values must be >= 0; a_1 = -1\n"
+
+
+def test_version():
+    res = invoke(["--version"])
+    assert (res.exit_code, res.stdout, res.stderr) == (0, "seqlab, version 0.1.0\n", "")
+
+
+def test_every_command_has_help():
+    for name in commands():
+        res = invoke([name, "--help"])
+        assert res.exit_code == 0
+        assert res.stdout.startswith(f"usage: seqlab {name}")
+
+
+def test_catalog_flag_refusal_names_the_flags_in_order():
+    res = invoke(["localscan", "A000032", "--catalog", "--scale", "1", "--abs",
+                  "--local-checks", "dold", "--prime", "7"])
+    assert res.exit_code == 1
+    assert res.output == ("error: --catalog fixes its own survey; --prime, --local-checks, "
+                          "--abs, --scale cannot be combined with it\n")
+
+
+def test_online_and_offline_share_one_flag():
+    ns = cli.parser().parse_args(["fetch", "A000032", "--online", "--offline"])
+    assert ns.online is False
+    ns = cli.parser().parse_args(["check", "e", "--offline", "--online"])
+    assert ns.online is True
+    assert cli.parser().parse_args(["check", "e"]).online is False
+
+
+def test_entry_point_keeps_its_main_spelling_when_functions_are_wrapped(monkeypatch, capsys):
+    # a tracer that rebinds every public function of the module to a wrapper
+    # carrying only its name and docstring must leave the entry point, and its
+    # main(args=..., prog_name=..., standalone_mode=...) spelling, working
+    copy = functools.partial(functools.wraps, assigned=("__name__", "__qualname__", "__doc__"),
+                             updated=())
+    for name, obj in list(vars(cli).items()):
+        if inspect.isfunction(obj) and obj.__module__ == cli.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(cli, name, copy(obj)(lambda *a, _fn=obj, **k: _fn(*a, **k)))
+    cli.main.main(args=["catalog"], prog_name="seqlab", standalone_mode=True)
+    assert "A000032 [lucas]" in capsys.readouterr().out
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "seqlab.cli", "catalog"], capture_output=True,
+                          text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "A001850 [delannoy]" in proc.stdout

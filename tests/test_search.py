@@ -12,7 +12,6 @@ import random
 from functools import lru_cache
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import seqlab.algebraic as algebraic
@@ -27,10 +26,10 @@ from seqlab.algebraic import (
     fix_counts,
 )
 from seqlab.arith import factorize, primes_in_range
-from seqlab.cli import main
 from seqlab.matrices import IntMatrix
 from seqlab.realizability import Sequence1
 import oracles
+from conftest import invoke
 
 
 def _group(order, mul, label):
@@ -182,7 +181,7 @@ def test_groups_target_searches_once(monkeypatch, target):
         return extend(group, gens, images)
 
     monkeypatch.setattr(algebraic, "_extend_from_generators", counting)
-    res = CliRunner().invoke(main, ["groups", "--name", "d8", "--target", target])
+    res = invoke(["groups", "--name", "d8", "--target", target])
     assert res.exit_code == 0
     assert len(calls) == 64
     last = res.output.splitlines()[-1]
@@ -196,7 +195,7 @@ def test_groups_command_refuses_over_budget(tmp_path):
     G = elementary_abelian(5)
     path = tmp_path / "c2-5.cayley"
     path.write_text("32\n0\n" + "\n".join(" ".join(map(str, row)) for row in G.table) + "\n")
-    res = CliRunner().invoke(main, ["groups", "--file", str(path), "--target", "1,1,1"])
+    res = invoke(["groups", "--file", str(path), "--target", "1,1,1"])
     assert res.exit_code == 1
     assert "33554432" in res.output
     assert not res.output.startswith("group ")

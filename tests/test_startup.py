@@ -94,6 +94,16 @@ def test_import_cli_loads_only_the_errors():
     assert loaded_after("import seqlab.cli") == {"seqlab", "seqlab.cli", "seqlab.errors"}
 
 
+def test_a_command_loads_no_click():
+    code = (
+        "import sys\n"
+        "import seqlab.cli\n"
+        "seqlab.cli.main(['catalog'])\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'click'], 'click loaded'\n"
+    )
+    assert "seqlab.experiment" in loaded_after(code)
+
+
 def test_catalog_scan_loads_no_number_or_algebraic_engine():
     loaded = loaded_after_command("localscan", "A000032", "--catalog")
     assert "seqlab.experiment" in loaded
