@@ -12,6 +12,7 @@ are rejected loudly rather than coerced.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -87,6 +88,22 @@ def kummer_check(
     and 2m = 2n (mod phi(p^r)).  Violations are rejected, in particular the
     p-1 | 2n pole case.
     """
+
+    def residue(k: int) -> int:
+        b = table if table is not None else bernoulli_upto(m)
+        return _residue(b.b_over_2n(k), p**r)
+
+    return _kummer_check(p, r, m, n, residue)
+
+
+def _kummer_check(
+    p: int, r: int, m: int, n: int, residue: Callable[[int], int]
+) -> CongruenceCheck:
+    """kummer_check's hypotheses, then its check with residue(k) = B_{2k}/2k mod p^r.
+
+    residue is read only after every hypothesis holds, so it is never asked
+    for a pole or an index outside 1 <= r <= 2k-1.
+    """
     if p < 3 or not is_prime(p):
         raise ValueError(f"odd prime expected, got {p}")
     if not 1 <= r <= 2 * n - 1 <= 2 * m - 1:
@@ -95,15 +112,12 @@ def kummer_check(
         raise ValueError(
             f"p-1 = {p - 1} divides 2n = {2 * n}: von Staudt-Clausen pole, check rejected"
         )
-    if (2 * m - 2 * n) % euler_phi(p**r) != 0:
+    # phi(p^r) = p^(r-1)(p-1), as p is prime and r >= 1
+    if (2 * m - 2 * n) % (p ** (r - 1) * (p - 1)) != 0:
         raise ValueError(f"2m and 2n not congruent mod phi({p}^{r})")
-    if table is None:
-        table = bernoulli_upto(m)
-    return _compare(
-        f"Kummer: B_{2 * m}/{2 * m} = B_{2 * n}/{2 * n} mod {p}^{r}",
-        p**r,
-        table.b_over_2n(m),
-        table.b_over_2n(n),
+    lhs, rhs = residue(m), residue(n)
+    return CongruenceCheck(
+        f"Kummer: B_{2 * m}/{2 * m} = B_{2 * n}/{2 * n} mod {p}^{r}", p**r, lhs, rhs, lhs == rhs
     )
 
 
@@ -115,6 +129,11 @@ def young_check(p: int, n: int, table: BernoulliTable | None = None) -> Congruen
     for a good primitive root g.  The power factors soak up the p's of the
     Bernoulli denominators, so both sides reduce to honest residues.
     """
+    return _young_check(p, n, good_primitive_root(p), table)
+
+
+def _young_check(p: int, n: int, g: int, table: BernoulliTable | None) -> CongruenceCheck:
+    """young_check with g = good_primitive_root(p) given, so a grid takes it once per p."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"odd prime expected, got {p}")
     if (2 * n) % (p - 1) != 0:
@@ -122,10 +141,9 @@ def young_check(p: int, n: int, table: BernoulliTable | None = None) -> Congruen
     r = p_adic(n, p).ord
     if r < 1:
         raise ValueError(f"need ord_{p}({n}) >= 1")
-    k = n // p
-    g = good_primitive_root(p)
     if table is None:
         table = bernoulli_upto(n)
+    k = n // p
     lhs = (Fraction(g) ** (2 * n) - 1) * table.b_over_2n(n)
     rhs = (Fraction(g) ** (2 * k) - 1) * table.b_over_2n(k)
     return _compare(
@@ -231,6 +249,17 @@ def run_oracle_grids(
     n <= 15 and p <= 13 (it compares exact integers that grow fast); every
     other family runs to the given bounds.  All checks must hold; a False
     anywhere is an engine defect.
+
+    Every index is at most upto, so the grid stops where upto stops it:
+    - a prime p makes checks only if p <= upto (Young, euler-additive),
+      (p-1)/2 <= upto-1 (Kummer) or p <= 13 (Wagstaff), so primes above
+      max(2*upto - 1, 13) are never tried;
+    - Kummer makes checks at p^r only while phi(p^r)/2 = p^(r-1)(p-1)/2
+      <= upto-1, and euler-additive only while p^r <= upto.
+    A larger max_prime or max_r than these bounds changes nothing.
+
+    Kummer reduces each B_{2n}/2n once per modulus p^r: one row of residues
+    holds the n that the checks at p^r read.
     """
     families = ("kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive")
     if family != "all" and family not in families:
@@ -238,27 +267,39 @@ def run_oracle_grids(
     wanted = families if family == "all" else (family,)
     btable = bernoulli_upto(upto)
     etable = euler_upto(upto)
-    odd_primes = [p for p in range(3, max_prime + 1) if is_prime(p)]
+    prime_bound = min(max_prime, max(2 * upto - 1, 13))
+    odd_primes = [p for p in range(3, prime_bound + 1) if is_prime(p)]
     out: dict[str, list[CongruenceCheck]] = {}
 
     if "kummer" in wanted:
         checks = []
         for p in odd_primes:
             for r in range(1, max_r + 1):
-                half_phi = euler_phi(p**r) // 2
-                for n in range(1, upto + 1):
-                    if r > 2 * n - 1 or (2 * n) % (p - 1) == 0:
-                        continue
+                half_phi = p ** (r - 1) * (p - 1) // 2
+                if half_phi > upto - 1:
+                    break  # no m = n + half_phi <= upto, here or at any larger r
+                lo = r // 2 + 1  # least n with r <= 2n - 1
+                ns = [n for n in range(lo, upto + 1) if (2 * n) % (p - 1) != 0]
+                # m = n + j*half_phi is a non-pole exactly when n is, so the row
+                # holds each n that has a partner half_phi above or below it
+                row = {
+                    k: _residue(btable.b_over_2n(k), p**r)
+                    for k in ns
+                    if k + half_phi <= upto or k - half_phi >= lo
+                }
+                for n in ns:
                     for m in range(n + half_phi, upto + 1, half_phi):
-                        checks.append(kummer_check(p, r, m, n, btable))
+                        checks.append(_kummer_check(p, r, m, n, row.__getitem__))
         out["kummer"] = checks
 
     if "young" in wanted:
         checks = []
         for p in odd_primes:
+            g = None
             for n in range(p, upto + 1, p):
                 if (2 * n) % (p - 1) == 0:
-                    checks.append(young_check(p, n, btable))
+                    g = g or good_primitive_root(p)
+                    checks.append(_young_check(p, n, g, btable))
         out["young"] = checks
 
     if "five" in wanted:
@@ -279,6 +320,8 @@ def run_oracle_grids(
         checks = []
         for p in [2] + odd_primes:
             for r in range(1, max_r + 1):
+                if p**r > upto:
+                    break  # b >= 1 needs p^r b <= upto
                 for b in range(1, upto // p**r + 1):
                     if b % p != 0:
                         checks.append(euler_additive_check(p, r, b, etable))

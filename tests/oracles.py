@@ -12,7 +12,10 @@ reference strips one prime from every term, as localization did before the
 batched reduction.  The prime-classification references try one prime and
 one term at a time, as the classification did before it read every prime's
 least dividing index from one localization; they borrow the package's
-status containers and its number tables.
+status containers and its number tables.  The congruence-grid reference is
+the grid as it was before it reduced each B_{2n}/2n once per modulus: one
+public Kummer and Young check per grid point, over every prime up to
+max_prime and every r up to max_r; it borrows the package's other checks.
 """
 
 from __future__ import annotations
@@ -388,3 +391,122 @@ def numerator_local_status_ref(q, N, derived=None):
         if part_k > part_m:
             return NumeratorLocalStatus(q, N, "monotone-failure", k, m, part_k, part_m)
     raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")
+
+
+# --- reference congruence grids: one full check per grid point, no cut-off --
+
+
+def kummer_check_ref(p, r, m, n, table=None):
+    """B_{2m}/2m = B_{2n}/2n mod p^r, each side reduced on its own."""
+    from seqlab.arith import euler_phi, is_prime
+    from seqlab.classical import bernoulli_upto
+    from seqlab.congruences import _compare
+
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"odd prime expected, got {p}")
+    if not 1 <= r <= 2 * n - 1 <= 2 * m - 1:
+        raise ValueError(f"need 1 <= r <= 2n-1 <= 2m-1, got r={r}, n={n}, m={m}")
+    if (2 * n) % (p - 1) == 0:
+        raise ValueError(
+            f"p-1 = {p - 1} divides 2n = {2 * n}: von Staudt-Clausen pole, check rejected"
+        )
+    if (2 * m - 2 * n) % euler_phi(p**r) != 0:
+        raise ValueError(f"2m and 2n not congruent mod phi({p}^{r})")
+    if table is None:
+        table = bernoulli_upto(m)
+    return _compare(
+        f"Kummer: B_{2 * m}/{2 * m} = B_{2 * n}/{2 * n} mod {p}^{r}",
+        p**r,
+        table.b_over_2n(m),
+        table.b_over_2n(n),
+    )
+
+
+def young_check_ref(p, n, table=None):
+    """(g^{2n}-1)B_{2n}/2n = (g^{2k}-1)B_{2k}/2k mod p^ord_p(n), g found per call."""
+    from seqlab.arith import is_prime, p_adic
+    from seqlab.classical import bernoulli_upto
+    from seqlab.congruences import _compare, good_primitive_root
+
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"odd prime expected, got {p}")
+    if (2 * n) % (p - 1) != 0:
+        raise ValueError(f"need p-1 | 2n, got p={p}, n={n}")
+    r = p_adic(n, p).ord
+    if r < 1:
+        raise ValueError(f"need ord_{p}({n}) >= 1")
+    k = n // p
+    g = good_primitive_root(p)
+    if table is None:
+        table = bernoulli_upto(n)
+    lhs = (Fraction(g) ** (2 * n) - 1) * table.b_over_2n(n)
+    rhs = (Fraction(g) ** (2 * k) - 1) * table.b_over_2n(k)
+    return _compare(
+        f"Young: (g^{2 * n}-1)B_{2 * n}/{2 * n} = (g^{2 * k}-1)B_{2 * k}/{2 * k} mod {p}^{r}, g={g}",
+        p**r,
+        lhs,
+        rhs,
+    )
+
+
+def run_oracle_grids_ref(max_prime=31, max_r=3, upto=60, family="all"):
+    """{family: [checks...]} over every prime <= max_prime and r <= max_r."""
+    from seqlab.arith import euler_phi, is_prime
+    from seqlab.classical import bernoulli_upto, euler_upto
+    from seqlab.congruences import (
+        euler_additive_check, lemma_five_check, staying_alive_check, wagstaff_identity_check,
+    )
+
+    families = ("kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive")
+    if family != "all" and family not in families:
+        raise ValueError(f"unknown family {family!r}")
+    wanted = families if family == "all" else (family,)
+    btable = bernoulli_upto(upto)
+    etable = euler_upto(upto)
+    odd_primes = [p for p in range(3, max_prime + 1) if is_prime(p)]
+    out = {}
+
+    if "kummer" in wanted:
+        checks = []
+        for p in odd_primes:
+            for r in range(1, max_r + 1):
+                half_phi = euler_phi(p**r) // 2
+                for n in range(1, upto + 1):
+                    if r > 2 * n - 1 or (2 * n) % (p - 1) == 0:
+                        continue
+                    for m in range(n + half_phi, upto + 1, half_phi):
+                        checks.append(kummer_check_ref(p, r, m, n, btable))
+        out["kummer"] = checks
+
+    if "young" in wanted:
+        checks = []
+        for p in odd_primes:
+            for n in range(p, upto + 1, p):
+                if (2 * n) % (p - 1) == 0:
+                    checks.append(young_check_ref(p, n, btable))
+        out["young"] = checks
+
+    if "five" in wanted:
+        out["five"] = [lemma_five_check(n, btable) for n in range(2, upto + 1, 2)]
+
+    if "staying-alive" in wanted:
+        out["staying-alive"] = [staying_alive_check(n) for n in range(2, upto + 1, 2)]
+
+    if "wagstaff" in wanted:
+        checks = []
+        for n in range(1, min(upto, 15) + 1):
+            for p in odd_primes:
+                if p <= 13:
+                    checks.append(wagstaff_identity_check(n, p, etable))
+        out["wagstaff"] = checks
+
+    if "euler-additive" in wanted:
+        checks = []
+        for p in [2] + odd_primes:
+            for r in range(1, max_r + 1):
+                for b in range(1, upto // p**r + 1):
+                    if b % p != 0:
+                        checks.append(euler_additive_check(p, r, b, etable))
+        out["euler-additive"] = checks
+
+    return out

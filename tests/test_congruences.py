@@ -1,9 +1,12 @@
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import seqlab.congruences
 from seqlab.arith import euler_phi, primes_in_range
 from seqlab.congruences import (
     _residue,
@@ -18,6 +21,10 @@ from seqlab.congruences import (
     wagstaff_identity_check,
     young_check,
 )
+from conftest import invoke
+from oracles import run_oracle_grids_ref
+
+FAMILIES = ("kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive")
 
 
 def test_good_primitive_root_examples():
@@ -118,14 +125,90 @@ def test_euler_additive_examples(etable200):
 
 def test_full_grids_hold():
     results = run_oracle_grids(max_prime=31, max_r=3, upto=60)
-    assert set(results) == {
-        "kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive"
+    # a dropped check would still leave every remaining one holding
+    assert {family: len(checks) for family, checks in results.items()} == {
+        "kummer": 2051, "young": 29, "five": 30, "staying-alive": 30,
+        "wagstaff": 75, "euler-additive": 87,
     }
     for family, checks in results.items():
-        assert checks, family
         bad = [c for c in checks if not c.holds]
         assert not bad, (family, bad[:3])
 
+
+def _rows(grids):
+    """Each family's ordered (description, modulus, lhs, rhs, holds) tuples."""
+    return [(family, [astuple(c) for c in checks]) for family, checks in grids.items()]
+
+
+@pytest.mark.parametrize("grid", [
+    # the benchmark's grids
+    dict(max_prime=31, max_r=3, upto=200),
+    dict(max_prime=43, max_r=3, upto=100),
+    dict(max_prime=41, max_r=3, upto=100),
+    # the benchmark's `seqlab oracle` command lines
+    dict(),
+    dict(family="kummer"),
+    dict(family="euler-additive", upto=80),
+    dict(max_prime=43, upto=80),
+    # each family alone
+    *[dict(family=family) for family in FAMILIES],
+], ids=repr)
+def test_grids_match_reference(grid):
+    assert _rows(run_oracle_grids(**grid)) == _rows(run_oracle_grids_ref(**grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-2, 60),
+    st.integers(-1, 5),
+    st.integers(1, 80),
+    st.sampled_from(FAMILIES + ("all",)),
+)
+def test_small_grids_match_reference(max_prime, max_r, upto, family):
+    grid = dict(max_prime=max_prime, max_r=max_r, upto=upto, family=family)
+    assert _rows(run_oracle_grids(**grid)) == _rows(run_oracle_grids_ref(**grid))
+
+
+@pytest.mark.parametrize("large,cut", [
+    (dict(max_r=2000), dict(max_r=5)),
+    (dict(max_prime=200000, family="kummer", upto=10),
+     dict(max_prime=19, family="kummer", upto=10)),
+], ids=["max-r", "max-prime"])
+def test_grid_stops_where_upto_stops_it(monkeypatch, large, cut):
+    # Count the primality tests, totients and residues the grid takes.  Past
+    # the cut-off every prime and r adds none of them, so the large grid must
+    # take exactly what the cut-off grid takes; a call beyond that raises at
+    # once instead of letting an unbounded loop run on.
+    reference = _rows(run_oracle_grids_ref(**cut))
+    counted_names = ("is_prime", "euler_phi", "_residue")
+    calls, budget = Counter(), {}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            if name in budget and calls[name] > budget[name]:
+                raise RuntimeError(f"{name} called more than {budget[name]} times")
+            return f(*args)
+        return wrapper
+
+    for name in counted_names:
+        monkeypatch.setattr(seqlab.congruences, name, counted(name, getattr(seqlab.congruences, name)))
+
+    def argv(grid):
+        return ["oracle", *(f"--{key.replace('_', '-')}={value}" for key, value in grid.items())]
+
+    at_cut = invoke(argv(cut))
+    budget.update({name: calls[name] for name in counted_names})
+    calls.clear()
+    at_large = invoke(argv(large))
+    assert calls == Counter(budget)
+    assert at_cut.exit_code == 0 and "all oracles hold" in at_cut.stdout
+    assert (at_large.exit_code, at_large.stdout, at_large.stderr) == (
+        at_cut.exit_code, at_cut.stdout, at_cut.stderr)
+
+    calls.clear()
+    assert _rows(run_oracle_grids(**large)) == reference
+    assert calls == Counter(budget)
 
 
 @given(
