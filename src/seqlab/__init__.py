@@ -61,9 +61,9 @@ _EXPORTS = {
     ),
     "realizability": (
         "MagicalReport", "OrbitCounts", "RealizabilityReport", "Sequence1", "Verdict",
-        "arias_criterion", "check_realizable", "dold_sign", "local_report",
-        "magical_report", "orbit_counts", "p_part_sequence", "pointwise_product",
-        "shift",
+        "arias_criterion", "check_realizable", "dold_sign", "least_failure",
+        "local_report", "magical_report", "orbit_counts", "p_part_sequence",
+        "pointwise_product", "shift",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -72,18 +72,14 @@ def _online(text):
             option("--offline", dest="online", action="store_false", default=False))
 
 
-def _error(message, code: int):
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(code)
-
-
-def _run(func, *args, **kwargs):
+def _run(command, **params):
+    """The one error guard: an error the command raises prints one ``error:``
+    line on stderr and exits with its class's code (1 if it has none)."""
     try:
-        return func(*args, **kwargs)
-    except tuple(EXIT_CODES) as exc:
-        _error(exc, EXIT_CODES[type(exc)])
+        command(**params)
     except (SeqLabError, ValueError, OSError) as exc:
-        _error(exc, 1)
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CODES.get(type(exc), 1))
 
 
 @command(
@@ -94,36 +90,32 @@ def _run(func, *args, **kwargs):
 )
 def classical(upto, what):
     """Print the classical sequences or number tables."""
-    def go():
-        from .classical import bernoulli_upto, euler_upto
-        from .experiment import _builtin
+    from .classical import bernoulli_upto, euler_upto
+    from .experiment import _builtin
 
-        if upto < 1:
-            raise ValueError(f"--upto must be >= 1, got {upto}")
-        if what == "bernoulli":
-            table = bernoulli_upto(upto)
-            for n in range(1, upto + 1):
-                print(f"B_{2 * n} = {table.B(2 * n)}")
-        elif what == "euler":
-            table = euler_upto(upto)
-            for n in range(1, upto + 1):
-                print(f"E_{2 * n} = {table.E(2 * n)}")
-        else:
-            for n, v in enumerate(_builtin(what, upto), start=1):
-                print(f"{n} {v}")
-    _run(go)
+    if upto < 1:
+        raise ValueError(f"--upto must be >= 1, got {upto}")
+    if what == "bernoulli":
+        table = bernoulli_upto(upto)
+        for n in range(1, upto + 1):
+            print(f"B_{2 * n} = {table.B(2 * n)}")
+    elif what == "euler":
+        table = euler_upto(upto)
+        for n in range(1, upto + 1):
+            print(f"E_{2 * n} = {table.E(2 * n)}")
+    else:
+        for n, v in enumerate(_builtin(what, upto), start=1):
+            print(f"{n} {v}")
 
 
 def _report(make_spec, source, fmt, **fields):
-    """Build the spec inside the error guard, run it and print the report.
-    A field left at None was not given, so the spec's own default applies."""
-    def go():
-        from .experiment import render_report, run_experiment
+    """Build the spec, run it and print the report.  A field left at None was
+    not given, so the spec's own default applies."""
+    from .experiment import render_report, run_experiment
 
-        given = {name: value for name, value in fields.items() if value is not None}
-        spec = make_spec(source, cache_dir=str(DEFAULT_CACHE), **given)
-        print(render_report(run_experiment(spec), fmt), end="")
-    _run(go)
+    given = {name: value for name, value in fields.items() if value is not None}
+    spec = make_spec(source, cache_dir=str(DEFAULT_CACHE), **given)
+    print(render_report(run_experiment(spec), fmt), end="")
 
 
 def _survey(upto_help):
@@ -190,8 +182,8 @@ def localscan(source, upto, prime_limit, catalog, fmt, **fields):
     # narrow it, and any other survey flag given explicitly is refused
     given = [flag for name, flag in _CATALOG_FIXED.items() if fields.pop(name) is not None]
     if given:
-        _error(f"--catalog fixes its own survey; {', '.join(given)} "
-               f"cannot be combined with it", 1)
+        raise ValueError(f"--catalog fixes its own survey; {', '.join(given)} "
+                         f"cannot be combined with it")
     _report(catalog_spec, source, fmt, depth=upto, prime_limit=prime_limit, **fields)
 
 
@@ -219,15 +211,13 @@ def magical(source, upto, fmt, **fields):
 )
 def regular(kind, q_max, depth):
     """Classify primes as regular/irregular (Bernoulli or Euler sense)."""
-    def go():
-        from .primes import BERNOULLI, scan_primes
+    from .primes import BERNOULLI, scan_primes
 
-        for cls in scan_primes(kind, q_max, depth):
-            if kind == BERNOULLI:
-                print(f"{cls.q} {cls.bernoulli_status}")
-            else:
-                print(f"{cls.q} {cls.euler_status} {cls.euler_strength}")
-    _run(go)
+    for cls in scan_primes(kind, q_max, depth):
+        if kind == BERNOULLI:
+            print(f"{cls.q} {cls.bernoulli_status}")
+        else:
+            print(f"{cls.q} {cls.euler_status} {cls.euler_strength}")
 
 
 @command(
@@ -241,33 +231,31 @@ def regular(kind, q_max, depth):
 )
 def ell(k, m, p, upto, cross_check):
     """Evaluate the p-power sequence ell(k,m,p) and test algebraic realizability."""
-    def go():
-        from .algebraic import (
-            ConstructionParams,
-            construct_matrix,
-            ell_algebraically_realizable,
-            ell_sequence,
-            torsion_fix_counts,
-        )
+    from .algebraic import (
+        ConstructionParams,
+        construct_matrix,
+        ell_algebraically_realizable,
+        ell_sequence,
+        torsion_fix_counts,
+    )
 
-        params = ConstructionParams.create(k, m, p)
-        seq = ell_sequence(params, upto)
-        # everything that can fail runs before the first line is printed
-        ok = None if p == 2 else ell_algebraically_realizable(k, m, p)
-        if cross_check:
-            if params.c is None:
-                raise ValueError(f"k = {k} does not divide p^m - 1 = {p ** m - 1}")
-            A, _ = construct_matrix(p, m)
-            match = torsion_fix_counts(A, params.c, p, upto).values == seq.values
-        print(" ".join(str(v) for v in seq.values))
-        if ok is None:
-            print("algebraically realizable: criterion not applicable at p=2")
-        else:
-            print(f"algebraically realizable: {'yes' if ok else 'no'} "
-                  f"(k | p^m - 1 is {'satisfied' if ok else 'violated'})")
-        if cross_check:
-            print(f"torsion-module realization matches: {'yes' if match else 'NO'}")
-    _run(go)
+    params = ConstructionParams.create(k, m, p)
+    seq = ell_sequence(params, upto)
+    # everything that can fail runs before the first line is printed
+    ok = None if p == 2 else ell_algebraically_realizable(k, m, p)
+    if cross_check:
+        if params.c is None:
+            raise ValueError(f"k = {k} does not divide p^m - 1 = {p ** m - 1}")
+        A, _ = construct_matrix(p, m)
+        match = torsion_fix_counts(A, params.c, p, upto).values == seq.values
+    print(" ".join(str(v) for v in seq.values))
+    if ok is None:
+        print("algebraically realizable: criterion not applicable at p=2")
+    else:
+        print(f"algebraically realizable: {'yes' if ok else 'no'} "
+              f"(k | p^m - 1 is {'satisfied' if ok else 'violated'})")
+    if cross_check:
+        print(f"torsion-module realization matches: {'yes' if match else 'NO'}")
 
 
 @command(
@@ -280,33 +268,31 @@ def ell(k, m, p, upto, cross_check):
 )
 def groups(name, path, upto, target):
     """Enumerate endomorphisms of a finite group and their fixed-point counts."""
-    def go():
-        from .algebraic import bundled_group, enumerate_endomorphisms, fix_counts, parse_cayley
-        from .realizability import Sequence1
+    from .algebraic import bundled_group, enumerate_endomorphisms, fix_counts, parse_cayley
+    from .realizability import Sequence1
 
-        if (name is None) == (path is None):
-            raise ValueError("give exactly one of --name or --file")
-        if name is not None:
-            G = bundled_group(name)
+    if (name is None) == (path is None):
+        raise ValueError("give exactly one of --name or --file")
+    if name is not None:
+        G = bundled_group(name)
+    else:
+        G = parse_cayley(Path(path).read_text(), label=str(path))
+    # everything that can fail runs before the first line is printed
+    endos = [(theta, fix_counts(G, theta, upto)) for theta in enumerate_endomorphisms(G)]
+    if target is not None:
+        want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
+        # the first match in enumeration order, as find_realizing_endomorphism
+        # would give, without enumerating a second time
+        found = next((theta for theta, _ in endos
+                      if fix_counts(G, theta, len(want)).values == want.values), None)
+    print(f"group {G.label or ''} order {G.order}: {len(endos)} endomorphisms")
+    for i, (theta, counts) in enumerate(endos):
+        print(f"  endo {i}: image={list(theta.image)} fix={list(counts.values)}")
+    if target is not None:
+        if found is None:
+            print("target: not realized by any endomorphism")
         else:
-            G = parse_cayley(Path(path).read_text(), label=str(path))
-        # everything that can fail runs before the first line is printed
-        endos = [(theta, fix_counts(G, theta, upto)) for theta in enumerate_endomorphisms(G)]
-        if target is not None:
-            want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
-            # the first match in enumeration order, as find_realizing_endomorphism
-            # would give, without enumerating a second time
-            found = next((theta for theta, _ in endos
-                          if fix_counts(G, theta, len(want)).values == want.values), None)
-        print(f"group {G.label or ''} order {G.order}: {len(endos)} endomorphisms")
-        for i, (theta, counts) in enumerate(endos):
-            print(f"  endo {i}: image={list(theta.image)} fix={list(counts.values)}")
-        if target is not None:
-            if found is None:
-                print("target: not realized by any endomorphism")
-            else:
-                print(f"target: realized by image={list(found.image)}")
-    _run(go)
+            print(f"target: realized by image={list(found.image)}")
 
 
 @command(
@@ -319,27 +305,25 @@ def groups(name, path, upto, target):
 )
 def oracle(max_prime, max_r, upto, family):
     """Run the congruence-oracle grids; any failure indicates an engine defect."""
-    def go():
-        from .congruences import run_oracle_grids
+    from .congruences import run_oracle_grids
 
-        results = run_oracle_grids(max_prime=max_prime, max_r=max_r, upto=upto,
-                                   family=family)
-        # a family that ran no check has shown nothing, so it cannot "hold"
-        empty = [fam for fam, checks in results.items() if not checks]
-        if empty:
-            raise ValueError(f"this grid gives no checks for {', '.join(empty)}; "
-                             f"raise --max-prime, --max-r or --upto")
-        defects = 0
-        for fam, checks in results.items():
-            bad = [c for c in checks if not c.holds]
-            defects += len(bad)
-            print(f"{fam}: {len(checks) - len(bad)}/{len(checks)} hold")
-            for c in bad:
-                print(f"  DEFECT {c.description}: {c.lhs} != {c.rhs} mod {c.modulus}")
-        if defects:
-            raise ValueError(f"{defects} oracle defect(s): engine bug")
-        print("all oracles hold")
-    _run(go)
+    results = run_oracle_grids(max_prime=max_prime, max_r=max_r, upto=upto,
+                               family=family)
+    # a family that ran no check has shown nothing, so it cannot "hold"
+    empty = [fam for fam, checks in results.items() if not checks]
+    if empty:
+        raise ValueError(f"this grid gives no checks for {', '.join(empty)}; "
+                         f"raise --max-prime, --max-r or --upto")
+    defects = 0
+    for fam, checks in results.items():
+        bad = [c for c in checks if not c.holds]
+        defects += len(bad)
+        print(f"{fam}: {len(checks) - len(bad)}/{len(checks)} hold")
+        for c in bad:
+            print(f"  DEFECT {c.description}: {c.lhs} != {c.rhs} mod {c.modulus}")
+    if defects:
+        raise ValueError(f"{defects} oracle defect(s): engine bug")
+    print("all oracles hold")
 
 
 @command(
@@ -353,16 +337,14 @@ def oracle(max_prime, max_r, upto, family):
 )
 def fetch(a_number, online, fixtures_dir, cache_dir, terms):
     """Resolve an A-number to a b-file (bundled fixture, cache, or network)."""
-    def go():
-        from .bfile import fetch_oeis
+    from .bfile import fetch_oeis
 
-        if terms < 0:
-            raise ValueError(f"--terms must be >= 0, got {terms}")
-        bf = fetch_oeis(a_number, online=online, fixtures_dir=fixtures_dir,
-                        cache_dir=cache_dir)
-        head = ", ".join(str(v) for v in bf.values[:terms])
-        print(f"{bf.source}: offset {bf.offset}, {len(bf)} terms: {head}, ...")
-    _run(go)
+    if terms < 0:
+        raise ValueError(f"--terms must be >= 0, got {terms}")
+    bf = fetch_oeis(a_number, online=online, fixtures_dir=fixtures_dir,
+                    cache_dir=cache_dir)
+    head = ", ".join(str(v) for v in bf.values[:terms])
+    print(f"{bf.source}: offset {bf.offset}, {len(bf)} terms: {head}, ...")
 
 
 @command("catalog")
@@ -401,7 +383,7 @@ class _Main:
 
     def __call__(self, args=None):
         params = vars(parser().parse_args(args))
-        params.pop("run")(**params)
+        _run(params.pop("run"), **params)
 
     # The entry point's former spelling, main.main(args=..., prog_name=...,
     # standalone_mode=...), which perfbench/worker.py still calls; ROADMAP

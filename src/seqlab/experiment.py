@@ -2,9 +2,10 @@
 
 Reports follow the asterisk convention: a prime where every check passes over
 the prefix is only ever "realizable*" (evidence, not proof), while a failing
-prime carries an unequivocal witness.  Any local failure also rules out
-realizability by a nilpotent group endomorphism, which the report surfaces as
-an annotation.
+prime carries an unequivocal witness: the least one among its selected checks
+(``realizability.least_failure``), as does a failing shift of the magical
+section.  Any local failure also rules out realizability by a nilpotent group
+endomorphism, which the report surfaces as an annotation.
 
 The report document is a plain JSON-able dict; ``render_report`` serializes
 it as JSON, CSV (one row per scanned prime, global columns repeated), or a
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import primes_in_range
-from .bfile import SHIFT_TO_1, fetch_oeis, parse_bfile, to_sequence
+from .bfile import SHIFT_TO_1, STRICT, fetch_oeis, parse_bfile, to_sequence
 from .errors import DepthError
 from .realizability import (
     RealizabilityReport,
@@ -24,7 +25,9 @@ from .realizability import (
     Verdict,
     check_realizable,
     dold_sign,
+    least_failure,
     localize,
+    magical_report,
     shift as shift_sequence,
 )
 
@@ -133,6 +136,12 @@ class ExperimentSpec:
         if self.max_shift < 0:
             # no shift would be tested, and "magical: yes" would claim too much
             raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")
+        if self.prime_limit is not None and self.prime_limit < 2:
+            # no prime lies below 2, so the scan would check nothing
+            raise ValueError(f"prime_limit must be >= 2, got {self.prime_limit}")
+        if self.offset_policy not in (SHIFT_TO_1, STRICT):
+            raise ValueError(f"offset_policy must be one of {(SHIFT_TO_1, STRICT)}, "
+                             f"got {self.offset_policy!r}")
 
 
 # Catalogued local-realizability surveys over the bundled fixtures.  Depth is
@@ -180,18 +189,12 @@ def _report_checks(report: RealizabilityReport) -> list[dict]:
     ]
 
 
-def _local_failure_witness(
-    dold: Verdict, sign: Verdict, checks: tuple[str, ...] = LOCAL_CHECKS
-) -> dict | None:
-    # earliest witness among the selected checks (dold wins ties)
-    failing = [
-        (v.n, name, v)
-        for name, v in (("dold", dold), ("sign", sign))
-        if name in checks and not v.passed
-    ]
-    if not failing:
+def _witness_json(verdicts) -> dict | None:
+    # the least witness among the (name, verdict) pairs, or None if all pass
+    failure = least_failure(verdicts)
+    if failure is None:
         return None
-    n, name, v = min(failing, key=lambda item: (item[0], item[1] != "dold"))
+    name, v = failure
     return {"check": name, "n": v.n, "value": v.value}
 
 
@@ -231,19 +234,19 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             primes = primes_in_range(
                 2, DEFAULT_PRIME_LIMIT if spec.prime_limit is None else spec.prime_limit
             )
-        failing = []
         parts = localize(seq.values, primes)
-        # a prime missing from ``parts`` divides no term, so its q-part is all
-        # ones: o_1 = 1 and o_n = sum_{d|n} mu(n/d) = 0 for n > 1, and both
-        # Dold and sign pass with no inversion
-        trivial = Verdict.pass_up_to(depth)
         for q in primes:
-            dold, sign = dold_sign(parts[q]) if q in parts else (trivial, trivial)
-            witness = _local_failure_witness(dold, sign, spec.local_checks)
+            # a prime missing from ``parts`` divides no term, so its q-part is
+            # all ones: o_1 = 1 and o_n = sum_{d|n} mu(n/d) = 0 for n > 1, and
+            # both Dold and sign pass with no inversion
+            witness = None
+            if q in parts:
+                verdicts = zip(LOCAL_CHECKS, dold_sign(parts[q]))
+                witness = _witness_json((name, v) for name, v in verdicts
+                                        if name in spec.local_checks)
             status = "realizable*" if witness is None else "not-realizable"
-            if witness is not None:
-                failing.append(q)
             doc["local"].append({"prime": q, "status": status, "witness": witness})
+        failing = not_realizable_primes(doc)
         if failing:
             doc["annotations"].append(
                 "not nilpotently realizable: local failure at prime(s) "
@@ -252,23 +255,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     if spec.include_magical:
         # every shift k must pass Dold and sign; shift 0 is the global check
-        if spec.max_shift >= depth:
-            raise ValueError(f"max_shift {spec.max_shift} >= length {depth}")
-        entries = []
-        for k in range(spec.max_shift + 1):
-            dold, sign = dold_sign(seq.values[k:]) if k else (report.dold, report.sign)
-            witness = _local_failure_witness(dold, sign)
-            entries.append(
-                {
-                    "shift": k,
-                    "status": "pass" if witness is None else "fail",
-                    "witness": witness,
-                }
-            )
+        mag = magical_report(seq, spec.max_shift)
+        witnesses = [(k, _witness_json(zip(LOCAL_CHECKS, verdicts)))
+                     for k, *verdicts in mag.entries]
         doc["magical"] = {
             "max_shift": spec.max_shift,
-            "all_pass": all(e["witness"] is None for e in entries),
-            "entries": entries,
+            "all_pass": mag.all_pass,
+            "entries": [{"shift": k, "status": "pass" if w is None else "fail", "witness": w}
+                        for k, w in witnesses],
         }
 
     return doc

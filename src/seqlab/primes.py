@@ -144,6 +144,8 @@ def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeCl
     """
     if kind not in (BERNOULLI, EULER):
         raise ValueError(f"kind must be {BERNOULLI!r} or {EULER!r}")
+    if q_max < 2:
+        raise ValueError(f"q_max must be >= 2, got {q_max}")
     if depth is None:
         q = primes_in_range(2, q_max)[-1]
         depth = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)

@@ -5,7 +5,9 @@ map: a_n = #{x : T^n x = x}.  Over a finite prefix this is decidable via the
 orbit counts o_n = sum_{d|n} mu(n/d) a_d, which must be divisible by n (the
 Dold congruence) and non-negative (the sign condition).  Verdicts here never
 claim more than the prefix shows: a passing check is PASS-UP-TO(N), a failing
-one carries its least witness index.
+one carries its least witness index.  Where several checks fail,
+``least_failure`` reports the one with the least witness index, the earlier
+check winning a tie.
 """
 
 from __future__ import annotations
@@ -117,11 +119,19 @@ class RealizabilityReport:
         return self.dold.passed and self.sign.passed
 
     def first_failure(self) -> tuple[str, Verdict] | None:
-        for name in ("dold", "sign", "monotone"):
-            v: Verdict = getattr(self, name)
-            if not v.passed:
-                return name, v
-        return None
+        """The least witness among (dold, sign, monotone), if any check fails."""
+        return least_failure((("dold", self.dold), ("sign", self.sign),
+                              ("monotone", self.monotone)))
+
+
+def least_failure(verdicts: Iterable[tuple[str, Verdict]]) -> tuple[str, Verdict] | None:
+    """The failing (name, verdict) with the least witness index ``n``, the
+    earlier name winning a tie; None when every verdict passes."""
+    least = None
+    for name, v in verdicts:
+        if not v.passed and (least is None or v.n < least[1].n):
+            least = name, v
+    return least
 
 
 @lru_cache(maxsize=8)
@@ -270,31 +280,32 @@ def shift(a: Sequence1, k: int) -> Sequence1:
 
 @dataclass(frozen=True)
 class MagicalReport:
-    """Realizability reports for every shift 0..max_shift of one prefix."""
+    """Dold and sign verdicts, as (shift, dold, sign), for every shift
+    0..max_shift of one prefix."""
 
-    entries: tuple[tuple[int, RealizabilityReport], ...]
+    entries: tuple[tuple[int, Verdict, Verdict], ...]
 
     @property
     def all_pass(self) -> bool:
-        return all(r.realizable_consistent for _, r in self.entries)
+        return all(dold.passed and sign.passed for _, dold, sign in self.entries)
 
     def first_failure(self) -> tuple[int, str, Verdict] | None:
-        """(shift, check name, verdict) of the first failing shift, if any."""
-        for k, report in self.entries:
-            if not report.realizable_consistent:
-                name, v = report.first_failure()
-                return k, name, v
+        """(shift, check name, verdict) of the least witness of the first
+        failing shift, if any."""
+        for k, dold, sign in self.entries:
+            failure = least_failure((("dold", dold), ("sign", sign)))
+            if failure is not None:
+                return (k, *failure)
         return None
 
 
 def magical_report(a: Sequence1, max_shift: int) -> MagicalReport:
-    """Check realizability of each shifted prefix (a_{n+k}) for k <= max_shift."""
+    """Dold and sign verdicts of each shifted prefix (a_{n+k}) for k <= max_shift."""
     if max_shift < 0:
         raise ValueError(f"max_shift must be >= 0, got {max_shift}")
     if max_shift >= len(a):
         raise ValueError(f"max_shift {max_shift} >= length {len(a)}")
-    entries = tuple((k, check_realizable(shift(a, k))) for k in range(max_shift + 1))
-    return MagicalReport(entries)
+    return MagicalReport(tuple((k, *dold_sign(a.values[k:])) for k in range(max_shift + 1)))
 
 
 def pointwise_product(a: Sequence1, b: Sequence1) -> Sequence1:

@@ -16,6 +16,8 @@ status containers and its number tables.  The congruence-grid reference is
 the grid as it was before it reduced each B_{2n}/2n once per modulus: one
 public Kummer and Young check per grid point, over every prime up to
 max_prime and every r up to max_r; it borrows the package's other checks.
+The magical reference runs the full realizability reference on every shift
+and picks each least witness with its own loop.
 """
 
 from __future__ import annotations
@@ -156,6 +158,34 @@ def check_realizable_ref(values):
             monotone = Verdict.fail_at(n, a[n], N, divisor=d, divisor_value=a[d])
             break
     return RealizabilityReport(N, dold, sign, monotone)
+
+
+def least_failure_ref(verdicts):
+    """The failing (name, verdict) first in order of (n, position): the least
+    witness index, the earlier name on a tie."""
+    failing = [(v.n, i, name, v) for i, (name, v) in enumerate(verdicts) if not v.passed]
+    if not failing:
+        return None
+    _, _, name, v = sorted(failing, key=lambda f: f[:2])[0]
+    return name, v
+
+
+def magical_report_ref(values, max_shift):
+    """(entries, all_pass, first_failure) of the shifts 0..max_shift, from a
+    full reference report per shift: entries are (shift, dold, sign), and
+    first_failure is (shift, name, verdict) of the first failing shift's least
+    Dold or sign witness."""
+    entries = []
+    for k in range(max_shift + 1):
+        report = check_realizable_ref(values[k:])
+        entries.append((k, report.dold, report.sign))
+    first = None
+    for k, dold, sign in entries:
+        failure = least_failure_ref((("dold", dold), ("sign", sign)))
+        if failure is not None:
+            first = (k, *failure)
+            break
+    return tuple(entries), first is None, first
 
 
 def p_part_sequence_ref(values, q) -> tuple[int, ...]:

@@ -223,6 +223,18 @@ def test_regular_upto_zero_is_not_the_default_depth():
     assert res.output == "error: N >= 1 required\n"
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["localscan", "e", "--upto", "20", "--primes", "1"], "prime_limit"),
+    (["localscan", "A000032", "--catalog", "--primes", "0"], "prime_limit"),
+    (["regular", "--primes", "1"], "q_max"),
+    (["regular", "--kind", "euler", "--primes", "-5", "--upto", "20"], "q_max"),
+])
+def test_prime_bound_refusal_names_the_field(argv, field):
+    res = invoke(argv)
+    assert res.exit_code == 1
+    assert res.output == f"error: {field} must be >= 2, got {argv[argv.index('--primes') + 1]}\n"
+
+
 def readme_commands():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)

@@ -14,7 +14,8 @@ from seqlab.experiment import (
     render_report,
     run_experiment,
 )
-from seqlab.realizability import Sequence1, magical_report, shift
+from seqlab.realizability import Sequence1, shift
+import oracles
 
 
 def test_load_builtins():
@@ -96,14 +97,16 @@ def test_magical_section():
 
 
 def _magical_ref(seq, max_shift):
-    # the section as built from full per-shift reports
-    mag = magical_report(seq, max_shift)
-    entries = []
-    for k, report in mag.entries:
-        witness = experiment._local_failure_witness(report.dold, report.sign)
-        entries.append({"shift": k, "status": "pass" if witness is None else "fail",
+    # the section as built from full reference reports, one per shift
+    entries, all_pass, _ = oracles.magical_report_ref(seq.values, max_shift)
+    section = []
+    for k, dold, sign in entries:
+        failure = oracles.least_failure_ref((("dold", dold), ("sign", sign)))
+        witness = None if failure is None else {
+            "check": failure[0], "n": failure[1].n, "value": failure[1].value}
+        section.append({"shift": k, "status": "pass" if witness is None else "fail",
                         "witness": witness})
-    return {"max_shift": max_shift, "all_pass": mag.all_pass, "entries": entries}
+    return {"max_shift": max_shift, "all_pass": all_pass, "entries": section}
 
 
 @pytest.mark.parametrize("source,depth,max_shift,drop", [
@@ -167,3 +170,29 @@ def test_spec_rejects_unknown_local_checks(checks):
 def test_spec_accepts_known_local_checks():
     for checks in (("dold",), ("sign",), ("sign", "dold")):
         assert ExperimentSpec(source="e", local_checks=checks).local_checks == checks
+
+
+@pytest.mark.parametrize("limit", [1, 0, -5])
+def test_spec_rejects_a_prime_limit_below_two(limit):
+    # no prime lies below 2, so the scan would check nothing
+    with pytest.raises(ValueError, match=rf"^prime_limit must be >= 2, got {limit}$"):
+        ExperimentSpec(source="e", prime_limit=limit)
+    with pytest.raises(ValueError, match=rf"^prime_limit must be >= 2, got {limit}$"):
+        catalog_spec("A000032", prime_limit=limit)
+
+
+def test_spec_accepts_the_least_prime_limit():
+    doc = run_experiment(ExperimentSpec(source="e", depth=10, prime_limit=2))
+    assert [row["prime"] for row in doc["local"]] == [2]
+
+
+@pytest.mark.parametrize("policy", ["bogus", "", "Strict"])
+def test_spec_rejects_unknown_offset_policy(policy):
+    with pytest.raises(ValueError, match=r"^offset_policy must be one of \('shift-to-1', "
+                                         rf"'strict'\), got '{policy}'$"):
+        ExperimentSpec(source="e", offset_policy=policy)
+
+
+def test_spec_accepts_known_offset_policies():
+    for policy in ("shift-to-1", "strict"):
+        assert ExperimentSpec(source="e", offset_policy=policy).offset_policy == policy

@@ -23,6 +23,7 @@ from seqlab.realizability import (
     check_realizable,
     dold_sign,
     localize,
+    magical_report,
     orbit_counts,
     p_part_sequence,
 )
@@ -72,6 +73,23 @@ def test_checks_match_reference(values):
     assert check_realizable(Sequence1(values)) == ref
     assert dold_sign(tuple(values)) == (ref.dold, ref.sign)
     assert arias_criterion(Sequence1(values)) == oracles.arias_criterion_ref(values)
+
+
+@st.composite
+def shifted_prefixes(draw):
+    values = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40))
+    return values, draw(st.integers(min_value=0, max_value=len(values) - 1))
+
+
+@settings(max_examples=200)
+@given(shifted_prefixes())
+def test_magical_report_matches_reference(case):
+    values, max_shift = case
+    entries, all_pass, first_failure = oracles.magical_report_ref(values, max_shift)
+    rep = magical_report(Sequence1(values), max_shift)
+    assert rep.entries == entries
+    assert rep.all_pass == all_pass
+    assert rep.first_failure() == first_failure
 
 
 @given(
@@ -191,5 +209,5 @@ def test_reports_match_reference_verdicts(spec, monkeypatch):
     monkeypatch.setattr(experiment, "localize", reference_localize)
     monkeypatch.setattr(experiment, "dold_sign", reference_dold_sign)
     monkeypatch.setattr(experiment, "check_realizable", reference_check)
-    monkeypatch.setattr(realizability, "check_realizable", reference_check)
+    monkeypatch.setattr(realizability, "dold_sign", reference_dold_sign)
     assert run_experiment(spec) == doc

@@ -301,3 +301,12 @@ def test_scan_default_depth_follows_the_largest_prime():
     assert scan_primes(EULER, 100)[0].depth == 200
     assert scan_primes(BERNOULLI, 700)[-1].depth == (691 - 3) // 2
     assert scan_primes(EULER, 500)[-1].depth == (499 - 1) // 2
+
+
+@pytest.mark.parametrize("kind", [BERNOULLI, EULER])
+@pytest.mark.parametrize("q_max", [1, 0, -5])
+def test_scan_refuses_a_bound_below_two(kind, q_max):
+    # no prime lies below 2; the refusal names the bound, with or without a depth
+    for depth in (None, 20):
+        with pytest.raises(ValueError, match=rf"^q_max must be >= 2, got {q_max}$"):
+            scan_primes(kind, q_max, depth)

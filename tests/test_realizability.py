@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from seqlab.realizability import (
     pointwise_product,
     shift,
 )
+from conftest import invoke
 from oracles import mobius_sum
 
 
@@ -250,6 +252,42 @@ def test_magical_lucas_fails_at_shift_1():
     assert not rep.all_pass
     k, name, v = rep.first_failure()
     assert (k, name, v.n) == (1, "dold", 2)
+
+
+def _cli_json(*argv):
+    res = invoke([*argv, "--format", "json"])
+    assert res.exit_code == 0, res.output
+    return json.loads(res.stdout)
+
+
+def test_local_first_failure_is_the_least_witness(e200):
+    # the sign witness at n=6 comes before the Dold witness at n=9
+    name, v = local_report(Sequence1(e200.values[:20]), 61).first_failure()
+    assert (name, v.n, v.value) == ("sign", 6, -60)
+    row = _cli_json("localscan", "e", "--upto", "20", "--prime", "61")["local"][0]
+    assert row["witness"] == {"check": name, "n": v.n, "value": v.value}
+
+
+def test_magical_first_failure_is_the_least_witness(derived300):
+    b = Sequence1(derived300.denominators.values[:60])
+    k, name, v = magical_report(b, 1).first_failure()
+    assert (k, name, v.n, v.value) == (1, "sign", 4, -120)
+    entry = _cli_json("magical", "b", "--upto", "60", "--max-shift", "1")["magical"]["entries"][k]
+    assert entry["witness"] == {"check": name, "n": v.n, "value": v.value}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=30))
+def test_first_failure_has_the_least_index(values):
+    rep = check_realizable(Sequence1(tuple(values)))
+    names = ("dold", "sign", "monotone")
+    failing = [(getattr(rep, name).n, rank, name)
+               for rank, name in enumerate(names) if not getattr(rep, name).passed]
+    if not failing:
+        assert rep.first_failure() is None
+        return
+    _, _, name = min(failing)
+    assert rep.first_failure() == (name, getattr(rep, name))
 
 
 def test_magical_negative_shift_is_refused():

@@ -50,8 +50,8 @@ EXPORTS = {
                "weak_euler_profile_check"],
     "realizability": ["MagicalReport", "OrbitCounts", "RealizabilityReport", "Sequence1",
                       "Verdict", "arias_criterion", "check_realizable", "dold_sign",
-                      "local_report", "magical_report", "orbit_counts", "p_part_sequence",
-                      "pointwise_product", "shift"],
+                      "least_failure", "local_report", "magical_report", "orbit_counts",
+                      "p_part_sequence", "pointwise_product", "shift"],
 }
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
