@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator
 
-from .arith import factorize, is_prime, p_adic
+from .arith import _odd_prime, factorize, is_prime, p_adic
 from .matrices import IntMatrix, _dets_of_powers_minus_identity
 from .realizability import Sequence1
 
@@ -237,8 +237,7 @@ def ell_algebraically_realizable(k: int, m: int, p: int) -> bool:
     """
     if p == 2:
         raise ValueError("p = 2 is not covered by this criterion; it has a separate construction")
-    if not is_prime(p):
-        raise ValueError(f"odd prime expected, got {p}")
+    _odd_prime(p)
     if gcd(k, p) != 1:
         raise ValueError(f"k = {k} must be coprime to p = {p}")
     return (p**m - 1) % k == 0

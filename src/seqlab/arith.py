@@ -131,3 +131,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if lo > hi:
         raise ValueError(f"primes_in_range requires lo <= hi, got {lo} > {hi}")
     return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+
+
+def _odd_prime(q: int) -> None:
+    if q < 3 or not is_prime(q):
+        raise ValueError(f"odd prime expected, got {q}")

@@ -75,7 +75,6 @@ def to_sequence(
     bf: BFile,
     policy: str = SHIFT_TO_1,
     absolute: bool = False,
-    label: str | None = None,
 ) -> Sequence1:
     """Convert a b-file to a 1-indexed sequence under the given offset policy."""
     if policy not in (SHIFT_TO_1, STRICT):
@@ -93,7 +92,7 @@ def to_sequence(
                 )
             v = -v
         values.append(v)
-    return Sequence1(tuple(values), label if label is not None else bf.source)
+    return Sequence1(tuple(values), bf.source)
 
 
 _A_NUMBER = re.compile(r"\A[Aa]?(\d{1,6})\Z")

@@ -188,14 +188,10 @@ class DerivedBernoulli:
     clausen_denominators: Sequence1
 
 
-def derived_bernoulli(N: int, table: BernoulliTable | None = None) -> DerivedBernoulli:
+def derived_bernoulli(N: int) -> DerivedBernoulli:
     """Build the numerator/denominator/Clausen sequences up to index N."""
-    if table is None:
-        table = bernoulli_upto(N)
-    if table.max_index < N:
-        raise ValueError(f"table depth {table.max_index} < requested {N}")
     nums, dens, claus = [], [], []
-    for n, b in enumerate(table.values[:N], start=1):
+    for n, b in enumerate(bernoulli_upto(N).values, start=1):
         # B_{2n} = a/d in lowest terms, and d is the von Staudt-Clausen
         # denominator; |a|/(2n d) reduces by gcd(a, 2n) alone, as gcd(a, d) = 1
         g = gcd(b.numerator, 2 * n)

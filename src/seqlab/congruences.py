@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .arith import euler_phi, factorize, is_prime, p_adic
-from .classical import BernoulliTable, EulerTable, bernoulli_upto, euler_upto
+from .arith import _odd_prime, euler_phi, factorize, is_prime, p_adic
+from .classical import bernoulli_upto, euler_upto, secant_numbers
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def good_primitive_root(p: int) -> int:
     Such a root is primitive modulo every p^r, which is what the Young-type
     congruences need.
     """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"odd prime expected, got {p}")
+    _odd_prime(p)
     for g in range(2, p * p):
         if g % p == 0:
             continue
@@ -79,9 +78,7 @@ def good_primitive_root(p: int) -> int:
     raise RuntimeError(f"no good primitive root found for {p}")  # unreachable
 
 
-def kummer_check(
-    p: int, r: int, m: int, n: int, table: BernoulliTable | None = None
-) -> CongruenceCheck:
+def kummer_check(p: int, r: int, m: int, n: int) -> CongruenceCheck:
     """Kummer congruence: B_{2m}/2m = B_{2n}/2n (mod p^r).
 
     Hypotheses: p odd prime, 1 <= r <= 2n-1 <= 2m-1, p-1 does not divide 2n,
@@ -90,8 +87,7 @@ def kummer_check(
     """
 
     def residue(k: int) -> int:
-        b = table if table is not None else bernoulli_upto(m)
-        return _residue(b.b_over_2n(k), p**r)
+        return _residue(bernoulli_upto(m).b_over_2n(k), p**r)
 
     return _kummer_check(p, r, m, n, residue)
 
@@ -104,8 +100,7 @@ def _kummer_check(
     residue is read only after every hypothesis holds, so it is never asked
     for a pole or an index outside 1 <= r <= 2k-1.
     """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"odd prime expected, got {p}")
+    _odd_prime(p)
     if not 1 <= r <= 2 * n - 1 <= 2 * m - 1:
         raise ValueError(f"need 1 <= r <= 2n-1 <= 2m-1, got r={r}, n={n}, m={m}")
     if (2 * n) % (p - 1) == 0:
@@ -121,7 +116,7 @@ def _kummer_check(
     )
 
 
-def young_check(p: int, n: int, table: BernoulliTable | None = None) -> CongruenceCheck:
+def young_check(p: int, n: int) -> CongruenceCheck:
     """Young congruence at the pole case p-1 | 2n, with r = ord_p(n) >= 1:
 
     (g^{2n} - 1) B_{2n}/2n = (g^{2k} - 1) B_{2k}/2k (mod p^r),   k = n/p,
@@ -129,20 +124,14 @@ def young_check(p: int, n: int, table: BernoulliTable | None = None) -> Congruen
     for a good primitive root g.  The power factors soak up the p's of the
     Bernoulli denominators, so both sides reduce to honest residues.
     """
-    return _young_check(p, n, good_primitive_root(p), table)
-
-
-def _young_check(p: int, n: int, g: int, table: BernoulliTable | None) -> CongruenceCheck:
-    """young_check with g = good_primitive_root(p) given, so a grid takes it once per p."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"odd prime expected, got {p}")
+    _odd_prime(p)
     if (2 * n) % (p - 1) != 0:
         raise ValueError(f"need p-1 | 2n, got p={p}, n={n}")
     r = p_adic(n, p).ord
     if r < 1:
         raise ValueError(f"need ord_{p}({n}) >= 1")
-    if table is None:
-        table = bernoulli_upto(n)
+    g = good_primitive_root(p)
+    table = bernoulli_upto(n)
     k = n // p
     lhs = (Fraction(g) ** (2 * n) - 1) * table.b_over_2n(n)
     rhs = (Fraction(g) ** (2 * k) - 1) * table.b_over_2n(k)
@@ -154,7 +143,7 @@ def _young_check(p: int, n: int, g: int, table: BernoulliTable | None) -> Congru
     )
 
 
-def lemma_five_check(n: int, table: BernoulliTable | None = None) -> CongruenceCheck:
+def lemma_five_check(n: int) -> CongruenceCheck:
     """Prime-2 analogue of the Young congruence, with 5 as the modular unit:
 
     (5^n - 1) B_{2n}/2n = (5^k - 1) B_{2k}/2k (mod 2^r),   r = ord_2(n), k = n/2.
@@ -163,8 +152,7 @@ def lemma_five_check(n: int, table: BernoulliTable | None = None) -> CongruenceC
         raise ValueError(f"even n >= 2 required, got {n}")
     r = p_adic(n, 2).ord
     k = n // 2
-    if table is None:
-        table = bernoulli_upto(n)
+    table = bernoulli_upto(n)
     lhs = (Fraction(5) ** n - 1) * table.b_over_2n(n)
     rhs = (Fraction(5) ** k - 1) * table.b_over_2n(k)
     return _compare(
@@ -207,9 +195,7 @@ def wagstaff_A(n: int, m: int) -> int:
     return sum((-1) ** (m - k) * k**n for k in range(1, m + 1))
 
 
-def wagstaff_identity_check(
-    n: int, p: int, table: EulerTable | None = None
-) -> CongruenceCheck:
+def wagstaff_identity_check(n: int, p: int) -> CongruenceCheck:
     """Exact integer identity tying Euler numbers to alternating power sums:
 
     2^(2n+1) A_{2n}((p-1)/2) = sum_{k=0..2n} C(2n,k) E_k p^(2n-k),
@@ -219,10 +205,8 @@ def wagstaff_identity_check(
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"odd prime expected, got {p}")
-    if table is None:
-        table = euler_upto(n)
+    _odd_prime(p)
+    table = euler_upto(n)
     lhs = 2 ** (2 * n + 1) * wagstaff_A(2 * n, (p - 1) // 2)
     rhs = sum(
         comb(2 * n, k) * table.E(k) * p ** (2 * n - k)
@@ -265,8 +249,8 @@ def run_oracle_grids(
     if family != "all" and family not in families:
         raise ValueError(f"unknown family {family!r}")
     wanted = families if family == "all" else (family,)
+    # the Kummer residue row reads this table; building it refuses upto < 1
     btable = bernoulli_upto(upto)
-    etable = euler_upto(upto)
     prime_bound = min(max_prime, max(2 * upto - 1, 13))
     odd_primes = [p for p in range(3, prime_bound + 1) if is_prime(p)]
     out: dict[str, list[CongruenceCheck]] = {}
@@ -295,15 +279,13 @@ def run_oracle_grids(
     if "young" in wanted:
         checks = []
         for p in odd_primes:
-            g = None
             for n in range(p, upto + 1, p):
                 if (2 * n) % (p - 1) == 0:
-                    g = g or good_primitive_root(p)
-                    checks.append(_young_check(p, n, g, btable))
+                    checks.append(young_check(p, n))
         out["young"] = checks
 
     if "five" in wanted:
-        out["five"] = [lemma_five_check(n, btable) for n in range(2, upto + 1, 2)]
+        out["five"] = [lemma_five_check(n) for n in range(2, upto + 1, 2)]
 
     if "staying-alive" in wanted:
         out["staying-alive"] = [staying_alive_check(n) for n in range(2, upto + 1, 2)]
@@ -313,7 +295,7 @@ def run_oracle_grids(
         for n in range(1, min(upto, 15) + 1):
             for p in odd_primes:
                 if p <= 13:
-                    checks.append(wagstaff_identity_check(n, p, etable))
+                    checks.append(wagstaff_identity_check(n, p))
         out["wagstaff"] = checks
 
     if "euler-additive" in wanted:
@@ -324,15 +306,13 @@ def run_oracle_grids(
                     break  # b >= 1 needs p^r b <= upto
                 for b in range(1, upto // p**r + 1):
                     if b % p != 0:
-                        checks.append(euler_additive_check(p, r, b, etable))
+                        checks.append(euler_additive_check(p, r, b))
         out["euler-additive"] = checks
 
     return out
 
 
-def euler_additive_check(
-    p: int, r: int, b: int, table: EulerTable | None = None
-) -> CongruenceCheck:
+def euler_additive_check(p: int, r: int, b: int) -> CongruenceCheck:
     """Euler-number index-scaling congruence: E_{2 p^r b} = E_{2 p^(r-1) b} (mod p^r).
 
     Holds for every prime p (including 2) and b coprime to p.
@@ -345,11 +325,10 @@ def euler_additive_check(
         raise ValueError(f"b = {b} must be coprime to p = {p}")
     hi = p**r * b
     lo = p ** (r - 1) * b
-    if table is None:
-        table = euler_upto(hi)
+    s = secant_numbers(hi)  # E_{2k} = (-1)^k S_k
     mod = p**r
-    lhs = table.E(2 * hi) % mod
-    rhs = table.E(2 * lo) % mod
+    lhs = (-1) ** hi * s[hi - 1] % mod
+    rhs = (-1) ** lo * s[lo - 1] % mod
     return CongruenceCheck(
         f"E_{2 * hi} = E_{2 * lo} mod {p}^{r}", mod, lhs, rhs, lhs == rhs
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, p_adic, primes_in_range
+from .arith import _odd_prime, p_adic, primes_in_range
 from .classical import DerivedBernoulli, derived_bernoulli, sequence_e
 from .errors import DepthError
 from .realizability import Sequence1, Verdict, localize
@@ -69,11 +69,6 @@ class PrimeClassification:
     bernoulli_status: BernoulliStatus | None = None
     euler_status: EulerStatus | None = None
     euler_strength: EulerStrength | None = None
-
-
-def _odd_prime(q: int) -> None:
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"odd prime expected, got {q}")
 
 
 def _least_dividing(parts: tuple[int, ...]) -> int | None:
@@ -146,16 +141,15 @@ def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeCl
         raise ValueError(f"kind must be {BERNOULLI!r} or {EULER!r}")
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
+    primes = primes_in_range(2, q_max)
     if depth is None:
-        q = primes_in_range(2, q_max)[-1]
+        q = primes[-1]
         depth = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)
     if kind == BERNOULLI:
         derived = derived_bernoulli(depth)
-        primes = primes_in_range(2, q_max)
         return [PrimeClassification(q, depth, status)
                 for q, status in zip(primes, _bernoulli_statuses(primes, derived))]
     e = sequence_e(depth)
-    primes = primes_in_range(2, q_max)
     return [PrimeClassification(q, depth, euler_status=status, euler_strength=strength)
             for q, (status, strength) in zip(primes, _euler_statuses(primes, e, depth))]
 
@@ -201,17 +195,11 @@ class NumeratorLocalStatus:
     part_m: int | None = None
 
 
-def numerator_local_status(
-    q: int, N: int, derived: DerivedBernoulli | None = None
-) -> NumeratorLocalStatus:
+def numerator_local_status(q: int, N: int) -> NumeratorLocalStatus:
     """Trivial localization for regular q; least failure pair for irregular q."""
-    upto = max(N, (q - 3) // 2)
-    if derived is None:
-        derived = derived_bernoulli(upto)
-    if derived.max_index < upto:
-        raise DepthError(f"need numerators up to {upto}, table has {derived.max_index}")
+    t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
     _odd_prime(q)
-    parts = localize(derived.numerators.values[:upto], (q,)).get(q, ())
+    parts = localize(t.values, (q,)).get(q, ())
     least = _least_dividing(parts)
     k = _bernoulli_status(q, least).witness
     if k is None:

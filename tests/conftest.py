@@ -13,8 +13,8 @@ def btable300():
 
 
 @pytest.fixture(scope="session")
-def derived300(btable300):
-    return derived_bernoulli(300, btable300)
+def derived300():
+    return derived_bernoulli(300)
 
 
 @pytest.fixture(scope="session")

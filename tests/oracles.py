@@ -394,19 +394,14 @@ def scan_primes_ref(kind, q_max, depth):
     return out
 
 
-def numerator_local_status_ref(q, N, derived=None):
+def numerator_local_status_ref(q, N):
     """Regular q: check q divides no t_n, n <= N.  Irregular q with witness k:
     the first multiple m of k whose q-part is below that of t_k."""
     from seqlab.classical import derived_bernoulli
     from seqlab.errors import DepthError
     from seqlab.primes import REGULAR, NumeratorLocalStatus
 
-    if derived is None:
-        derived = derived_bernoulli(max(N, (q - 3) // 2))
-    if derived.max_index < N or derived.max_index < (q - 3) // 2:
-        raise DepthError(
-            f"need numerators up to {max(N, (q - 3) // 2)}, table has {derived.max_index}"
-        )
+    derived = derived_bernoulli(max(N, (q - 3) // 2))
     t = derived.numerators
     status = classify_bernoulli_ref(q, derived)
     if status.status == REGULAR:
@@ -482,7 +477,7 @@ def young_check_ref(p, n, table=None):
 def run_oracle_grids_ref(max_prime=31, max_r=3, upto=60, family="all"):
     """{family: [checks...]} over every prime <= max_prime and r <= max_r."""
     from seqlab.arith import euler_phi, is_prime
-    from seqlab.classical import bernoulli_upto, euler_upto
+    from seqlab.classical import bernoulli_upto
     from seqlab.congruences import (
         euler_additive_check, lemma_five_check, staying_alive_check, wagstaff_identity_check,
     )
@@ -492,7 +487,6 @@ def run_oracle_grids_ref(max_prime=31, max_r=3, upto=60, family="all"):
         raise ValueError(f"unknown family {family!r}")
     wanted = families if family == "all" else (family,)
     btable = bernoulli_upto(upto)
-    etable = euler_upto(upto)
     odd_primes = [p for p in range(3, max_prime + 1) if is_prime(p)]
     out = {}
 
@@ -517,7 +511,7 @@ def run_oracle_grids_ref(max_prime=31, max_r=3, upto=60, family="all"):
         out["young"] = checks
 
     if "five" in wanted:
-        out["five"] = [lemma_five_check(n, btable) for n in range(2, upto + 1, 2)]
+        out["five"] = [lemma_five_check(n) for n in range(2, upto + 1, 2)]
 
     if "staying-alive" in wanted:
         out["staying-alive"] = [staying_alive_check(n) for n in range(2, upto + 1, 2)]
@@ -527,7 +521,7 @@ def run_oracle_grids_ref(max_prime=31, max_r=3, upto=60, family="all"):
         for n in range(1, min(upto, 15) + 1):
             for p in odd_primes:
                 if p <= 13:
-                    checks.append(wagstaff_identity_check(n, p, etable))
+                    checks.append(wagstaff_identity_check(n, p))
         out["wagstaff"] = checks
 
     if "euler-additive" in wanted:
@@ -536,7 +530,7 @@ def run_oracle_grids_ref(max_prime=31, max_r=3, upto=60, family="all"):
             for r in range(1, max_r + 1):
                 for b in range(1, upto // p**r + 1):
                     if b % p != 0:
-                        checks.append(euler_additive_check(p, r, b, etable))
+                        checks.append(euler_additive_check(p, r, b))
         out["euler-additive"] = checks
 
     return out

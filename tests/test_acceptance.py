@@ -218,13 +218,13 @@ def test_criterion_10_lehmer_pierce():
                    "(ord_3 reading), and 5-part laws to n=200")
 
 
-def test_criterion_11_congruence_oracles(etable200):
+def test_criterion_11_congruence_oracles():
     grids = run_oracle_grids(max_prime=31, max_r=3, upto=60)
     ok = all(c.holds for checks in grids.values() for c in checks)
     total = sum(len(v) for v in grids.values())
     for n in range(1, 16):
         for p in primes_in_range(3, 13):
-            ok = ok and wagstaff_identity_check(n, p, etable200).holds
+            ok = ok and wagstaff_identity_check(n, p).holds
     report(11, ok, f"all {total} grid checks hold (p<=31, r<=3, n<=60); Wagstaff "
                    "identity exact for n<=15, odd p<=13")
 

@@ -40,10 +40,10 @@ def test_good_root_is_primitive_mod_prime_powers():
             assert multiplicative_order(g, p**r) == euler_phi(p**r)
 
 
-def test_kummer_examples(btable300):
-    c = kummer_check(7, 1, 4, 1, btable300)
+def test_kummer_examples():
+    c = kummer_check(7, 1, 4, 1)
     assert c.holds and (c.lhs, c.rhs) == (3, 3)
-    c = kummer_check(5, 1, 3, 1, btable300)
+    c = kummer_check(5, 1, 3, 1)
     assert c.holds and (c.lhs, c.rhs) == (3, 3)
 
 
@@ -55,33 +55,33 @@ def test_kummer_rejects_pole():
         kummer_check(5, 1, 2, 1)  # congruence 2m = 2n mod phi(p^r) violated
 
 
-def test_kummer_rejects_exactly_pole_pairs(btable300):
+def test_kummer_rejects_exactly_pole_pairs():
     for p in primes_in_range(3, 13):
         for n in range(1, 20):
             pole = (2 * n) % (p - 1) == 0
             m = n + euler_phi(p) // 2
             if pole:
                 with pytest.raises(ValueError):
-                    kummer_check(p, 1, m, n, btable300)
+                    kummer_check(p, 1, m, n)
             else:
-                assert kummer_check(p, 1, m, n, btable300).holds
+                assert kummer_check(p, 1, m, n).holds
 
 
-def test_young_examples(btable300):
-    c = young_check(5, 10, btable300)
+def test_young_examples():
+    c = young_check(5, 10)
     assert c.holds and c.modulus == 5
-    c = young_check(3, 3, btable300)
+    c = young_check(3, 3)
     assert c.holds
     with pytest.raises(ValueError):
-        young_check(5, 4, btable300)
+        young_check(5, 4)
 
 
-def test_lemma_five_examples(btable300):
-    assert lemma_five_check(2, btable300).holds
-    assert lemma_five_check(4, btable300).holds
-    assert lemma_five_check(12, btable300).holds
+def test_lemma_five_examples():
+    assert lemma_five_check(2).holds
+    assert lemma_five_check(4).holds
+    assert lemma_five_check(12).holds
     with pytest.raises(ValueError):
-        lemma_five_check(3, btable300)
+        lemma_five_check(3)
 
 
 def test_staying_alive_examples():
@@ -101,26 +101,33 @@ def test_wagstaff_A_values():
     assert wagstaff_A(1, 3) == 2  # 3 - 2 + 1
 
 
-def test_wagstaff_identity_examples(etable200):
-    c = wagstaff_identity_check(1, 5, etable200)
+def test_wagstaff_identity_examples():
+    c = wagstaff_identity_check(1, 5)
     assert c.holds and c.lhs == 24 == c.rhs
-    c = wagstaff_identity_check(2, 3, etable200)
+    c = wagstaff_identity_check(2, 3)
     assert c.holds and c.lhs == 32 == c.rhs
 
 
-def test_wagstaff_identity_grid(etable200):
+def test_wagstaff_identity_grid():
     for n in range(1, 16):
         for p in primes_in_range(3, 13):
-            assert wagstaff_identity_check(n, p, etable200).holds
+            assert wagstaff_identity_check(n, p).holds
 
 
 def test_euler_additive_examples(etable200):
-    assert euler_additive_check(3, 1, 1, etable200).holds
-    assert euler_additive_check(2, 1, 1, etable200).holds
-    assert euler_additive_check(5, 1, 1, etable200).holds
+    assert euler_additive_check(3, 1, 1).holds
+    assert euler_additive_check(2, 1, 1).holds
+    assert euler_additive_check(5, 1, 1).holds
     assert etable200.E(6) % 3 == etable200.E(2) % 3
     with pytest.raises(ValueError):
-        euler_additive_check(3, 1, 6, etable200)
+        euler_additive_check(3, 1, 6)
+    # both residues are those of the signed Euler numbers, p odd or 2
+    for p, r in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 2)):
+        for b in range(1, 200 // p**r + 1):
+            if b % p:
+                hi, lo = p**r * b, p ** (r - 1) * b
+                c = euler_additive_check(p, r, b)
+                assert (c.lhs, c.rhs) == (etable200.E(2 * hi) % p**r, etable200.E(2 * lo) % p**r)
 
 
 def test_full_grids_hold():
@@ -167,6 +174,14 @@ def test_grids_match_reference(grid):
 def test_small_grids_match_reference(max_prime, max_r, upto, family):
     grid = dict(max_prime=max_prime, max_r=max_r, upto=upto, family=family)
     assert _rows(run_oracle_grids(**grid)) == _rows(run_oracle_grids_ref(**grid))
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("all",))
+def test_grid_refuses_upto_below_one_for_every_family(family):
+    # the grid's Bernoulli table refuses it, whichever families are wanted
+    for upto in (0, -3):
+        with pytest.raises(ValueError, match=r"^N >= 1 required$"):
+            run_oracle_grids(upto=upto, family=family)
 
 
 @pytest.mark.parametrize("large,cut", [

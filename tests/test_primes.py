@@ -107,27 +107,27 @@ def test_weak_profile_vacuous_for_strong_prime(e200):
 
 
 def test_numerator_local_status_regular(derived300):
-    st = numerator_local_status(7, 100, derived300)
+    st = numerator_local_status(7, 100)
     assert st.kind == "trivial-localization"
     assert all(derived300.numerators[n] % 7 != 0 for n in range(1, 101))
 
 
-def test_numerator_local_status_37(derived300):
-    st = numerator_local_status(37, 32, derived300)
+def test_numerator_local_status_37():
+    st = numerator_local_status(37, 32)
     assert (st.witness_k, st.witness_m) == (16, 32)
     assert st.part_k == 37 and st.part_m == 1
 
 
 def test_numerator_local_status_59(derived300):
-    st = numerator_local_status(59, 150, derived300)
+    st = numerator_local_status(59, 150)
     assert st.kind == "monotone-failure"
     assert st.witness_k == 22
     assert derived300.numerators[22] % 59 == 0
 
 
-def test_numerator_local_status_insufficient_depth(derived300):
+def test_numerator_local_status_insufficient_depth():
     with pytest.raises(DepthError):
-        numerator_local_status(37, 20, derived300)  # no multiple of 16 beyond 16
+        numerator_local_status(37, 20)  # no multiple of 16 beyond 16
 
 
 def test_theorem_b_consistency(derived300):
@@ -265,23 +265,25 @@ def test_scan_of_placed_divisors_matches_reference(monkeypatch, offset):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_one_prime_on_placed_divisors_matches_reference(offset):
+def test_one_prime_on_placed_divisors_matches_reference(monkeypatch, offset):
     odd = primes_in_range(3, 90)
     table = placed_numerators(odd, offset, 48)
     e = Sequence1(placed(lambda q: (q - 1) // 2, odd, offset, 48), "e")
+    for module in (seqlab.classical, seqlab.primes):
+        monkeypatch.setattr(module, "derived_bernoulli", lambda N: table)
     for q in odd:
         assert outcome(classify_bernoulli, q, table) == outcome(classify_bernoulli_ref, q, table), q
         assert outcome(classify_euler, q, e, 48) == outcome(classify_euler_ref, q, e, 48), q
         for N in range(0, 48):
-            assert outcome(numerator_local_status, q, N, table) == \
-                outcome(numerator_local_status_ref, q, N, table), (q, N)
+            assert outcome(numerator_local_status, q, N) == \
+                outcome(numerator_local_status_ref, q, N), (q, N)
 
 
-def test_numerator_local_status_matches_reference(derived300):
+def test_numerator_local_status_matches_reference():
     for q in [-3, 1, 2, 4, 91] + primes_in_range(3, 130):
         for N in (0, 1, 10, 16, 20, 22, 31, 32, 44, 60, 150, 300, 301):
-            assert outcome(numerator_local_status, q, N, derived300) == \
-                outcome(numerator_local_status_ref, q, N, derived300), (q, N)
+            assert outcome(numerator_local_status, q, N) == \
+                outcome(numerator_local_status_ref, q, N), (q, N)
 
 
 def test_numerator_local_status_below_the_witness():
@@ -289,11 +291,6 @@ def test_numerator_local_status_below_the_witness():
     with pytest.raises(DepthError, match="no monotonicity witness"):
         numerator_local_status(37, 10)
     assert outcome(numerator_local_status, 37, 10) == outcome(numerator_local_status_ref, 37, 10)
-    shallow = derived_bernoulli(12)
-    assert outcome(numerator_local_status, 37, 10, shallow) == \
-        (DepthError, "need numerators up to 17, table has 12")
-    assert outcome(numerator_local_status_ref, 37, 10, shallow) == \
-        (DepthError, "need numerators up to 17, table has 12")
 
 
 def test_scan_default_depth_follows_the_largest_prime():

@@ -7,6 +7,7 @@ check that callers cannot reach the shared state, and that an extension that
 dies part-way leaves the previous table in place.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -19,10 +20,11 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqlab import classical
-from seqlab.bfile import bundled_fixture_text, parse_bfile
+from seqlab import classical, congruences, primes
+from seqlab.bfile import bundled_fixture_text, parse_bfile, to_sequence
 from seqlab.classical import (
     BernoulliTable,
+    DerivedBernoulli,
     EulerTable,
     bernoulli_upto,
     derived_bernoulli,
@@ -31,6 +33,7 @@ from seqlab.classical import (
     sequence_e,
     tangent_numbers,
 )
+from seqlab.realizability import Sequence1
 from oracles import tangent_secant_ref
 
 DEPTH = 60
@@ -65,7 +68,14 @@ def expected(name, N):
         return EulerTable(N, tuple((-1) ** n * s for n, s in enumerate(S_REF[1 : N + 1], start=1)))
     if name == "sequence_e":
         return ("e", tuple(S_REF[1 : N + 1]))
-    return derived_bernoulli(N, BernoulliTable(N, tuple(B_REF[:N])))
+    # |B_2n|/2n in lowest terms; the Clausen denominator is that of B_2n
+    quotients = [abs(b) / (2 * n) for n, b in enumerate(B_REF[:N], start=1)]
+    return DerivedBernoulli(
+        N,
+        Sequence1(tuple(f.numerator for f in quotients), "t"),
+        Sequence1(tuple(f.denominator for f in quotients), "b"),
+        Sequence1(tuple(b.denominator for b in B_REF[:N]), "d"),
+    )
 
 
 def actual(name, N):
@@ -211,3 +221,19 @@ def test_import_builds_no_table():
     src = str(Path(classical.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_no_public_function_takes_an_optional_table():
+    # the process-wide tables are the one source: a reader builds its own
+    # slice, and only the one-prime classifiers take required inputs
+    table_types = ("BernoulliTable", "EulerTable", "DerivedBernoulli")
+    optional = [
+        f"{module.__name__}.{name}({param.name})"
+        for module in (classical, congruences, primes)
+        for name, func in vars(module).items()
+        if inspect.isfunction(func) and func.__module__ == module.__name__ and not name.startswith("_")
+        for param in inspect.signature(func).parameters.values()
+        if param.default is not param.empty and any(t in str(param.annotation) for t in table_types)
+    ]
+    assert optional == []
+    assert "label" not in inspect.signature(to_sequence).parameters
