@@ -54,8 +54,8 @@ _EXPORTS = {
     ),
     "matrices": ("IntMatrix", "companion_matrix"),
     "primes": (
-        "BERNOULLI", "EULER", "BernoulliStatus", "EulerStatus", "EulerStrength",
-        "NumeratorLocalStatus", "PrimeClassification", "classify_bernoulli",
+        "BERNOULLI", "EULER", "EulerStrength", "NumeratorLocalStatus",
+        "PrimeClassification", "Regularity", "classify_bernoulli",
         "classify_euler", "numerator_local_status", "scan_primes",
         "weak_euler_profile_check",
     ),

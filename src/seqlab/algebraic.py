@@ -96,6 +96,15 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _digits(v: int, p: int, m: int) -> tuple[int, ...]:
+    """The m base-p digits of v, least significant first."""
+    digits = []
+    for _ in range(m):
+        v, d = divmod(v, p)
+        digits.append(d)
+    return tuple(digits)
+
+
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree m over GF(p).
 
@@ -103,12 +112,7 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     base-p integer, which makes the construction reproducible.
     """
     for v in range(p**m):
-        coeffs = []
-        t = v
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        f = tuple(coeffs) + (1,)
+        f = _digits(v, p, m) + (1,)
         if _is_irreducible(f, p):
             return f
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable
@@ -140,12 +144,7 @@ def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     f = smallest_irreducible(p, m)
     q1 = p**m - 1
     for v in range(1, p**m):
-        coeffs = []
-        t = v
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        g = _trim(tuple(coeffs))
+        g = _trim(_digits(v, p, m))
         if _has_order(q1, lambda e: _poly_powmod(g, e, f, p) == (1,)):
             return f, g
     raise RuntimeError(f"no generator found for GF({p}^{m})")  # unreachable

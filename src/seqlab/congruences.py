@@ -116,6 +116,17 @@ def _kummer_check(
     )
 
 
+def _young_type(description: str, u: int, modulus: int, n: int, k: int) -> CongruenceCheck:
+    """(u^n - 1) B_{2n}/2n = (u^k - 1) B_{2k}/2k (mod modulus)."""
+    table = bernoulli_upto(n)
+    return _compare(
+        description,
+        modulus,
+        (u**n - 1) * table.b_over_2n(n),
+        (u**k - 1) * table.b_over_2n(k),
+    )
+
+
 def young_check(p: int, n: int) -> CongruenceCheck:
     """Young congruence at the pole case p-1 | 2n, with r = ord_p(n) >= 1:
 
@@ -131,15 +142,10 @@ def young_check(p: int, n: int) -> CongruenceCheck:
     if r < 1:
         raise ValueError(f"need ord_{p}({n}) >= 1")
     g = good_primitive_root(p)
-    table = bernoulli_upto(n)
     k = n // p
-    lhs = (Fraction(g) ** (2 * n) - 1) * table.b_over_2n(n)
-    rhs = (Fraction(g) ** (2 * k) - 1) * table.b_over_2n(k)
-    return _compare(
+    return _young_type(
         f"Young: (g^{2 * n}-1)B_{2 * n}/{2 * n} = (g^{2 * k}-1)B_{2 * k}/{2 * k} mod {p}^{r}, g={g}",
-        p**r,
-        lhs,
-        rhs,
+        g * g, p**r, n, k,
     )
 
 
@@ -152,14 +158,8 @@ def lemma_five_check(n: int) -> CongruenceCheck:
         raise ValueError(f"even n >= 2 required, got {n}")
     r = p_adic(n, 2).ord
     k = n // 2
-    table = bernoulli_upto(n)
-    lhs = (Fraction(5) ** n - 1) * table.b_over_2n(n)
-    rhs = (Fraction(5) ** k - 1) * table.b_over_2n(k)
-    return _compare(
-        f"(5^{n}-1)B_{2 * n}/{2 * n} = (5^{k}-1)B_{2 * k}/{2 * k} mod 2^{r}",
-        2**r,
-        lhs,
-        rhs,
+    return _young_type(
+        f"(5^{n}-1)B_{2 * n}/{2 * n} = (5^{k}-1)B_{2 * k}/{2 * k} mod 2^{r}", 5, 2**r, n, k
     )
 
 

@@ -142,6 +142,11 @@ class ExperimentSpec:
         if self.offset_policy not in (SHIFT_TO_1, STRICT):
             raise ValueError(f"offset_policy must be one of {(SHIFT_TO_1, STRICT)}, "
                              f"got {self.offset_policy!r}")
+        # refused before the source is read, in the words of load_sequence and shift
+        if self.scale < 1:
+            raise ValueError("scale must be >= 1")
+        if self.shift < 0:
+            raise ValueError("shift must be >= 0")
 
 
 # Catalogued local-realizability surveys over the bundled fixtures.  Depth is
@@ -200,9 +205,10 @@ def _witness_json(verdicts) -> dict | None:
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute an experiment spec and return the report document."""
+    # a builtin is computed to depth terms, so a shift needs that many more
     seq = load_sequence(
         spec.source,
-        depth=spec.depth,
+        depth=None if spec.depth is None else spec.depth + spec.shift,
         absolute=spec.absolute,
         offset_policy=spec.offset_policy,
         scale=spec.scale,

@@ -1,14 +1,15 @@
 """Regular/irregular prime classification from the exact number engines.
 
-A prime q is Bernoulli-regular when it divides none of the reduced Bernoulli
-numerators with index k <= (q-3)/2, and Euler-irregular when it divides some
-e_n = |E_{2n}| with 0 < n < (q-1)/2.  Euler-regular primes split further:
-"strong" primes never divide any e_n up to the searched depth (a semidecidable
-property, so the verdict always carries its bound), "weak" ones divide some
-later term.  These classifications are exactly the local realizability
-behaviour of the numerator and Euler sequences, which the consistency tests
-exercise both ways, and they are computed that way: each reads the least index
-at which q divides a term off one ``localize`` call, which serves a whole scan.
+Bernoulli and Euler regularity follow one rule: a prime q is irregular when
+it divides a term a_n with 2n <= q-3, of the reduced Bernoulli numerators t
+or of the Euler numbers e_n = |E_{2n}|, and regular otherwise.  Euler-regular
+primes split further: "strong" primes never divide any e_n up to the searched
+depth (a semidecidable property, so the verdict always carries its bound),
+"weak" ones divide some later term.  These classifications are exactly the
+local realizability behaviour of the numerator and Euler sequences, which the
+consistency tests exercise both ways, and they are computed that way: each
+reads the least index at which q divides a term off one ``localize`` call,
+which serves a whole scan.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import _odd_prime, p_adic, primes_in_range
-from .classical import DerivedBernoulli, derived_bernoulli, sequence_e
+from .classical import derived_bernoulli, sequence_e
 from .errors import DepthError
 from .realizability import Sequence1, Verdict, localize
 
@@ -31,18 +32,12 @@ NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)
-class BernoulliStatus:
+class Regularity:
+    """Bernoulli or Euler regularity of a prime q: irregular exactly when q
+    divides a term a_n with 2n <= q-3, the least such n being the witness."""
+
     status: str  # REGULAR | IRREGULAR
-    witness: int | None = None  # least k with q | numerator_k, k <= (q-3)/2
-
-    def __str__(self) -> str:
-        return REGULAR if self.status == REGULAR else f"{IRREGULAR}({self.witness})"
-
-
-@dataclass(frozen=True)
-class EulerStatus:
-    status: str
-    witness: int | None = None  # least n < (q-1)/2 with q | e_n
+    witness: int | None = None
 
     def __str__(self) -> str:
         return REGULAR if self.status == REGULAR else f"{IRREGULAR}({self.witness})"
@@ -66,67 +61,72 @@ class EulerStrength:
 class PrimeClassification:
     q: int
     depth: int
-    bernoulli_status: BernoulliStatus | None = None
-    euler_status: EulerStatus | None = None
+    bernoulli_status: Regularity | None = None
+    euler_status: Regularity | None = None
     euler_strength: EulerStrength | None = None
 
 
-def _least_dividing(parts: tuple[int, ...]) -> int | None:
-    # the least n whose q-part exceeds 1, that is the least n with q | a_n
-    return next((n for n, part in enumerate(parts, start=1) if part > 1), None)
+def _least_dividing(values: tuple[int, ...], primes: list[int]) -> list[int | None]:
+    """Each prime's least n with q | a_n in the prefix, from one localization."""
+    parts = localize(values, primes)
+    return [next((n for n, part in enumerate(parts.get(q, ()), start=1) if part > 1), None)
+            for q in primes]
 
 
-def _bernoulli_status(q: int, least: int | None) -> BernoulliStatus:
+def _regularity(q: int, least: int | None) -> Regularity:
     if least is not None and least <= (q - 3) // 2:
-        return BernoulliStatus(IRREGULAR, least)
-    return BernoulliStatus(REGULAR)
+        return Regularity(IRREGULAR, least)
+    return Regularity(REGULAR)
 
 
-def _euler_status(q: int, least: int | None, depth: int) -> tuple[EulerStatus, EulerStrength]:
-    if least is None:
-        return EulerStatus(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
-    if least < (q - 1) // 2:
-        return EulerStatus(IRREGULAR, least), EulerStrength(NOT_APPLICABLE)
-    return EulerStatus(REGULAR), EulerStrength(WEAK, witness=least)
+def _classify(kind: str, primes: list[int], a: Sequence1) -> list[PrimeClassification]:
+    """Classify ascending primes from one localization of the prefix a of t or
+    e; the least prime the prefix is too short for is the one refused.
 
-
-def _bernoulli_statuses(primes: list[int], tbl: DerivedBernoulli) -> list[BernoulliStatus]:
-    # ascending primes; the least prime beyond the table is the one refused
-    late = next((q for q in primes if (q - 3) // 2 > tbl.max_index), None)
-    if late is not None:
-        raise DepthError(f"need numerators up to {(late - 3) // 2}, table has {tbl.max_index}")
-    # one localization of t_1..t_L, L the largest prime's bound, serves every prime
-    parts = localize(tbl.numerators.values[: max(0, (primes[-1] - 3) // 2)], primes)
-    return [_bernoulli_status(q, _least_dividing(parts.get(q, ()))) for q in primes]
-
-
-def _euler_statuses(
-    primes: list[int], e: Sequence1, depth: int
-) -> list[tuple[EulerStatus, EulerStrength]]:
+    Bernoulli regularity reads t_1..t_{(q-3)/2}.  The Euler strength of a
+    regular prime reads all of e, so the Euler prefix must reach (q-1)/2.
+    """
+    depth = len(a)
+    if kind == BERNOULLI:
+        late = next((q for q in primes if (q - 3) // 2 > depth), None)
+        if late is not None:
+            raise DepthError(f"need numerators up to {(late - 3) // 2}, table has {depth}")
+        least = _least_dividing(a.values[: max(0, (primes[-1] - 3) // 2)], primes)
+        return [PrimeClassification(q, depth, _regularity(q, n)) for q, n in zip(primes, least)]
     late = next((q for q in primes if (q - 1) // 2 > depth), None)
     if late is not None:
         raise DepthError(f"depth {depth} < (q-1)/2 = {(late - 1) // 2}")
-    if len(e) < depth:
-        raise DepthError(f"e-sequence has {len(e)} terms, depth {depth} requested")
-    parts = localize(e.values[:depth], primes)
-    return [_euler_status(q, _least_dividing(parts.get(q, ())), depth) for q in primes]
+    out = []
+    for q, n in zip(primes, _least_dividing(a.values, primes)):
+        status = _regularity(q, n)
+        if status.status == IRREGULAR:
+            strength = EulerStrength(NOT_APPLICABLE)
+        elif n is None:
+            strength = EulerStrength(STRONG_UP_TO, bound=depth)
+        else:
+            strength = EulerStrength(WEAK, witness=n)
+        out.append(PrimeClassification(q, depth, euler_status=status, euler_strength=strength))
+    return out
 
 
-def classify_bernoulli(q: int, tbl: DerivedBernoulli) -> BernoulliStatus:
-    """Bernoulli regularity of an odd prime q >= 3 from a numerator table."""
+def classify_bernoulli(q: int, t: Sequence1) -> Regularity:
+    """Bernoulli regularity of an odd prime q >= 3 from a prefix of the
+    numerator sequence t, which must reach index (q-3)/2."""
     _odd_prime(q)
-    return _bernoulli_statuses([q], tbl)[0]
+    return _classify(BERNOULLI, [q], t)[0].bernoulli_status
 
 
-def classify_euler(q: int, e: Sequence1, depth: int) -> tuple[EulerStatus, EulerStrength]:
+def classify_euler(q: int, e: Sequence1) -> tuple[Regularity, EulerStrength]:
     """Euler regularity and strength of an odd prime from an e-sequence prefix.
 
+    The prefix must reach index (q-1)/2, and its length is the search depth.
     Strength is meaningful only for regular primes: strong means q divides no
-    e_n with n <= depth (reported with that bound), weak carries the least
+    e_n with n <= len(e) (reported with that bound), weak carries the least
     dividing index, which necessarily sits at or beyond (q-1)/2.
     """
     _odd_prime(q)
-    return _euler_statuses([q], e, depth)[0]
+    c = _classify(EULER, [q], e)[0]
+    return c.euler_status, c.euler_strength
 
 
 def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeClassification]:
@@ -145,13 +145,8 @@ def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeCl
     if depth is None:
         q = primes[-1]
         depth = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)
-    if kind == BERNOULLI:
-        derived = derived_bernoulli(depth)
-        return [PrimeClassification(q, depth, status)
-                for q, status in zip(primes, _bernoulli_statuses(primes, derived))]
-    e = sequence_e(depth)
-    return [PrimeClassification(q, depth, euler_status=status, euler_strength=strength)
-            for q, (status, strength) in zip(primes, _euler_statuses(primes, e, depth))]
+    prefix = derived_bernoulli(depth).numerators if kind == BERNOULLI else sequence_e(depth)
+    return _classify(kind, primes, prefix)
 
 
 def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
@@ -199,16 +194,15 @@ def numerator_local_status(q: int, N: int) -> NumeratorLocalStatus:
     """Trivial localization for regular q; least failure pair for irregular q."""
     t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
     _odd_prime(q)
-    parts = localize(t.values, (q,)).get(q, ())
-    least = _least_dividing(parts)
-    k = _bernoulli_status(q, least).witness
+    [least] = _least_dividing(t.values, [q])
+    k = _regularity(q, least).witness
     if k is None:
         if least is not None and least <= N:
             raise RuntimeError(f"regular prime {q} divides numerator at {least}: engine defect")
         return NumeratorLocalStatus(q, N, "trivial-localization")
+    part_k = p_adic(t[k], q).part
     for m in range(2 * k, N + 1, k):
-        if parts[k - 1] > parts[m - 1]:
-            return NumeratorLocalStatus(
-                q, N, "monotone-failure", k, m, parts[k - 1], parts[m - 1]
-            )
+        part_m = p_adic(t[m], q).part
+        if part_k > part_m:
+            return NumeratorLocalStatus(q, N, "monotone-failure", k, m, part_k, part_m)
     raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")

@@ -97,12 +97,6 @@ class Verdict:
     def passed(self) -> bool:
         return self.status == PASS
 
-    def describe(self) -> str:
-        if self.passed:
-            return f"{PASS}({self.checked_upto})"
-        extra = "".join(f", {k}={v}" for k, v in self.detail.items())
-        return f"{FAIL}(n={self.n}, value={self.value}{extra})"
-
 
 @dataclass(frozen=True)
 class RealizabilityReport:

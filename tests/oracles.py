@@ -330,42 +330,41 @@ def _odd_prime_ref(q):
         raise ValueError(f"odd prime expected, got {q}")
 
 
-def classify_bernoulli_ref(q, tbl):
+def classify_bernoulli_ref(q, t):
     """Least k <= (q-3)/2 with q | t_k, found by trying each k in turn."""
     from seqlab.errors import DepthError
-    from seqlab.primes import IRREGULAR, REGULAR, BernoulliStatus
+    from seqlab.primes import IRREGULAR, REGULAR, Regularity
 
     _odd_prime_ref(q)
     bound = (q - 3) // 2
-    if tbl.max_index < bound:
-        raise DepthError(f"need numerators up to {bound}, table has {tbl.max_index}")
+    if len(t) < bound:
+        raise DepthError(f"need numerators up to {bound}, table has {len(t)}")
     for k in range(1, bound + 1):
-        if tbl.numerators[k] % q == 0:
-            return BernoulliStatus(IRREGULAR, k)
-    return BernoulliStatus(REGULAR)
+        if t[k] % q == 0:
+            return Regularity(IRREGULAR, k)
+    return Regularity(REGULAR)
 
 
-def classify_euler_ref(q, e, depth):
-    """Least n < (q-1)/2 with q | e_n (irregular), else the least n <= depth
-    (weak), else strong up to depth, each found by trying every n in turn."""
+def classify_euler_ref(q, e):
+    """Least n < (q-1)/2 with q | e_n (irregular), else the least n <= len(e)
+    (weak), else strong up to len(e), each found by trying every n in turn."""
     from seqlab.errors import DepthError
     from seqlab.primes import (
-        IRREGULAR, NOT_APPLICABLE, REGULAR, STRONG_UP_TO, WEAK, EulerStatus, EulerStrength,
+        IRREGULAR, NOT_APPLICABLE, REGULAR, STRONG_UP_TO, WEAK, EulerStrength, Regularity,
     )
 
     _odd_prime_ref(q)
     bound = (q - 1) // 2
+    depth = len(e)
     if depth < bound:
         raise DepthError(f"depth {depth} < (q-1)/2 = {bound}")
-    if len(e) < depth:
-        raise DepthError(f"e-sequence has {len(e)} terms, depth {depth} requested")
     for n in range(1, bound):
         if e[n] % q == 0:
-            return EulerStatus(IRREGULAR, n), EulerStrength(NOT_APPLICABLE)
+            return Regularity(IRREGULAR, n), EulerStrength(NOT_APPLICABLE)
     for n in range(bound, depth + 1):
         if e[n] % q == 0:
-            return EulerStatus(REGULAR), EulerStrength(WEAK, witness=n)
-    return EulerStatus(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
+            return Regularity(REGULAR), EulerStrength(WEAK, witness=n)
+    return Regularity(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
 
 
 def scan_primes_ref(kind, q_max, depth):
@@ -373,23 +372,22 @@ def scan_primes_ref(kind, q_max, depth):
     by hand (regular; strong for Euler, as every e_n is odd)."""
     from seqlab.classical import derived_bernoulli, sequence_e
     from seqlab.primes import (
-        BERNOULLI, REGULAR, STRONG_UP_TO, BernoulliStatus, EulerStatus, EulerStrength,
-        PrimeClassification,
+        BERNOULLI, REGULAR, STRONG_UP_TO, EulerStrength, PrimeClassification, Regularity,
     )
 
     out = []
     if kind == BERNOULLI:
-        derived = derived_bernoulli(depth)
+        t = derived_bernoulli(depth).numerators
         for q in primes_by_trial(2, q_max):
-            status = BernoulliStatus(REGULAR) if q == 2 else classify_bernoulli_ref(q, derived)
+            status = Regularity(REGULAR) if q == 2 else classify_bernoulli_ref(q, t)
             out.append(PrimeClassification(q, depth, status))
     else:
         e = sequence_e(depth)
         for q in primes_by_trial(2, q_max):
             if q == 2:
-                status, strength = EulerStatus(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
+                status, strength = Regularity(REGULAR), EulerStrength(STRONG_UP_TO, bound=depth)
             else:
-                status, strength = classify_euler_ref(q, e, depth)
+                status, strength = classify_euler_ref(q, e)
             out.append(PrimeClassification(q, depth, euler_status=status, euler_strength=strength))
     return out
 
@@ -401,9 +399,8 @@ def numerator_local_status_ref(q, N):
     from seqlab.errors import DepthError
     from seqlab.primes import REGULAR, NumeratorLocalStatus
 
-    derived = derived_bernoulli(max(N, (q - 3) // 2))
-    t = derived.numerators
-    status = classify_bernoulli_ref(q, derived)
+    t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
+    status = classify_bernoulli_ref(q, t)
     if status.status == REGULAR:
         for n in range(1, N + 1):
             if t[n] % q == 0:

@@ -263,8 +263,10 @@ REFUSALS = [
     (["check", "e", "--upto", "-5"], 1),
     (["check", "A000032", "--upto", "-5"], 1),
     (["check", "e", "--shift", "-1"], 1),
-    (["check", "e", "--upto", "10", "--shift", "10"], 1),
+    (["check", "A000032", "--shift", "400"], 1),
+    (["check", "A999999", "--shift", "-1"], 1),
     (["check", "A000032", "--scale", "0"], 1),
+    (["check", "A999999", "--scale", "0"], 1),
     (["check", "A000032", "--scale", "-2"], 1),
     (["localscan", "e", "--upto", "20", "--prime", "4"], 1),
     (["localscan", "e", "--upto", "20", "--prime", "0"], 1),

@@ -42,6 +42,31 @@ def test_run_experiment_depth_guard():
         run_experiment(ExperimentSpec(source="A010122", depth=100))
 
 
+@pytest.mark.parametrize("source", ["t", "b", "d", "e"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_shifted_builtin_checks_the_terms_after_the_shift(tmp_path, source, k):
+    # the same report as a b-file holding exactly a_{k+1}..a_{k+20}
+    terms = load_sequence(source, depth=k + 20).values[k:]
+    path = tmp_path / "shifted.txt"
+    path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(terms, start=1)))
+    fields = dict(depth=20, prime_limit=30, include_magical=True, max_shift=2)
+    doc = run_experiment(ExperimentSpec(source=source, shift=k, **fields))
+    expected = run_experiment(ExperimentSpec(source=str(path), **fields))
+    assert doc["sequence_id"] == f"{source}>>{k}"
+    assert doc == dict(expected, sequence_id=doc["sequence_id"])
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("scale", 0, "scale must be >= 1"),
+    ("scale", -2, "scale must be >= 1"),
+    ("shift", -1, "shift must be >= 0"),
+])
+def test_spec_refuses_scale_and_shift_before_loading(field, value, message):
+    # A999999 has no fixture: reading it first would raise FixtureMissingError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentSpec(source="A999999", **{field: value})
+
+
 def test_local_witness_e61():
     doc = run_experiment(
         ExperimentSpec(source="e", depth=20, primes=(61,), local_checks=("dold", "sign"))

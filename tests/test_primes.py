@@ -30,38 +30,39 @@ from oracles import (
 
 
 def test_classify_bernoulli_examples(derived300):
-    assert classify_bernoulli(7, derived300).status == REGULAR
-    status = classify_bernoulli(37, derived300)
+    t = derived300.numerators
+    assert classify_bernoulli(7, t).status == REGULAR
+    status = classify_bernoulli(37, t)
     assert (status.status, status.witness) == (IRREGULAR, 16)
-    assert derived300.numerators[16] % 37 == 0
-    assert classify_bernoulli(5, derived300).status == REGULAR
+    assert t[16] % 37 == 0
+    assert classify_bernoulli(5, t).status == REGULAR
 
 
 def test_classify_bernoulli_depth_guard():
-    shallow = derived_bernoulli(3)
-    with pytest.raises(DepthError):
+    shallow = derived_bernoulli(3).numerators
+    with pytest.raises(DepthError, match="^need numerators up to 17, table has 3$"):
         classify_bernoulli(37, shallow)
 
 
 def test_classify_euler_examples(e200):
-    status, strength = classify_euler(19, e200, 200)
+    status, strength = classify_euler(19, e200)
     assert (status.status, status.witness) == (IRREGULAR, 5)
     assert e200[5] % 19 == 0
     assert strength.kind == NOT_APPLICABLE
 
-    status, strength = classify_euler(3, e200, 200)
+    status, strength = classify_euler(3, e200)
     assert status.status == REGULAR
     assert (strength.kind, strength.bound) == (STRONG_UP_TO, 200)
 
-    status, strength = classify_euler(5, e200, 200)
+    status, strength = classify_euler(5, e200)
     assert status.status == REGULAR
     assert (strength.kind, strength.witness) == (WEAK, 2)
     assert e200[2] == 5
 
 
 def test_classify_euler_depth_guard(e200):
-    with pytest.raises(DepthError):
-        classify_euler(101, e200, 30)
+    with pytest.raises(DepthError, match=r"^depth 30 < \(q-1\)/2 = 50$"):
+        classify_euler(101, Sequence1(e200.values[:30], "e"))
 
 
 def test_scan_bernoulli_small(derived300):
@@ -134,7 +135,7 @@ def test_theorem_b_consistency(derived300):
     # irregular at q  <=>  the numerator sequence fails locally at q
     t60 = Sequence1(derived300.numerators.values[:60], "t")
     for q in primes_in_range(3, 50):
-        classification = classify_bernoulli(q, derived300)
+        classification = classify_bernoulli(q, derived300.numerators)
         rep = local_report(t60, q)
         if classification.status == IRREGULAR:
             assert not rep.realizable_consistent, q
@@ -152,7 +153,7 @@ def test_regular_primes_localize_trivially(derived300):
 
 def test_strong_euler_iff_trivial_p_part(e200):
     for q in primes_in_range(3, 50):
-        status, strength = classify_euler(q, e200, 200)
+        status, strength = classify_euler(q, e200)
         trivial = all(p_adic(v, q).part == 1 for v in e200.values)
         assert trivial == (
             status.status == REGULAR and strength.kind == STRONG_UP_TO
@@ -160,15 +161,27 @@ def test_strong_euler_iff_trivial_p_part(e200):
 
 
 def test_classification_monotone_in_depth(e200):
+    e60 = Sequence1(e200.values[:60], "e")
     for q in primes_in_range(3, 40):
-        s1, k1 = classify_euler(q, e200, 60)
-        s2, k2 = classify_euler(q, e200, 200)
+        s1, k1 = classify_euler(q, e60)
+        s2, k2 = classify_euler(q, e200)
         if s1.status == IRREGULAR:
             assert s2.status == IRREGULAR and s2.witness == s1.witness
         if k1.kind == WEAK:
             assert k2.kind == WEAK and k2.witness == k1.witness
         if k1.kind == STRONG_UP_TO and k2.kind == WEAK:
             assert k2.witness > 60
+
+
+def test_one_prime_classifiers_agree_with_the_scan(derived300, e200):
+    # one rule for both kinds: a classifier given the scan's prefix gives the
+    # scan's verdict, Euler strength included
+    bernoulli = {c.q: c.bernoulli_status for c in scan_primes(BERNOULLI, 121, 300)}
+    euler = {c.q: (c.euler_status, c.euler_strength) for c in scan_primes(EULER, 121, 60)}
+    e60 = Sequence1(e200.values[:60], "e")
+    for q in primes_in_range(3, 121):
+        assert classify_bernoulli(q, derived300.numerators) == bernoulli[q], q
+        assert classify_euler(q, e60) == euler[q], q
 
 
 # --- differential tests against the per-prime reference loops ----------------
@@ -191,12 +204,10 @@ def test_scan_matches_reference_at_benchmark_depths(kind, depth):
 
 @pytest.mark.parametrize("depth", [599, 601])
 def test_one_prime_matches_reference_at_benchmark_depths(depth):
-    derived, e = derived_bernoulli(depth), sequence_e(depth)
+    t, e = derived_bernoulli(depth).numerators, sequence_e(depth)
     for q in primes_in_range(3, 2 * depth):
-        assert outcome(classify_bernoulli, q, derived) == \
-            outcome(classify_bernoulli_ref, q, derived), q
-        assert outcome(classify_euler, q, e, depth) == \
-            outcome(classify_euler_ref, q, e, depth), q
+        assert outcome(classify_bernoulli, q, t) == outcome(classify_bernoulli_ref, q, t), q
+        assert outcome(classify_euler, q, e) == outcome(classify_euler_ref, q, e), q
 
 
 @pytest.mark.parametrize("kind", [BERNOULLI, EULER])
@@ -217,14 +228,12 @@ def test_shallow_scan_refuses_as_the_reference_does(kind):
 
 def test_one_prime_on_shallow_tables_matches_reference(e200):
     for depth in (1, 3, 8, 20):
-        derived = derived_bernoulli(depth)
+        t = derived_bernoulli(depth).numerators
         e = Sequence1(e200.values[:depth], "e")
         for q in [-7, 0, 1, 2, 4, 9, 91] + primes_in_range(3, 60):
-            assert outcome(classify_bernoulli, q, derived) == \
-                outcome(classify_bernoulli_ref, q, derived), (depth, q)
-            for d in (depth - 1, depth, depth + 1):
-                assert outcome(classify_euler, q, e, d) == \
-                    outcome(classify_euler_ref, q, e, d), (depth, q, d)
+            assert outcome(classify_bernoulli, q, t) == outcome(classify_bernoulli_ref, q, t), \
+                (depth, q)
+            assert outcome(classify_euler, q, e) == outcome(classify_euler_ref, q, e), (depth, q)
 
 
 # The true tables never put a prime's least dividing index at its bound:
@@ -272,8 +281,9 @@ def test_one_prime_on_placed_divisors_matches_reference(monkeypatch, offset):
     for module in (seqlab.classical, seqlab.primes):
         monkeypatch.setattr(module, "derived_bernoulli", lambda N: table)
     for q in odd:
-        assert outcome(classify_bernoulli, q, table) == outcome(classify_bernoulli_ref, q, table), q
-        assert outcome(classify_euler, q, e, 48) == outcome(classify_euler_ref, q, e, 48), q
+        t = table.numerators
+        assert outcome(classify_bernoulli, q, t) == outcome(classify_bernoulli_ref, q, t), q
+        assert outcome(classify_euler, q, e) == outcome(classify_euler_ref, q, e), q
         for N in range(0, 48):
             assert outcome(numerator_local_status, q, N) == \
                 outcome(numerator_local_status_ref, q, N), (q, N)

@@ -44,8 +44,8 @@ EXPORTS = {
                    "not_realizable_primes", "realizable_star_primes", "render_report",
                    "run_experiment"],
     "matrices": ["IntMatrix", "companion_matrix"],
-    "primes": ["BERNOULLI", "EULER", "BernoulliStatus", "EulerStatus", "EulerStrength",
-               "NumeratorLocalStatus", "PrimeClassification", "classify_bernoulli",
+    "primes": ["BERNOULLI", "EULER", "EulerStrength", "NumeratorLocalStatus",
+               "PrimeClassification", "Regularity", "classify_bernoulli",
                "classify_euler", "numerator_local_status", "scan_primes",
                "weak_euler_profile_check"],
     "realizability": ["MagicalReport", "OrbitCounts", "RealizabilityReport", "Sequence1",
