@@ -111,6 +111,10 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     Candidates are ordered by their non-leading coefficient vector read as a
     base-p integer, which makes the construction reproducible.
     """
+    if not is_prime(p):
+        raise ValueError(f"prime expected, got {p}")
+    if m < 1:
+        raise ValueError(f"degree m >= 1 required, got {m}")
     for v in range(p**m):
         f = _digits(v, p, m) + (1,)
         if _is_irreducible(f, p):
@@ -207,12 +211,12 @@ def construct_matrix(p: int, m: int) -> tuple[IntMatrix, IntMatrix]:
     I = IntMatrix.identity(m)
 
     B = (A ** (q - 1) - I).divide_exact(p)
-    if B.det_mod(p) == 0:
+    if B.mod(p).det() % p == 0:
         A = A + p * (I + A * B)
         B = (A ** (q - 1) - I).divide_exact(p)
-        if B.det_mod(p) == 0:
+        if B.mod(p).det() % p == 0:
             raise RuntimeError(f"construct_matrix({p},{m}): det(B) = 0 mod {p}")
-    if not _has_order(q - 1, lambda e: (pow(A, e, p) - I).det_mod(p) == 0):
+    if not _has_order(q - 1, lambda e: (pow(A, e, p) - I).det() % p == 0):
         raise RuntimeError(
             f"construct_matrix({p},{m}): det(A^n - I) = 0 mod {p} for some n < {q - 1}"
         )
@@ -237,9 +241,7 @@ def ell_algebraically_realizable(k: int, m: int, p: int) -> bool:
     if p == 2:
         raise ValueError("p = 2 is not covered by this criterion; it has a separate construction")
     _odd_prime(p)
-    if gcd(k, p) != 1:
-        raise ValueError(f"k = {k} must be coprime to p = {p}")
-    return (p**m - 1) % k == 0
+    return ConstructionParams.create(k, m, p).c is not None
 
 
 def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:

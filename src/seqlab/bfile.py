@@ -176,6 +176,7 @@ def fetch_oeis(
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             status, body = resp.status, resp.read()
     except urllib.error.HTTPError as exc:
+        exc.close()  # the error holds the response and its socket
         raise FetchHTTPError(exc.code, url) from exc
     except (OSError, http.client.HTTPException) as exc:
         # URLError and timeouts are OSErrors; HTTPException covers broken replies

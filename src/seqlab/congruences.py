@@ -12,9 +12,9 @@ are rejected loudly rather than coerced.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 from .arith import _odd_prime, euler_phi, factorize, is_prime, p_adic
@@ -78,27 +78,18 @@ def good_primitive_root(p: int) -> int:
     raise RuntimeError(f"no good primitive root found for {p}")  # unreachable
 
 
+@lru_cache(maxsize=None)
+def _b_over_2n_mod(k: int, modulus: int) -> int:
+    """B_{2k}/2k mod modulus, reduced once per (k, modulus) per process."""
+    return _residue(bernoulli_upto(k).b_over_2n(k), modulus)
+
+
 def kummer_check(p: int, r: int, m: int, n: int) -> CongruenceCheck:
     """Kummer congruence: B_{2m}/2m = B_{2n}/2n (mod p^r).
 
     Hypotheses: p odd prime, 1 <= r <= 2n-1 <= 2m-1, p-1 does not divide 2n,
     and 2m = 2n (mod phi(p^r)).  Violations are rejected, in particular the
     p-1 | 2n pole case.
-    """
-
-    def residue(k: int) -> int:
-        return _residue(bernoulli_upto(m).b_over_2n(k), p**r)
-
-    return _kummer_check(p, r, m, n, residue)
-
-
-def _kummer_check(
-    p: int, r: int, m: int, n: int, residue: Callable[[int], int]
-) -> CongruenceCheck:
-    """kummer_check's hypotheses, then its check with residue(k) = B_{2k}/2k mod p^r.
-
-    residue is read only after every hypothesis holds, so it is never asked
-    for a pole or an index outside 1 <= r <= 2k-1.
     """
     _odd_prime(p)
     if not 1 <= r <= 2 * n - 1 <= 2 * m - 1:
@@ -110,7 +101,7 @@ def _kummer_check(
     # phi(p^r) = p^(r-1)(p-1), as p is prime and r >= 1
     if (2 * m - 2 * n) % (p ** (r - 1) * (p - 1)) != 0:
         raise ValueError(f"2m and 2n not congruent mod phi({p}^{r})")
-    lhs, rhs = residue(m), residue(n)
+    lhs, rhs = _b_over_2n_mod(m, p**r), _b_over_2n_mod(n, p**r)
     return CongruenceCheck(
         f"Kummer: B_{2 * m}/{2 * m} = B_{2 * n}/{2 * n} mod {p}^{r}", p**r, lhs, rhs, lhs == rhs
     )
@@ -241,16 +232,12 @@ def run_oracle_grids(
     - Kummer makes checks at p^r only while phi(p^r)/2 = p^(r-1)(p-1)/2
       <= upto-1, and euler-additive only while p^r <= upto.
     A larger max_prime or max_r than these bounds changes nothing.
-
-    Kummer reduces each B_{2n}/2n once per modulus p^r: one row of residues
-    holds the n that the checks at p^r read.
     """
     families = ("kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive")
     if family != "all" and family not in families:
         raise ValueError(f"unknown family {family!r}")
     wanted = families if family == "all" else (family,)
-    # the Kummer residue row reads this table; building it refuses upto < 1
-    btable = bernoulli_upto(upto)
+    bernoulli_upto(upto)  # refuses upto < 1, whichever families are wanted
     prime_bound = min(max_prime, max(2 * upto - 1, 13))
     odd_primes = [p for p in range(3, prime_bound + 1) if is_prime(p)]
     out: dict[str, list[CongruenceCheck]] = {}
@@ -259,21 +246,14 @@ def run_oracle_grids(
         checks = []
         for p in odd_primes:
             for r in range(1, max_r + 1):
-                half_phi = p ** (r - 1) * (p - 1) // 2
+                half_phi = euler_phi(p**r) // 2  # the step from n to each partner m
                 if half_phi > upto - 1:
                     break  # no m = n + half_phi <= upto, here or at any larger r
-                lo = r // 2 + 1  # least n with r <= 2n - 1
-                ns = [n for n in range(lo, upto + 1) if (2 * n) % (p - 1) != 0]
-                # m = n + j*half_phi is a non-pole exactly when n is, so the row
-                # holds each n that has a partner half_phi above or below it
-                row = {
-                    k: _residue(btable.b_over_2n(k), p**r)
-                    for k in ns
-                    if k + half_phi <= upto or k - half_phi >= lo
-                }
-                for n in ns:
-                    for m in range(n + half_phi, upto + 1, half_phi):
-                        checks.append(_kummer_check(p, r, m, n, row.__getitem__))
+                # r // 2 + 1 is the least n with r <= 2n - 1
+                for n in range(r // 2 + 1, upto + 1):
+                    if (2 * n) % (p - 1) != 0:
+                        for m in range(n + half_phi, upto + 1, half_phi):
+                            checks.append(kummer_check(p, r, m, n))
         out["kummer"] = checks
 
     if "young" in wanted:

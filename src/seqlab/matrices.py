@@ -8,7 +8,7 @@ class IntMatrix:
 
     Supports +, -, *, integer powers (also mod m, by ``pow``), an exact
     determinant via fraction-free (Bareiss) elimination, so entries may grow
-    without bound, and the determinant mod a prime by elimination over GF(p).
+    without bound.
     """
 
     __slots__ = ("n", "rows")
@@ -120,30 +120,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def det_mod(self, p: int) -> int:
-        """det mod p (in 0..p-1) by Gaussian elimination over GF(p), p prime.
-
-        Entries stay below p, so the cost does not grow with the entries the
-        exact determinant would have to carry.
-        """
-        n = self.n
-        a = [[x % p for x in row] for row in self.rows]
-        det = 1
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            if pivot != k:
-                a[k], a[pivot] = a[pivot], a[k]
-                det = -det
-            det = det * a[k][k] % p
-            inv = pow(a[k][k], -1, p)
-            for i in range(k + 1, n):
-                f = a[i][k] * inv % p
-                if f:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-        return det % p
 
     def _check(self, other: "IntMatrix") -> None:
         if not isinstance(other, IntMatrix):

@@ -192,8 +192,10 @@ class NumeratorLocalStatus:
 
 def numerator_local_status(q: int, N: int) -> NumeratorLocalStatus:
     """Trivial localization for regular q; least failure pair for irregular q."""
-    t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
-    _odd_prime(q)
+    depth = max(N, (q - 3) // 2)
+    if depth >= 1:  # a depth below 1 is refused first, by the table build
+        _odd_prime(q)
+    t = derived_bernoulli(depth).numerators
     [least] = _least_dividing(t.values, [q])
     k = _regularity(q, least).witness
     if k is None:

@@ -227,8 +227,14 @@ def arias_criterion_ref(values):
     return Verdict.pass_up_to(N)
 
 
-def det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+def det_ref(m):
+    """Determinant of a square list of rows by cofactor expansion along row 0."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * det_ref([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
 
 
 def all_endomorphisms_brute(order, table, identity):
@@ -303,11 +309,11 @@ def construct_matrix_ref(p, m):
     I = IntMatrix.identity(m)
 
     B = (A ** (q - 1) - I).divide_exact(p)
-    if B.det_mod(p) == 0:
+    if B.mod(p).det() % p == 0:
         A = A + p * (I + A * B)
         B = (A ** (q - 1) - I).divide_exact(p)
 
-    if B.det_mod(p) == 0:
+    if B.mod(p).det() % p == 0:
         raise RuntimeError(f"construct_matrix({p},{m}): det(B) = 0 mod {p}")
     if A ** (q - 1) != I + p * B:
         raise RuntimeError(f"construct_matrix({p},{m}): A^(q-1) != I + pB")
@@ -315,7 +321,7 @@ def construct_matrix_ref(p, m):
     power = I
     for n in range(1, q - 1):
         power = (power * step).mod(p)
-        if (power - I).det_mod(p) == 0:
+        if (power - I).det() % p == 0:
             raise RuntimeError(
                 f"construct_matrix({p},{m}): det(A^{n} - I) = 0 mod {p}"
             )

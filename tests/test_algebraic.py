@@ -57,6 +57,18 @@ def test_field_generator_gf5():
     assert g == (2,)  # 2, 4, 3, 1 cycle of order 4
 
 
+@pytest.mark.parametrize("p,m,message", [
+    (5, 0, "degree m >= 1 required, got 0"),
+    (5, -2, "degree m >= 1 required, got -2"),
+    (4, 2, "prime expected, got 4"),
+    (1, 2, "prime expected, got 1"),
+    (0, 1, "prime expected, got 0"),
+])
+def test_smallest_irreducible_refuses_bad_input(p, m, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        smallest_irreducible(p, m)
+
+
 def test_smallest_irreducibles():
     assert smallest_irreducible(2, 2) == (1, 1, 1)  # x^2 + x + 1
     assert smallest_irreducible(3, 2) == (1, 0, 1)  # x^2 + 1
@@ -121,6 +133,14 @@ def test_ell_realizability_criterion():
         ell_algebraically_realizable(1, 1, 2)
     with pytest.raises(ValueError):
         ell_algebraically_realizable(3, 1, 3)
+
+
+@pytest.mark.parametrize("k,m,p", [(-1, 3, 5), (2, 0, 5), (2, -1, 5), (0, 1, 5)])
+def test_ell_realizability_refuses_what_the_params_refuse(k, m, p):
+    # one guard: the criterion refuses exactly what ConstructionParams refuses
+    for f in (ell_algebraically_realizable, ConstructionParams.create):
+        with pytest.raises(ValueError, match=r"^k >= 1 and m >= 1 required$"):
+            f(k, m, p)
 
 
 def test_construction_params_validation():

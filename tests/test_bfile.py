@@ -1,6 +1,7 @@
 import io
 import os
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
@@ -154,6 +155,7 @@ def test_fetch_online_roundtrip_with_local_server(tmp_path):
         assert bf2.values == (2, 4, 8)
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_fetch_online_network_error():
@@ -195,6 +197,20 @@ def test_fetch_non_200_is_http_error(monkeypatch):
     with pytest.raises(FetchHTTPError) as err:
         fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9")
     assert err.value.status == 203
+
+
+def test_fetch_http_error_closes_the_response(monkeypatch):
+    # the HTTPError holds the reply (a socket, when it came from a server)
+    reply = io.BytesIO(b"not found")
+
+    def not_found(url, timeout):
+        raise urllib.error.HTTPError(url, 404, "Not Found", {}, reply)
+
+    monkeypatch.setattr(urllib.request, "urlopen", not_found)
+    with pytest.raises(FetchHTTPError) as err:
+        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9")
+    assert err.value.status == 404
+    assert reply.closed
 
 
 def test_fetch_timeout_is_network_error(monkeypatch):

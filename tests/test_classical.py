@@ -15,7 +15,7 @@ from seqlab.classical import (
     tangent_numbers,
 )
 from seqlab.errors import DegeneratePolynomialError
-from oracles import bernoulli_recurrence, det2, euler_series
+from oracles import bernoulli_recurrence, det_ref, euler_series
 
 
 def test_tangent_numbers_prefix():
@@ -169,7 +169,7 @@ def test_lehmer_pierce_fibonacci_polynomial():
     expected = []
     for n in range(1, 5):
         p = matpow(m1, n)
-        expected.append(abs(det2([[p[0][0] - 1, p[0][1]], [p[1][0], p[1][1] - 1]])))
+        expected.append(abs(det_ref([[p[0][0] - 1, p[0][1]], [p[1][0], p[1][1] - 1]])))
     assert expected == [1, 1, 4, 5]
     assert lehmer_pierce([-1, -1, 1], 4).values == (1, 1, 4, 5)
 

@@ -296,6 +296,17 @@ def test_numerator_local_status_matches_reference():
                 outcome(numerator_local_status_ref, q, N), (q, N)
 
 
+@pytest.mark.parametrize("q,N", [(4000, 1), (4001 * 3, 1), (91, 300), (1, 5), (2, 5)])
+def test_numerator_local_status_checks_the_prime_before_building(monkeypatch, q, N):
+    # a non-prime q is refused without a Bernoulli table of depth (q-3)/2
+    def unbuilt(N):
+        raise AssertionError("derived_bernoulli called")
+
+    monkeypatch.setattr(seqlab.primes, "derived_bernoulli", unbuilt)
+    with pytest.raises(ValueError, match=rf"^odd prime expected, got {q}$"):
+        numerator_local_status(q, N)
+
+
 def test_numerator_local_status_below_the_witness():
     # N = 10 < 16, the witness of 37: no multiple to compare, so DepthError
     with pytest.raises(DepthError, match="no monotonicity witness"):

@@ -2,10 +2,10 @@
 
 The endomorphism search yields candidates lazily, already in image order, and
 stops at the first realizing one; the reference (``oracles``) builds every
-candidate and sorts.  ``IntMatrix.det_mod`` eliminates over GF(p); the
-reference is the exact Bareiss determinant reduced mod p.  ``construct_matrix``
-checks its unit condition by one order test; the reference takes a
-determinant at every exponent below q-1.
+candidate and sorts.  ``IntMatrix.det`` is the one determinant, exact by
+Bareiss elimination; the reference is a cofactor expansion.
+``construct_matrix`` checks its unit condition by one order test; the
+reference takes a determinant at every exponent below q-1.
 """
 
 import random
@@ -208,9 +208,12 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 
 @settings(max_examples=300)
 @given(rows=matrices, p=st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
-def test_det_mod_matches_exact_det(rows, p):
+def test_det_matches_cofactor_expansion(rows, p):
+    # raw entries, and entries reduced below p as construct_matrix passes them
     M = IntMatrix(rows)
-    assert M.det_mod(p) == M.det() % p
+    assert M.det() == oracles.det_ref(M.rows)
+    assert M.mod(p).det() == oracles.det_ref(M.mod(p).rows)
+    assert M.mod(p).det() % p == M.det() % p
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -218,7 +221,7 @@ def test_det_mod_singular_mod_p(p):
     # invertible over Q, singular mod p
     M = IntMatrix([[p, 1, 0], [0, 1, 0], [0, 0, 1]])
     assert M.det() == p
-    assert M.det_mod(p) == 0
+    assert M.mod(p).det() % p == 0
 
 
 @settings(max_examples=200)
@@ -254,7 +257,8 @@ def test_construct_matrix_refuses_a_non_generator(monkeypatch, p, m):
                                  (43, 2), (2, 8), (5, 4), (31, 3)])
 def test_construct_matrix_takes_few_determinants(monkeypatch, p, m):
     calls = []
-    det_mod = IntMatrix.det_mod
-    monkeypatch.setattr(IntMatrix, "det_mod", lambda M, q: calls.append(q) or det_mod(M, q))
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda M: calls.append(M) or det(M))
     algebraic.construct_matrix(p, m)
-    assert len(calls) <= len(factorize(p**m - 1)) + 2
+    # one per prime factor of q-1, and one or two for det(B)
+    assert len(factorize(p**m - 1)) + 1 <= len(calls) <= len(factorize(p**m - 1)) + 2
