@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator
 
-from .arith import _odd_prime, factorize, is_prime, p_adic
+from .arith import _odd_prime, _prime, factorize, p_adic
 from .matrices import IntMatrix, _dets_of_powers_minus_identity
 from .realizability import Sequence1
 
@@ -111,8 +111,7 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     Candidates are ordered by their non-leading coefficient vector read as a
     base-p integer, which makes the construction reproducible.
     """
-    if not is_prime(p):
-        raise ValueError(f"prime expected, got {p}")
+    _prime(p)
     if m < 1:
         raise ValueError(f"degree m >= 1 required, got {m}")
     for v in range(p**m):
@@ -141,8 +140,7 @@ def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     irreducible, so GF(p)[x]/(f) is the field), and the order is tested
     against the prime factors of p^m - 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"prime expected, got {p}")
+    _prime(p)
     if not 1 <= m <= 8:
         raise ValueError(f"degree 1..8 supported, got {m}")
     f = smallest_irreducible(p, m)
@@ -166,8 +164,7 @@ class ConstructionParams:
 
     @classmethod
     def create(cls, k: int, m: int, p: int) -> "ConstructionParams":
-        if not is_prime(p):
-            raise ValueError(f"prime expected, got {p}")
+        _prime(p)
         if m < 1 or k < 1:
             raise ValueError("k >= 1 and m >= 1 required")
         if gcd(k, p) != 1:
@@ -252,8 +249,7 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
     """
     if c < 1 or N < 1:
         raise ValueError("c >= 1 and N >= 1 required")
-    if not is_prime(p):
-        raise ValueError(f"prime expected, got {p}")
+    _prime(p)
     values = (p_adic(abs(d), p).part for d in _dets_of_powers_minus_identity(A**c, N))
     return Sequence1(tuple(values), f"torsion-fix(c={c},p={p})")
 

@@ -133,6 +133,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
+def _prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"prime expected, got {p}")
+
+
 def _odd_prime(q: int) -> None:
     if q < 3 or not is_prime(q):
         raise ValueError(f"odd prime expected, got {q}")

@@ -33,23 +33,19 @@ DEFAULT_BASE_URL = "https://oeis.org"
 
 @dataclass(frozen=True)
 class BFile:
-    """Parsed b-file: contiguous (index, value) entries starting at ``offset``."""
+    """Parsed b-file: the values at contiguous indices offset, offset + 1, ..."""
 
     source: str
     offset: int
-    entries: tuple[tuple[int, int], ...]
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.entries)
+    values: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
 
 def parse_bfile(text: str, source: str = "<text>") -> BFile:
     """Parse b-file text; raises BFileError with a line number on bad input."""
-    entries: list[tuple[int, int]] = []
+    offset, values = None, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -61,14 +57,16 @@ def parse_bfile(text: str, source: str = "<text>") -> BFile:
             idx, val = int(parts[0]), int(parts[1])
         except ValueError:
             raise BFileError(f"non-integer field in {line!r}", lineno) from None
-        if entries and idx != entries[-1][0] + 1:
+        if offset is None:
+            offset = idx
+        elif idx != offset + len(values):
             raise BFileError(
-                f"index {idx} breaks contiguity (previous {entries[-1][0]})", lineno
+                f"index {idx} breaks contiguity (previous {offset + len(values) - 1})", lineno
             )
-        entries.append((idx, val))
-    if not entries:
+        values.append(val)
+    if not values:
         raise BFileError("no entries found")
-    return BFile(source, entries[0][0], tuple(entries))
+    return BFile(source, offset, tuple(values))
 
 
 def to_sequence(
@@ -83,16 +81,12 @@ def to_sequence(
         raise ValueError(
             f"strict policy requires offset 1, file starts at {bf.offset}"
         )
-    values = []
-    for idx, v in bf.entries:
-        if v < 0:
-            if not absolute:
-                raise ValueError(
-                    f"signed value {v} at index {idx}; pass absolute=True to take |.|"
-                )
-            v = -v
-        values.append(v)
-    return Sequence1(tuple(values), bf.source)
+    for i, v in enumerate(bf.values):
+        if v < 0 and not absolute:
+            raise ValueError(
+                f"signed value {v} at index {bf.offset + i}; pass absolute=True to take |.|"
+            )
+    return Sequence1(tuple(abs(v) for v in bf.values), bf.source)
 
 
 _A_NUMBER = re.compile(r"\A[Aa]?(\d{1,6})\Z")

@@ -62,6 +62,12 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _existing_dir(text: str) -> str:
+    if not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"directory {text!r} does not exist")
+    return text
+
+
 def _names(text: str) -> tuple[str, ...]:
     return tuple(text.split(","))
 
@@ -129,7 +135,8 @@ def _survey(upto_help):
                help="Take absolute values of signed entries."),
         option("--scale", type=int,
                help="Multiply every term by this factor at load (default: 1)."),
-        option("--fixtures-dir", help="Extra directory searched for b-file fixtures."),
+        option("--fixtures-dir", type=_existing_dir,
+               help="Extra directory searched for b-file fixtures."),
         *_online("Allow fetching b-files from the network (default: offline)."),
         option("--format", dest="fmt", choices=FORMATS, default="table",
                help="Report output format."),
@@ -330,7 +337,7 @@ def oracle(max_prime, max_r, upto, family):
     "fetch",
     option("a_number"),
     *_online("Allow network fetch (default: offline fixtures/cache only)."),
-    option("--fixtures-dir"),
+    option("--fixtures-dir", type=_existing_dir),
     option("--cache-dir", default=str(DEFAULT_CACHE), help="Cache directory for fetched b-files."),
     option("--terms", type=int, default=8,
            help="How many leading terms to echo (>= 0; default: %(default)s)."),
@@ -352,13 +359,9 @@ def catalog():
     """List the bundled observation-catalog experiments."""
     from .experiment import OBSERVATION_CATALOG
 
-    for a, params in OBSERVATION_CATALOG.items():
-        scale = params.get("scale", 1)
-        scale_note = f" (scaled x{scale})" if scale != 1 else ""
-        print(
-            f"{a} [{params['label']}]{scale_note}: depth {params['depth']}, "
-            f"primes <= {params['prime_limit']}"
-        )
+    for a, spec in OBSERVATION_CATALOG.items():
+        scale_note = f" (scaled x{spec.scale})" if spec.scale != 1 else ""
+        print(f"{a} [{spec.label}]{scale_note}: depth {spec.depth}, primes <= {spec.prime_limit}")
 
 
 def parser() -> argparse.ArgumentParser:

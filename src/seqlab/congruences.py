@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .arith import _odd_prime, euler_phi, factorize, is_prime, p_adic
+from .arith import _odd_prime, _prime, euler_phi, factorize, is_prime, p_adic
 from .classical import bernoulli_upto, euler_upto, secant_numbers
 
 
@@ -297,8 +297,7 @@ def euler_additive_check(p: int, r: int, b: int) -> CongruenceCheck:
 
     Holds for every prime p (including 2) and b coprime to p.
     """
-    if not is_prime(p):
-        raise ValueError(f"prime expected, got {p}")
+    _prime(p)
     if r < 1:
         raise ValueError("r >= 1 required")
     if b % p == 0:

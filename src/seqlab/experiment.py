@@ -14,7 +14,7 @@ human-readable table, all carrying the same information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import primes_in_range
 from .bfile import SHIFT_TO_1, STRICT, fetch_oeis, parse_bfile, to_sequence
@@ -53,54 +53,11 @@ def _builtin(name: str, N: int) -> Sequence1:
     return {"t": der.numerators, "b": der.denominators, "d": der.clausen_denominators}[name]
 
 
-def load_sequence(
-    source: str,
-    *,
-    depth: int | None = None,
-    absolute: bool = False,
-    offset_policy: str = SHIFT_TO_1,
-    scale: int = 1,
-    fixtures_dir=None,
-    cache_dir=None,
-    online: bool = False,
-    label: str | None = None,
-) -> Sequence1:
-    """Resolve a sequence source: builtin name, b-file path, or A-number.
-
-    Builtins (computed exactly): 't' and 'b' (numerator/denominator of
-    |B_{2n}/2n|), 'e' (positive Euler numbers), 'd' (von Staudt-Clausen
-    denominators).  Anything containing a path separator or ending in .txt is
-    read as a local b-file; otherwise the source is treated as an A-number
-    and resolved through fixtures/cache/network.
-    """
-    name = source.strip()
-    if name in ("t", "b", "d", "e"):
-        seq = _builtin(name, BUILTIN_DEPTH if depth is None else depth)
-    else:
-        if "/" in name or "\\" in name or name.endswith(".txt"):
-            with open(name, "r", encoding="utf-8") as fh:
-                bf = parse_bfile(fh.read(), source=name)
-        else:
-            bf = fetch_oeis(
-                name,
-                online=online,
-                fixtures_dir=fixtures_dir,
-                cache_dir=cache_dir,
-            )
-        seq = to_sequence(bf, policy=offset_policy, absolute=absolute)
-    if scale != 1:
-        if scale < 1:
-            raise ValueError("scale must be >= 1")
-        seq = Sequence1(tuple(scale * v for v in seq.values), seq.label)
-        seq = seq.relabel(f"{scale}x{seq.label}" if seq.label else f"{scale}x")
-    if label is not None:
-        seq = seq.relabel(label)
-    return seq
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: the sequence, the depth, the primes, and optional extras.
+
+    A spec is frozen, because the catalog presets are shared by the process.
 
     ``local_checks`` selects which checks decide the per-prime partition into
     realizable*/not-realizable; the Dold congruence and the sign condition
@@ -113,7 +70,7 @@ class ExperimentSpec:
     label: str | None = None
     depth: int | None = None  # default: min(available terms, 400)
     prime_limit: int | None = None  # scan primes <= limit (default 200)
-    primes: tuple[int, ...] | None = None  # explicit prime list overrides limit
+    primes: tuple[int, ...] | None = None  # scan exactly these primes (excludes prime_limit)
     include_local: bool = True
     local_checks: tuple[str, ...] = LOCAL_CHECKS
     include_magical: bool = False
@@ -142,11 +99,51 @@ class ExperimentSpec:
         if self.offset_policy not in (SHIFT_TO_1, STRICT):
             raise ValueError(f"offset_policy must be one of {(SHIFT_TO_1, STRICT)}, "
                              f"got {self.offset_policy!r}")
-        # refused before the source is read, in the words of load_sequence and shift
+        # refused before the source is read, shift in the words of realizability.shift
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
         if self.shift < 0:
             raise ValueError("shift must be >= 0")
+        if self.prime_limit is not None and self.primes is not None:
+            # the explicit list would silently drop the limit
+            raise ValueError("prime_limit and primes exclude each other; give one of them")
+
+
+def load_sequence(spec: ExperimentSpec) -> Sequence1:
+    """The prefix ``run_experiment`` checks for ``spec``, labelled as its report.
+
+    The source is a builtin name, a b-file path, or an A-number.  Builtins
+    (computed exactly): 't' and 'b' (numerator/denominator of |B_{2n}/2n|),
+    'e' (positive Euler numbers), 'd' (von Staudt-Clausen denominators).
+    Anything containing a path separator or ending in .txt is read as a local
+    b-file; otherwise the source is treated as an A-number and resolved
+    through cache/fixtures/network.  The offset policy and ``absolute`` apply
+    to a b-file; then the terms are scaled, relabelled and shifted, and cut to
+    ``spec.depth`` (default: what the shift leaves, at most 400 terms; a
+    builtin is built to 200).
+    """
+    name = spec.source.strip()
+    if name in ("t", "b", "d", "e"):
+        # a builtin is computed to depth terms, so a shift needs that many more
+        seq = _builtin(name, BUILTIN_DEPTH if spec.depth is None else spec.depth + spec.shift)
+    else:
+        if "/" in name or "\\" in name or name.endswith(".txt"):
+            with open(name, "r", encoding="utf-8") as fh:
+                bf = parse_bfile(fh.read(), source=name)
+        else:
+            bf = fetch_oeis(name, online=spec.online, fixtures_dir=spec.fixtures_dir,
+                            cache_dir=spec.cache_dir)
+        seq = to_sequence(bf, policy=spec.offset_policy, absolute=spec.absolute)
+    if spec.scale != 1:
+        seq = Sequence1(tuple(spec.scale * v for v in seq.values), f"{spec.scale}x{seq.label}")
+    if spec.label is not None:
+        seq = seq.relabel(spec.label)
+    if spec.shift:
+        seq = shift_sequence(seq, spec.shift)
+    depth = spec.depth if spec.depth is not None else min(len(seq), DEFAULT_DEPTH_CAP)
+    if depth > len(seq):
+        raise DepthError(f"depth {depth} requested, only {len(seq)} terms available")
+    return Sequence1(seq.values[:depth], seq.label or spec.source)
 
 
 # Catalogued local-realizability surveys over the bundled fixtures.  Depth is
@@ -154,28 +151,31 @@ class ExperimentSpec:
 # prime partitions were derived from (more terms reveal strictly more
 # failures, so reproducing an observation requires honoring its horizon);
 # the prime limit covers the last catalogued failing prime.
-OBSERVATION_CATALOG: dict[str, dict] = {
-    "A000032": {"label": "lucas", "depth": 38, "prime_limit": 110},
-    "A002895": {"label": "domb", "depth": 18, "prime_limit": 180},
-    "A005259": {"label": "apery-1", "depth": 18, "prime_limit": 73},
-    "A005258": {"label": "apery-2", "depth": 20, "prime_limit": 160},
-    "A005725": {"label": "quadrinomial", "depth": 30, "prime_limit": 67},
-    "A054783": {"label": "fibonacci-squares", "depth": 15, "prime_limit": 110, "scale": 5},
-    "A053175": {"label": "catalan-larcombe-french", "depth": 200, "prime_limit": 100},
-    "A001850": {"label": "delannoy", "depth": 26, "prime_limit": 100},
+OBSERVATION_CATALOG: dict[str, ExperimentSpec] = {
+    a: ExperimentSpec(a, label=label, depth=depth, prime_limit=prime_limit,
+                      local_checks=("dold",), scale=scale)
+    for a, label, depth, prime_limit, scale in [
+        ("A000032", "lucas", 38, 110, 1),
+        ("A002895", "domb", 18, 180, 1),
+        ("A005259", "apery-1", 18, 73, 1),
+        ("A005258", "apery-2", 20, 160, 1),
+        ("A005725", "quadrinomial", 30, 67, 1),
+        ("A054783", "fibonacci-squares", 15, 110, 5),
+        ("A053175", "catalan-larcombe-french", 200, 100, 1),
+        ("A001850", "delannoy", 26, 100, 1),
+    ]
 }
 
 
 def catalog_spec(a_number: str, **overrides) -> ExperimentSpec:
-    """ExperimentSpec preset for a catalogued sequence (Dold-partition)."""
+    """The catalog preset for an A-number (Dold partition), with ``overrides``
+    replacing its fields."""
     from .bfile import normalize_a_number
 
     a = normalize_a_number(a_number)
     if a not in OBSERVATION_CATALOG:
         raise ValueError(f"{a} is not in the observation catalog")
-    params = dict(OBSERVATION_CATALOG[a])
-    params.update(overrides)
-    return ExperimentSpec(source=a, local_checks=("dold",), **params)
+    return replace(OBSERVATION_CATALOG[a], **overrides)
 
 
 def _verdict_json(name: str, v: Verdict) -> dict:
@@ -205,29 +205,11 @@ def _witness_json(verdicts) -> dict | None:
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute an experiment spec and return the report document."""
-    # a builtin is computed to depth terms, so a shift needs that many more
-    seq = load_sequence(
-        spec.source,
-        depth=None if spec.depth is None else spec.depth + spec.shift,
-        absolute=spec.absolute,
-        offset_policy=spec.offset_policy,
-        scale=spec.scale,
-        fixtures_dir=spec.fixtures_dir,
-        cache_dir=spec.cache_dir,
-        online=spec.online,
-        label=spec.label,
-    )
-    if spec.shift:
-        seq = shift_sequence(seq, spec.shift)
-    depth = spec.depth if spec.depth is not None else min(len(seq), DEFAULT_DEPTH_CAP)
-    if depth > len(seq):
-        raise DepthError(f"depth {depth} requested, only {len(seq)} terms available")
-    seq = Sequence1(seq.values[:depth], seq.label)
-
+    seq = load_sequence(spec)
     report = check_realizable(seq)
     doc: dict = {
-        "sequence_id": seq.label or spec.source,
-        "depth": depth,
+        "sequence_id": seq.label,
+        "depth": len(seq),
         "checks": _report_checks(report),
         "local": [],
         "annotations": [],

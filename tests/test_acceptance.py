@@ -24,6 +24,7 @@ from seqlab.classical import (
 )
 from seqlab.congruences import run_oracle_grids, wagstaff_identity_check
 from seqlab.experiment import (
+    ExperimentSpec,
     catalog_spec,
     not_realizable_primes,
     realizable_star_primes,
@@ -278,15 +279,12 @@ def test_criterion_13_magical():
     ok = magical_report(pow2, 10).all_pass and magical_report(mers, 10).all_pass
     from seqlab.experiment import load_sequence
 
-    lucas_seq = Sequence1(load_sequence("A000032").values[:38], "lucas")
+    lucas_seq = load_sequence(ExperimentSpec("A000032", depth=38, label="lucas"))
     rep = magical_report(lucas_seq, 1)
     k, name, v = rep.first_failure()
     ok = ok and (k, v.n) == (1, 2)
     for a_number in SECTION_LISTS:
-        spec = catalog_spec(a_number)
-        seq = load_sequence(spec.source, scale=spec.scale)
-        seq = Sequence1(seq.values[:spec.depth], a_number)
-        rep = magical_report(seq, 5)
+        rep = magical_report(load_sequence(catalog_spec(a_number)), 5)
         if rep.all_pass:
             ok = False
         else:
@@ -314,7 +312,7 @@ def test_criterion_14_dold_arias_equivalence(derived300, e200):
         Sequence1(derived300.denominators.values[:200], "b"),
         e200,
         lehmer_pierce([-1, -1, 0, 1], 200),
-        Sequence1(load_sequence("A000032").values[:200], "lucas"),
+        load_sequence(ExperimentSpec("A000032", depth=200, label="lucas")),
     ]
     for seq in suite:
         ok = ok and agree(seq)

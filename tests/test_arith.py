@@ -3,6 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from seqlab.algebraic import (
+    ConstructionParams,
+    field_generator,
+    smallest_irreducible,
+    torsion_fix_counts,
+)
 from seqlab.arith import (
     divisors,
     euler_phi,
@@ -12,6 +18,8 @@ from seqlab.arith import (
     p_adic,
     primes_in_range,
 )
+from seqlab.congruences import euler_additive_check
+from seqlab.matrices import IntMatrix
 from oracles import phi_by_count, primes_by_trial
 
 
@@ -112,3 +120,17 @@ def test_rational_normalization_round_trip(a, b):
 
     assert gcd(abs(f.numerator), f.denominator) == 1
     assert f * Fraction(b, a) == 1
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda p: smallest_irreducible(p, 1),
+    lambda p: field_generator(p, 1),
+    lambda p: ConstructionParams.create(1, 1, p),
+    lambda p: torsion_fix_counts(IntMatrix([[2]]), 1, p, 3),
+    lambda p: euler_additive_check(p, 1, 1),
+], ids=["smallest_irreducible", "field_generator", "ConstructionParams.create",
+        "torsion_fix_counts", "euler_additive_check"])
+@pytest.mark.parametrize("p", [4, 1])
+def test_every_prime_parameter_refuses_a_non_prime_alike(refuse, p):
+    with pytest.raises(ValueError, match=f"^prime expected, got {p}$"):
+        refuse(p)

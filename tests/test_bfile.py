@@ -39,6 +39,8 @@ def test_parse_gap_is_error_with_line():
     with pytest.raises(BFileError) as err:
         parse_bfile("1 12\n3 252")
     assert err.value.line == 2
+    with pytest.raises(BFileError, match=r"^line 4: index 3 breaks contiguity \(previous 1\)$"):
+        parse_bfile("-1 5\n0 6\n1 7\n3 9")
 
 
 def test_parse_malformed_line():
@@ -65,6 +67,8 @@ def test_to_sequence_signed_values():
     bf = parse_bfile("1 1\n2 -1\n3 1")
     with pytest.raises(ValueError):
         to_sequence(bf)
+    with pytest.raises(ValueError, match="^signed value -4 at index 2; "):
+        to_sequence(parse_bfile("0 1\n1 3\n2 -4"))
     assert to_sequence(bf, absolute=True).values == (1, 1, 1)
 
 

@@ -119,6 +119,12 @@ def test_fetch_offline_fixture():
     assert "1, 5, 61" in res.output
 
 
+def test_fixtures_dir_is_read_before_the_bundled_fixture(tmp_path):
+    (tmp_path / "b000032.txt").write_text("1 7\n2 9\n")
+    res = invoke(["fetch", "A000032", "--fixtures-dir", str(tmp_path), "--cache-dir", ""])
+    assert res.stdout == "A000032: offset 1, 2 terms: 7, 9, ...\n"
+
+
 def test_fetch_missing_fixture_exit_code():
     res = invoke(["fetch", "A999999", "--cache-dir", ""])
     assert res.exit_code == 6  # FixtureMissingError
@@ -274,6 +280,7 @@ REFUSALS = [
     (["localscan", "e", "--upto", "20", "--primes", "0"], 1),
     (["localscan", "e", "--upto", "20", "--primes", "-5"], 1),
     (["localscan", "e", "--upto", "20", "--primes", "1"], 1),
+    (["localscan", "e", "--upto", "20", "--primes", "50", "--prime", "7"], 1),
     (["localscan", "A000032", "--catalog", "--primes", "0"], 1),
     (["localscan", "e", "--upto", "20", "--local-checks", ""], 1),
     (["localscan", "e", "--upto", "0"], 1),
@@ -360,6 +367,11 @@ def test_ell_cross_check_at_two_is_answered():
     ["localscan", "e", "--prim", "7"],
     ["no-such-command"],
     [],
+    ["check", "A000032", "--upto", "5", "--fixtures-dir", "no-such-dir"],
+    ["localscan", "A000032", "--upto", "5", "--fixtures-dir", "no-such-dir"],
+    ["magical", "A000032", "--upto", "5", "--fixtures-dir", "no-such-dir"],
+    ["fetch", "A000032", "--fixtures-dir", "no-such-dir"],
+    ["fetch", "A000032", "--fixtures-dir", __file__],  # a file, not a directory
 ])
 def test_usage_errors_exit_2_before_any_output(argv):
     res = invoke(argv)

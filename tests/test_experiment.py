@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-import seqlab.experiment as experiment
+from seqlab.bfile import bundled_fixture_text, parse_bfile
 from seqlab.errors import DepthError
 from seqlab.experiment import (
     OBSERVATION_CATALOG,
@@ -19,14 +20,14 @@ import oracles
 
 
 def test_load_builtins():
-    assert load_sequence("e", depth=4).values == (1, 5, 61, 1385)
-    assert load_sequence("t", depth=6).values == (1, 1, 1, 1, 1, 691)
-    assert load_sequence("b", depth=4).values == (12, 120, 252, 240)
-    assert load_sequence("d", depth=3).values == (6, 30, 42)
+    assert load_sequence(ExperimentSpec("e", depth=4)).values == (1, 5, 61, 1385)
+    assert load_sequence(ExperimentSpec("t", depth=6)).values == (1, 1, 1, 1, 1, 691)
+    assert load_sequence(ExperimentSpec("b", depth=4)).values == (12, 120, 252, 240)
+    assert load_sequence(ExperimentSpec("d", depth=3)).values == (6, 30, 42)
 
 
 def test_load_fixture_with_scale():
-    seq = load_sequence("A054783", scale=5)
+    seq = load_sequence(ExperimentSpec("A054783", scale=5))
     assert seq.values[:4] == (5, 15, 170, 4935)
     assert seq.label.startswith("5x")
 
@@ -34,7 +35,46 @@ def test_load_fixture_with_scale():
 def test_load_local_path(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("1 1\n2 2\n3 4\n")
-    assert load_sequence(str(p)).values == (1, 2, 4)
+    assert load_sequence(ExperimentSpec(str(p))).values == (1, 2, 4)
+
+
+def test_load_sequence_returns_the_prefix_the_report_checks(tmp_path):
+    # depth counts the terms after the shift, for every kind of source
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"{n} {3 * n + 1}\n" for n in range(5, 45)))
+    full = {
+        "e": tuple(abs(E) for n, E in sorted(oracles.euler_series(60).items()) if n),
+        str(path): tuple(3 * n + 1 for n in range(5, 45)),
+        "A000032": parse_bfile(bundled_fixture_text("A000032")).values,
+    }
+    for source, terms in full.items():
+        for depth, k in [(1, 0), (7, 3), (20, 10)]:
+            spec = ExperimentSpec(source, depth=depth, shift=k, include_local=False)
+            seq = load_sequence(spec)
+            assert seq.values == terms[k:k + depth]
+            doc = run_experiment(spec)
+            assert (seq.label, len(seq)) == (doc["sequence_id"], doc["depth"])
+
+
+def test_catalog_presets_are_frozen_specs():
+    before = dict(OBSERVATION_CATALOG)
+    preset = OBSERVATION_CATALOG["A000032"]
+    narrowed = dataclasses.replace(preset, depth=10, prime_limit=None, primes=(7,))
+    assert catalog_spec("A000032", depth=10, prime_limit=None, primes=(7,)) == narrowed
+    assert OBSERVATION_CATALOG == before and preset.depth == 38
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        preset.depth = 10
+    assert all(spec.local_checks == ("dold",) for spec in OBSERVATION_CATALOG.values())
+
+
+def test_spec_refuses_a_prime_limit_with_explicit_primes():
+    # the explicit list would silently drop the limit
+    message = "^prime_limit and primes exclude each other; give one of them$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(source="e", prime_limit=50, primes=(7,))
+    with pytest.raises(ValueError, match=message):
+        catalog_spec("A000032", primes=(7,))
+    assert catalog_spec("A000032", prime_limit=None, primes=(7,)).primes == (7,)
 
 
 def test_run_experiment_depth_guard():
@@ -46,7 +86,7 @@ def test_run_experiment_depth_guard():
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_shifted_builtin_checks_the_terms_after_the_shift(tmp_path, source, k):
     # the same report as a b-file holding exactly a_{k+1}..a_{k+20}
-    terms = load_sequence(source, depth=k + 20).values[k:]
+    terms = load_sequence(ExperimentSpec(source, depth=k + 20)).values[k:]
     path = tmp_path / "shifted.txt"
     path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(terms, start=1)))
     fields = dict(depth=20, prime_limit=30, include_magical=True, max_shift=2)
@@ -146,7 +186,7 @@ def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
     spec = ExperimentSpec(source=source, depth=depth, include_local=False,
                           include_magical=True, max_shift=max_shift, shift=drop)
     doc = run_experiment(spec)
-    seq = shift(experiment.load_sequence(source, depth=depth), drop)
+    seq = shift(load_sequence(ExperimentSpec(source, depth=depth + drop)), drop)
     ref = dict(doc, magical=_magical_ref(Sequence1(seq.values[:depth]), max_shift))
     assert render_report(doc, "json") == render_report(ref, "json")
 

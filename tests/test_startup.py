@@ -4,8 +4,10 @@ The import tests run in a fresh interpreter, because the test process has
 long since loaded every module.
 """
 
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import import_module
@@ -54,6 +56,20 @@ EXPORTS = {
                       "p_part_sequence", "pointwise_product", "shift"],
 }
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+# Every defaulted parameter of a public function, by name: a new option is a
+# reviewed change to this list.
+OPTIONS = [
+    "algebraic.parse_cayley(label)",
+    "bfile.parse_bfile(source)",
+    "bfile.to_sequence(policy)", "bfile.to_sequence(absolute)",
+    "bfile.fetch_oeis(online)", "bfile.fetch_oeis(base_url)", "bfile.fetch_oeis(cache_dir)",
+    "bfile.fetch_oeis(fixtures_dir)", "bfile.fetch_oeis(timeout)",
+    "congruences.run_oracle_grids(max_prime)", "congruences.run_oracle_grids(max_r)",
+    "congruences.run_oracle_grids(upto)", "congruences.run_oracle_grids(family)",
+    "experiment.render_report(fmt)",
+    "primes.scan_primes(depth)",
+]
 
 ENGINES = {"seqlab.algebraic", "seqlab.primes", "seqlab.congruences", "seqlab.classical",
            "seqlab.matrices"}
@@ -164,3 +180,23 @@ def test_cli_choices_are_the_library_constants():
     assert cli.OFFSET_POLICIES == (SHIFT_TO_1, STRICT)
     assert cli.KINDS == (BERNOULLI, EULER)
     assert cli.GROUP_NAMES == BUNDLED_GROUPS
+
+
+def defaulted(qualname: str, func) -> list[str]:
+    return [f"{qualname}({param.name})" for param in inspect.signature(func).parameters.values()
+            if param.default is not param.empty]
+
+
+def test_public_functions_take_only_the_listed_options():
+    modules = [import_module(f"seqlab.{info.name}") for info in pkgutil.iter_modules(seqlab.__path__)]
+    public = [(f"{module.__name__.removeprefix('seqlab.')}.{name}", obj) for module in modules
+              for name, obj in vars(module).items()
+              if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__]
+    assert [option for qualname, obj in public if inspect.isfunction(obj)
+            for option in defaulted(qualname, obj)] == OPTIONS
+    # methods are counted apart, and constructors not at all: their parameters are fields
+    methods = [(f"{qualname}.{attr}", getattr(method, "__func__", method))
+               for qualname, cls in public if inspect.isclass(cls)
+               for attr, method in vars(cls).items() if attr != "__init__"]
+    assert [option for qualname, func in methods if inspect.isfunction(func)
+            for option in defaulted(qualname, func)] == ["matrices.IntMatrix.__pow__(m)"]
