@@ -326,22 +326,9 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Endomorphism:
-    """A verified group self-map respecting multiplication."""
+    """A group self-map respecting multiplication, as the image of each element."""
 
     image: tuple[int, ...]
-
-    @classmethod
-    def verified(cls, G: FiniteGroup, image) -> "Endomorphism":
-        image = tuple(image)
-        if len(image) != G.order:
-            raise ValueError("image must assign every element")
-        if image[G.identity] != G.identity:
-            raise ValueError("endomorphism must fix the identity")
-        for x in range(G.order):
-            for y in range(G.order):
-                if image[G.table[x][y]] != G.table[image[x]][image[y]]:
-                    raise ValueError(f"not multiplicative at ({x},{y})")
-        return cls(image)
 
     def __call__(self, x: int) -> int:
         return self.image[x]
@@ -365,10 +352,11 @@ def _endomorphisms(G: FiniteGroup) -> Iterator[Endomorphism]:
     differing at g_i therefore agree on every index below g_i, and their image
     tuples compare as their images of g_i do.
 
-    A completed extension is an endomorphism, so it is yielded without the
-    O(|G|^2) check of ``Endomorphism.verified``.  ``_extend_from_generators``
-    pops every element x once and checks or sets theta(xg) = theta(x)theta(g)
-    for every generator g, with theta(e) = e.  Every y in G is a product of
+    A completed extension is an endomorphism, so it is yielded without an
+    O(|G|^2) check of every product (``tests/oracles.verified_endomorphism``
+    makes it).  ``_extend_from_generators`` pops every element x once and
+    checks or sets theta(xg) = theta(x)theta(g) for every generator g, with
+    theta(e) = e.  Every y in G is a product of
     generators (``generating_set`` closes under products only), and G is
     associative (``FiniteGroup`` validates it), so by induction on the length
     of y: theta(x y'g) = theta(x y')theta(g) = theta(x)theta(y')theta(g)

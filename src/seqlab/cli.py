@@ -79,10 +79,12 @@ def _online(text):
 
 
 def _run(command, **params):
-    """The one error guard: an error the command raises prints one ``error:``
-    line on stderr and exits with its class's code (1 if it has none)."""
+    """The one error guard and the one writer of stdout: a command returns its
+    whole report, so an error it raises prints nothing on stdout, only one
+    ``error:`` message on stderr, and exits with its class's code (1 if it has
+    none)."""
     try:
-        command(**params)
+        sys.stdout.write(command(**params))
     except (SeqLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_CODES.get(type(exc), 1))
@@ -97,31 +99,28 @@ def _run(command, **params):
 def classical(upto, what):
     """Print the classical sequences or number tables."""
     from .classical import bernoulli_upto, euler_upto
-    from .experiment import _builtin
+    from .experiment import ExperimentSpec, load_sequence
 
     if upto < 1:
         raise ValueError(f"--upto must be >= 1, got {upto}")
     if what == "bernoulli":
         table = bernoulli_upto(upto)
-        for n in range(1, upto + 1):
-            print(f"B_{2 * n} = {table.B(2 * n)}")
-    elif what == "euler":
+        return "".join(f"B_{2 * n} = {table.B(2 * n)}\n" for n in range(1, upto + 1))
+    if what == "euler":
         table = euler_upto(upto)
-        for n in range(1, upto + 1):
-            print(f"E_{2 * n} = {table.E(2 * n)}")
-    else:
-        for n, v in enumerate(_builtin(what, upto), start=1):
-            print(f"{n} {v}")
+        return "".join(f"E_{2 * n} = {table.E(2 * n)}\n" for n in range(1, upto + 1))
+    seq = load_sequence(ExperimentSpec(what, depth=upto))
+    return "".join(f"{n} {v}\n" for n, v in enumerate(seq.values, start=1))
 
 
 def _report(make_spec, source, fmt, **fields):
-    """Build the spec, run it and print the report.  A field left at None was
+    """Build the spec, run it and render the report.  A field left at None was
     not given, so the spec's own default applies."""
     from .experiment import render_report, run_experiment
 
     given = {name: value for name, value in fields.items() if value is not None}
     spec = make_spec(source, cache_dir=str(DEFAULT_CACHE), **given)
-    print(render_report(run_experiment(spec), fmt), end="")
+    return render_report(run_experiment(spec), fmt)
 
 
 def _survey(upto_help):
@@ -152,7 +151,7 @@ def check(source, upto, fmt, **fields):
     """Global realizability checks (Dold, sign, monotone) for one sequence."""
     from .experiment import ExperimentSpec
 
-    _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
+    return _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
 
 
 # The survey options a --catalog preset fixes, by field, in the order the
@@ -173,25 +172,29 @@ _CATALOG_FIXED = {"primes": "--prime", "local_checks": "--local-checks",
                 "(dold, sign; default: dold,sign)."),
     option("--catalog", action="store_true",
            help="Use the bundled observation-catalog preset for this A-number."),
-    option("--magical", dest="include_magical", action="store_true", help="Also test shifts."),
-    option("--max-shift", type=int, default=5,
-           help="Largest shift to test with --magical (>= 0; default: %(default)s)."),
+    option("--magical", action="store_true", help="Also test shifts."),
+    option("--max-shift", type=int,
+           help="Largest shift to test with --magical (>= 0; default: 5)."),
     _SHIFT,
 )
-def localscan(source, upto, prime_limit, catalog, fmt, **fields):
+def localscan(source, upto, prime_limit, catalog, magical, max_shift, fmt, **fields):
     """Per-prime local realizability scan (realizable* / not-realizable)."""
     from .experiment import ExperimentSpec, catalog_spec
 
+    if magical:
+        fields["max_shift"] = 5 if max_shift is None else max_shift
+    elif max_shift is not None:
+        raise ValueError("--max-shift needs --magical")
     if not catalog:
-        _report(ExperimentSpec, source, fmt, depth=upto, prime_limit=prime_limit, **fields)
-        return
+        return _report(ExperimentSpec, source, fmt, depth=upto, prime_limit=prime_limit,
+                       **fields)
     # the preset fixes its checks, primes and loading; --upto and --primes
     # narrow it, and any other survey flag given explicitly is refused
     given = [flag for name, flag in _CATALOG_FIXED.items() if fields.pop(name) is not None]
     if given:
         raise ValueError(f"--catalog fixes its own survey; {', '.join(given)} "
                          f"cannot be combined with it")
-    _report(catalog_spec, source, fmt, depth=upto, prime_limit=prime_limit, **fields)
+    return _report(catalog_spec, source, fmt, depth=upto, prime_limit=prime_limit, **fields)
 
 
 @command(
@@ -204,8 +207,7 @@ def magical(source, upto, fmt, **fields):
     """Test whether every shift of the sequence stays realizable."""
     from .experiment import ExperimentSpec
 
-    _report(ExperimentSpec, source, fmt, depth=upto, include_local=False,
-            include_magical=True, **fields)
+    return _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
 
 
 @command(
@@ -220,11 +222,10 @@ def regular(kind, q_max, depth):
     """Classify primes as regular/irregular (Bernoulli or Euler sense)."""
     from .primes import BERNOULLI, scan_primes
 
-    for cls in scan_primes(kind, q_max, depth):
-        if kind == BERNOULLI:
-            print(f"{cls.q} {cls.bernoulli_status}")
-        else:
-            print(f"{cls.q} {cls.euler_status} {cls.euler_strength}")
+    rows = scan_primes(kind, q_max, depth)
+    if kind == BERNOULLI:
+        return "".join(f"{cls.q} {cls.bernoulli_status}\n" for cls in rows)
+    return "".join(f"{cls.q} {cls.euler_status} {cls.euler_strength}\n" for cls in rows)
 
 
 @command(
@@ -248,21 +249,20 @@ def ell(k, m, p, upto, cross_check):
 
     params = ConstructionParams.create(k, m, p)
     seq = ell_sequence(params, upto)
-    # everything that can fail runs before the first line is printed
-    ok = None if p == 2 else ell_algebraically_realizable(k, m, p)
+    lines = [" ".join(str(v) for v in seq.values)]
+    if p == 2:
+        lines.append("algebraically realizable: criterion not applicable at p=2")
+    else:
+        ok = ell_algebraically_realizable(k, m, p)
+        lines.append(f"algebraically realizable: {'yes' if ok else 'no'} "
+                     f"(k | p^m - 1 is {'satisfied' if ok else 'violated'})")
     if cross_check:
         if params.c is None:
             raise ValueError(f"k = {k} does not divide p^m - 1 = {p ** m - 1}")
         A, _ = construct_matrix(p, m)
         match = torsion_fix_counts(A, params.c, p, upto).values == seq.values
-    print(" ".join(str(v) for v in seq.values))
-    if ok is None:
-        print("algebraically realizable: criterion not applicable at p=2")
-    else:
-        print(f"algebraically realizable: {'yes' if ok else 'no'} "
-              f"(k | p^m - 1 is {'satisfied' if ok else 'violated'})")
-    if cross_check:
-        print(f"torsion-module realization matches: {'yes' if match else 'NO'}")
+        lines.append(f"torsion-module realization matches: {'yes' if match else 'NO'}")
+    return "\n".join(lines) + "\n"
 
 
 @command(
@@ -284,22 +284,22 @@ def groups(name, path, upto, target):
         G = bundled_group(name)
     else:
         G = parse_cayley(Path(path).read_text(), label=str(path))
-    # everything that can fail runs before the first line is printed
-    endos = [(theta, fix_counts(G, theta, upto)) for theta in enumerate_endomorphisms(G)]
+    endos = enumerate_endomorphisms(G)
+    lines = [f"group {G.label or ''} order {G.order}: {len(endos)} endomorphisms"]
+    for i, theta in enumerate(endos):
+        fix = fix_counts(G, theta, upto).values
+        lines.append(f"  endo {i}: image={list(theta.image)} fix={list(fix)}")
     if target is not None:
         want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
         # the first match in enumeration order, as find_realizing_endomorphism
         # would give, without enumerating a second time
-        found = next((theta for theta, _ in endos
+        found = next((theta for theta in endos
                       if fix_counts(G, theta, len(want)).values == want.values), None)
-    print(f"group {G.label or ''} order {G.order}: {len(endos)} endomorphisms")
-    for i, (theta, counts) in enumerate(endos):
-        print(f"  endo {i}: image={list(theta.image)} fix={list(counts.values)}")
-    if target is not None:
         if found is None:
-            print("target: not realized by any endomorphism")
+            lines.append("target: not realized by any endomorphism")
         else:
-            print(f"target: realized by image={list(found.image)}")
+            lines.append(f"target: realized by image={list(found.image)}")
+    return "\n".join(lines) + "\n"
 
 
 @command(
@@ -321,16 +321,13 @@ def oracle(max_prime, max_r, upto, family):
     if empty:
         raise ValueError(f"this grid gives no checks for {', '.join(empty)}; "
                          f"raise --max-prime, --max-r or --upto")
-    defects = 0
-    for fam, checks in results.items():
-        bad = [c for c in checks if not c.holds]
-        defects += len(bad)
-        print(f"{fam}: {len(checks) - len(bad)}/{len(checks)} hold")
-        for c in bad:
-            print(f"  DEFECT {c.description}: {c.lhs} != {c.rhs} mod {c.modulus}")
+    defects = [f"  DEFECT {c.description}: {c.lhs} != {c.rhs} mod {c.modulus}"
+               for checks in results.values() for c in checks if not c.holds]
     if defects:
-        raise ValueError(f"{defects} oracle defect(s): engine bug")
-    print("all oracles hold")
+        raise ValueError(f"{len(defects)} oracle defect(s): engine bug\n" + "\n".join(defects))
+    # every check holds from here on
+    return "".join(f"{fam}: {len(checks)}/{len(checks)} hold\n"
+                   for fam, checks in results.items()) + "all oracles hold\n"
 
 
 @command(
@@ -351,7 +348,7 @@ def fetch(a_number, online, fixtures_dir, cache_dir, terms):
     bf = fetch_oeis(a_number, online=online, fixtures_dir=fixtures_dir,
                     cache_dir=cache_dir)
     head = ", ".join(str(v) for v in bf.values[:terms])
-    print(f"{bf.source}: offset {bf.offset}, {len(bf)} terms: {head}, ...")
+    return f"{bf.source}: offset {bf.offset}, {len(bf)} terms: {head}, ...\n"
 
 
 @command("catalog")
@@ -359,9 +356,11 @@ def catalog():
     """List the bundled observation-catalog experiments."""
     from .experiment import OBSERVATION_CATALOG
 
+    out = ""
     for a, spec in OBSERVATION_CATALOG.items():
         scale_note = f" (scaled x{spec.scale})" if spec.scale != 1 else ""
-        print(f"{a} [{spec.label}]{scale_note}: depth {spec.depth}, primes <= {spec.prime_limit}")
+        out += f"{a} [{spec.label}]{scale_note}: depth {spec.depth}, primes <= {spec.prime_limit}\n"
+    return out
 
 
 def parser() -> argparse.ArgumentParser:

@@ -212,6 +212,10 @@ def wagstaff_identity_check(n: int, p: int) -> CongruenceCheck:
     )
 
 
+FAMILIES = ("kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive")
+"""The oracle families ``run_oracle_grids`` runs, in the order it reports them."""
+
+
 def run_oracle_grids(
     max_prime: int = 31,
     max_r: int = 3,
@@ -233,10 +237,9 @@ def run_oracle_grids(
       <= upto-1, and euler-additive only while p^r <= upto.
     A larger max_prime or max_r than these bounds changes nothing.
     """
-    families = ("kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive")
-    if family != "all" and family not in families:
+    if family != "all" and family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    wanted = families if family == "all" else (family,)
+    wanted = FAMILIES if family == "all" else (family,)
     bernoulli_upto(upto)  # refuses upto < 1, whichever families are wanted
     prime_bound = min(max_prime, max(2 * upto - 1, 13))
     odd_primes = [p for p in range(3, prime_bound + 1) if is_prime(p)]

@@ -43,21 +43,14 @@ JSON = "json"
 CSV = "csv"
 
 
-def _builtin(name: str, N: int) -> Sequence1:
-    """The builtin sequence 't', 'b', 'd' or 'e' up to index N."""
-    from .classical import derived_bernoulli, sequence_e
-
-    if name == "e":
-        return sequence_e(N)
-    der = derived_bernoulli(N)
-    return {"t": der.numerators, "b": der.denominators, "d": der.clausen_denominators}[name]
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: the sequence, the depth, the primes, and optional extras.
 
-    A spec is frozen, because the catalog presets are shared by the process.
+    A spec is frozen, because the catalog presets are shared by the process,
+    and it holds one normal form however the caller gave its fields:
+    ``primes`` is a sorted tuple without repeats, ``local_checks`` a tuple.
+    A ``max_shift`` adds the magical section, shifts 0..max_shift.
 
     ``local_checks`` selects which checks decide the per-prime partition into
     realizable*/not-realizable; the Dold congruence and the sign condition
@@ -73,8 +66,7 @@ class ExperimentSpec:
     primes: tuple[int, ...] | None = None  # scan exactly these primes (excludes prime_limit)
     include_local: bool = True
     local_checks: tuple[str, ...] = LOCAL_CHECKS
-    include_magical: bool = False
-    max_shift: int = 5
+    max_shift: int | None = None  # default: no magical section
     shift: int = 0  # drop this many leading terms before checking
     absolute: bool = False
     offset_policy: str = SHIFT_TO_1
@@ -84,13 +76,16 @@ class ExperimentSpec:
     online: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "local_checks", tuple(self.local_checks))
+        if self.primes is not None:
+            object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
         if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
             raise ValueError(f"local_checks must be a non-empty subset of "
-                             f"{LOCAL_CHECKS}, got {tuple(self.local_checks)}")
+                             f"{LOCAL_CHECKS}, got {self.local_checks}")
         if self.depth is not None and self.depth < 1:
             # a depth below 1 checks no term, so "pass-up-to" would claim too much
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.max_shift < 0:
+        if self.max_shift is not None and self.max_shift < 0:
             # no shift would be tested, and "magical: yes" would claim too much
             raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")
         if self.prime_limit is not None and self.prime_limit < 2:
@@ -124,8 +119,16 @@ def load_sequence(spec: ExperimentSpec) -> Sequence1:
     """
     name = spec.source.strip()
     if name in ("t", "b", "d", "e"):
+        from .classical import derived_bernoulli, sequence_e
+
         # a builtin is computed to depth terms, so a shift needs that many more
-        seq = _builtin(name, BUILTIN_DEPTH if spec.depth is None else spec.depth + spec.shift)
+        N = BUILTIN_DEPTH if spec.depth is None else spec.depth + spec.shift
+        if name == "e":
+            seq = sequence_e(N)
+        else:
+            der = derived_bernoulli(N)
+            seq = {"t": der.numerators, "b": der.denominators,
+                   "d": der.clausen_denominators}[name]
     else:
         if "/" in name or "\\" in name or name.endswith(".txt"):
             with open(name, "r", encoding="utf-8") as fh:
@@ -217,7 +220,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     if spec.include_local:
         if spec.primes is not None:
-            primes = sorted(spec.primes)
+            primes = spec.primes
         else:
             primes = primes_in_range(
                 2, DEFAULT_PRIME_LIMIT if spec.prime_limit is None else spec.prime_limit
@@ -241,7 +244,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                 + ", ".join(str(q) for q in failing)
             )
 
-    if spec.include_magical:
+    if spec.max_shift is not None:
         # every shift k must pass Dold and sign; shift 0 is the global check
         mag = magical_report(seq, spec.max_shift)
         witnesses = [(k, _witness_json(zip(LOCAL_CHECKS, verdicts)))
@@ -293,17 +296,14 @@ def _render_table(doc: dict) -> str:
             lines.append(f"  {check['type']:<9} {stat}({doc['depth']})")
         else:
             lines.append(f"  {check['type']:<9} {stat} [{_witness_str(check['witness'])}]")
-    if doc["local"]:
-        ok = [str(r["prime"]) for r in doc["local"] if r["status"] == "realizable*"]
-        bad = [r for r in doc["local"] if r["status"] == "not-realizable"]
-        if ok:
-            lines.append("  realizable* at: " + " ".join(ok))
-        if bad:
-            lines.append("  not realizable at:")
-            for r in bad:
-                lines.append(
-                    f"    {r['prime']}: {_witness_str(r['witness'])}"
-                )
+    ok = realizable_star_primes(doc)
+    bad = not_realizable_primes(doc)
+    if ok:
+        lines.append("  realizable* at: " + " ".join(str(q) for q in ok))
+    if bad:
+        witness = {row["prime"]: row["witness"] for row in doc["local"]}
+        lines.append("  not realizable at:")
+        lines += [f"    {q}: {_witness_str(witness[q])}" for q in bad]
     if "magical" in doc:
         mag = doc["magical"]
         lines.append(

@@ -17,7 +17,8 @@ the grid as it was before it reduced each B_{2n}/2n once per modulus: one
 public Kummer and Young check per grid point, over every prime up to
 max_prime and every r up to max_r; it borrows the package's other checks.
 The magical reference runs the full realizability reference on every shift
-and picks each least witness with its own loop.
+and picks each least witness with its own loop.  ``verified_endomorphism``
+checks a map built by hand against every product of the group.
 """
 
 from __future__ import annotations
@@ -255,6 +256,23 @@ def all_endomorphisms_brute(order, table, identity):
 # --- reference endomorphism search: build every candidate, then sort ---------
 
 
+def verified_endomorphism(G, image):
+    """The Endomorphism with this image, after checking every product: raises
+    ValueError unless the map fixes the identity and respects multiplication."""
+    from seqlab.algebraic import Endomorphism
+
+    image = tuple(image)
+    if len(image) != G.order:
+        raise ValueError("image must assign every element")
+    if image[G.identity] != G.identity:
+        raise ValueError("endomorphism must fix the identity")
+    for x in range(G.order):
+        for y in range(G.order):
+            if image[G.table[x][y]] != G.table[image[x]][image[y]]:
+                raise ValueError(f"not multiplicative at ({x},{y})")
+    return Endomorphism(image)
+
+
 def enumerate_endomorphisms_ref(G):
     """Every endomorphism of G, all candidates built first, sorted by image."""
     from seqlab.algebraic import Endomorphism, _extend_from_generators
@@ -268,7 +286,7 @@ def enumerate_endomorphisms_ref(G):
         if image is None:
             continue
         try:
-            found.append(Endomorphism.verified(G, image))
+            found.append(verified_endomorphism(G, image))
         except ValueError:
             continue
     found.sort(key=lambda t: t.image)

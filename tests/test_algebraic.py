@@ -3,7 +3,6 @@ import pytest
 from seqlab.algebraic import (
     BUNDLED_GROUPS,
     ConstructionParams,
-    Endomorphism,
     FiniteGroup,
     bundled_group,
     construct_matrix,
@@ -23,7 +22,7 @@ from seqlab.classical import lehmer_pierce
 from seqlab.errors import DegeneratePolynomialError
 from seqlab.matrices import IntMatrix
 from seqlab.realizability import Sequence1, p_part_sequence
-from oracles import all_endomorphisms_brute
+from oracles import all_endomorphisms_brute, verified_endomorphism
 
 
 # --- finite fields -----------------------------------------------------------
@@ -239,15 +238,15 @@ def test_trivial_group_has_one_endomorphism():
 def test_fix_counts_dihedral_outer():
     d8 = bundled_group("d8")
     # u -> u, v -> uv in the bundled index order e,u,u2,u3,v,uv,u2v,u3v
-    theta = Endomorphism.verified(d8, (0, 1, 2, 3, 5, 6, 7, 4))
+    theta = verified_endomorphism(d8, (0, 1, 2, 3, 5, 6, 7, 4))
     assert fix_counts(d8, theta, 8).values == (4, 4, 4, 8, 4, 4, 4, 8)
 
 
 def test_fix_counts_identity_and_zero():
     z6 = bundled_group("z6")
-    ident = Endomorphism.verified(z6, tuple(range(6)))
+    ident = verified_endomorphism(z6, tuple(range(6)))
     assert fix_counts(z6, ident, 5).values == (6,) * 5
-    zero = Endomorphism.verified(z6, (0,) * 6)
+    zero = verified_endomorphism(z6, (0,) * 6)
     assert fix_counts(z6, zero, 5).values == (1,) * 5
 
 

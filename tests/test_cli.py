@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import inspect
 import json
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from seqlab import cli
+from seqlab import cli, congruences, experiment
+from seqlab.congruences import CongruenceCheck
 from conftest import invoke
 
 
@@ -110,6 +112,44 @@ def test_oracle_command():
     res = run_cli("oracle", "--max-prime", "7", "--max-r", "2", "--upto", "20")
     assert res.exit_code == 0
     assert "all oracles hold" in res.output
+
+
+def test_oracle_defect_refuses_with_every_defect_line(monkeypatch):
+    # tallies on stdout before the refusal would be a partial report
+    bad = [CongruenceCheck("B_4 = B_2", 7, 1, 2, False), CongruenceCheck("E_2 = 1", 0, -1, 1, False)]
+    monkeypatch.setattr(congruences, "run_oracle_grids", lambda **grid: {
+        "kummer": [CongruenceCheck("fine", 5, 3, 3, True), bad[0]], "young": [bad[1]]})
+    res = invoke(["oracle"])
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == ("error: 2 oracle defect(s): engine bug\n"
+                          "  DEFECT B_4 = B_2: 1 != 2 mod 7\n"
+                          "  DEFECT E_2 = 1: -1 != 1 mod 0\n")
+
+
+def test_the_spec_a_command_line_builds_is_in_normal_form(monkeypatch):
+    specs = []
+    run = experiment.run_experiment
+    monkeypatch.setattr(experiment, "run_experiment", lambda spec: specs.append(spec) or run(spec))
+    invoke(["localscan", "e", "--upto", "20", "--prime", "61", "--prime", "7", "--prime", "7"])
+    (spec,) = specs
+    assert spec.primes == (7, 61)
+    hash(spec)  # a frozen spec hashes only if its fields do
+    ns = cli.parser().parse_args(["localscan", "e", "--prime", "7"])
+    hash(experiment.ExperimentSpec(ns.source, primes=ns.primes))
+
+
+def test_stdout_is_written_in_one_place():
+    # every command returns its whole report and _run writes it, so a refusal
+    # cannot follow a partial report
+    def writes_stdout(node):
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node) == "sys.stdout"
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+                and "file=sys.stderr" not in map(ast.unparse, node.keywords))
+
+    writers = [getattr(top, "name", None) for top in ast.parse(Path(cli.__file__).read_text()).body
+               for node in ast.walk(top) if writes_stdout(node)]
+    assert writers == ["_run"]
 
 
 def test_fetch_offline_fixture():
@@ -287,6 +327,7 @@ REFUSALS = [
     (["localscan", "A000032", "--upto", "-3", "--primes", "20"], 1),
     (["localscan", "A000032", "--catalog", "--upto", "-1"], 1),
     (["localscan", "e", "--upto", "20", "--magical", "--max-shift", "-1"], 1),
+    (["localscan", "e", "--upto", "20", "--prime", "7", "--max-shift", "3"], 1),
     (["magical", "A000032", "--upto", "10", "--max-shift", "-1"], 1),
     (["magical", "A000032", "--upto", "0"], 1),
     (["magical", "A000032", "--upto", "-2"], 1),

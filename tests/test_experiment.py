@@ -77,6 +77,25 @@ def test_spec_refuses_a_prime_limit_with_explicit_primes():
     assert catalog_spec("A000032", prime_limit=None, primes=(7,)).primes == (7,)
 
 
+def test_spec_holds_one_normal_form():
+    spec = ExperimentSpec("e", primes=[61, 7, 7], local_checks=["dold"])
+    assert (spec.primes, spec.local_checks) == ((7, 61), ("dold",))
+    assert ExperimentSpec("e", primes=[7, 7, 61]).primes == (7, 61)
+    assert spec == ExperimentSpec("e", primes=(7, 61), local_checks=("dold",))
+    assert hash(spec) == hash(ExperimentSpec("e", primes=(7, 61), local_checks=("dold",)))
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_repeated_prime_is_scanned_once(fmt):
+    once = run_experiment(ExperimentSpec("e", depth=20, primes=(7, 61)))
+    twice = run_experiment(ExperimentSpec("e", depth=20, primes=(7, 7, 61, 61)))
+    assert render_report(twice, fmt) == render_report(once, fmt)
+
+
+def test_no_max_shift_no_magical_section():
+    assert "magical" not in run_experiment(ExperimentSpec("e", depth=10))
+
+
 def test_run_experiment_depth_guard():
     with pytest.raises(DepthError):
         run_experiment(ExperimentSpec(source="A010122", depth=100))
@@ -89,7 +108,7 @@ def test_shifted_builtin_checks_the_terms_after_the_shift(tmp_path, source, k):
     terms = load_sequence(ExperimentSpec(source, depth=k + 20)).values[k:]
     path = tmp_path / "shifted.txt"
     path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(terms, start=1)))
-    fields = dict(depth=20, prime_limit=30, include_magical=True, max_shift=2)
+    fields = dict(depth=20, prime_limit=30, max_shift=2)
     doc = run_experiment(ExperimentSpec(source=source, shift=k, **fields))
     expected = run_experiment(ExperimentSpec(source=str(path), **fields))
     assert doc["sequence_id"] == f"{source}>>{k}"
@@ -152,8 +171,7 @@ def test_all_formats_carry_global_checks():
 
 def test_magical_section():
     doc = run_experiment(
-        ExperimentSpec(source="A000032", depth=30, include_local=False,
-                       include_magical=True, max_shift=1)
+        ExperimentSpec(source="A000032", depth=30, include_local=False, max_shift=1)
     )
     mag = doc["magical"]
     assert mag["all_pass"] is False
@@ -184,7 +202,7 @@ def _magical_ref(seq, max_shift):
 ])
 def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
     spec = ExperimentSpec(source=source, depth=depth, include_local=False,
-                          include_magical=True, max_shift=max_shift, shift=drop)
+                          max_shift=max_shift, shift=drop)
     doc = run_experiment(spec)
     seq = shift(load_sequence(ExperimentSpec(source, depth=depth + drop)), drop)
     ref = dict(doc, magical=_magical_ref(Sequence1(seq.values[:depth]), max_shift))
@@ -192,8 +210,7 @@ def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
 
 
 def test_magical_shift_beyond_depth_is_refused():
-    spec = ExperimentSpec(source="e", depth=5, include_local=False,
-                          include_magical=True, max_shift=5)
+    spec = ExperimentSpec(source="e", depth=5, include_local=False, max_shift=5)
     with pytest.raises(ValueError, match="max_shift 5 >= length 5"):
         run_experiment(spec)
 
@@ -201,9 +218,9 @@ def test_magical_shift_beyond_depth_is_refused():
 @pytest.mark.parametrize("max_shift", [-1, -3])
 def test_spec_rejects_negative_max_shift(max_shift):
     with pytest.raises(ValueError, match="max_shift must be >= 0"):
-        ExperimentSpec(source="e", include_magical=True, max_shift=max_shift)
+        ExperimentSpec(source="e", max_shift=max_shift)
     with pytest.raises(ValueError, match="max_shift must be >= 0"):
-        catalog_spec("A005259", include_magical=True, max_shift=max_shift)
+        catalog_spec("A005259", max_shift=max_shift)
 
 
 def test_catalog_specs_complete():

@@ -186,7 +186,7 @@ def test_all_ones_prefix_passes_everything():
 
 
 SPECS = [catalog_spec(a) for a in OBSERVATION_CATALOG] + [
-    ExperimentSpec(source="e", depth=60, prime_limit=200, include_magical=True),
+    ExperimentSpec(source="e", depth=60, prime_limit=200, max_shift=5),
 ]
 
 

@@ -4,6 +4,8 @@ The import tests run in a fresh interpreter, because the test process has
 long since loaded every module.
 """
 
+import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -19,7 +21,8 @@ import seqlab
 from seqlab import cli
 from seqlab.algebraic import BUNDLED_GROUPS
 from seqlab.bfile import SHIFT_TO_1, STRICT
-from seqlab.experiment import CSV, JSON, TABLE
+from seqlab.congruences import FAMILIES
+from seqlab.experiment import CSV, JSON, TABLE, ExperimentSpec
 from seqlab.primes import BERNOULLI, EULER
 
 # The package's public names, by defining module, as the eager imports of
@@ -69,6 +72,14 @@ OPTIONS = [
     "congruences.run_oracle_grids(upto)", "congruences.run_oracle_grids(family)",
     "experiment.render_report(fmt)",
     "primes.scan_primes(depth)",
+]
+
+# The fields of ExperimentSpec, in order: each is an option of every survey, so
+# a new one is a reviewed change to this list.
+SPEC_FIELDS = [
+    "source", "label", "depth", "prime_limit", "primes", "include_local", "local_checks",
+    "max_shift", "shift", "absolute", "offset_policy", "scale", "fixtures_dir", "cache_dir",
+    "online",
 ]
 
 ENGINES = {"seqlab.algebraic", "seqlab.primes", "seqlab.congruences", "seqlab.classical",
@@ -180,11 +191,19 @@ def test_cli_choices_are_the_library_constants():
     assert cli.OFFSET_POLICIES == (SHIFT_TO_1, STRICT)
     assert cli.KINDS == (BERNOULLI, EULER)
     assert cli.GROUP_NAMES == BUNDLED_GROUPS
+    commands = next(action.choices for action in cli.parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    family = next(action for action in commands["oracle"]._actions if action.dest == "family")
+    assert tuple(family.choices) == (*FAMILIES, "all")
 
 
 def defaulted(qualname: str, func) -> list[str]:
     return [f"{qualname}({param.name})" for param in inspect.signature(func).parameters.values()
             if param.default is not param.empty]
+
+
+def test_the_spec_has_only_the_listed_fields():
+    assert [field.name for field in dataclasses.fields(ExperimentSpec)] == SPEC_FIELDS
 
 
 def test_public_functions_take_only_the_listed_options():
