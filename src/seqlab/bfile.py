@@ -6,8 +6,8 @@ the first entry to n = 1 (shift-to-1, the default: sequence identities in
 this domain hold only up to shift, so the first listed term is the contract)
 or requires the file to start at 1 (strict).
 
-Fetching is offline by default and reads bundled or user-supplied fixture
-files; the network path is opt-in and caches under the requested directory.
+Fetching reads the cache, user-supplied and then bundled fixtures; the network
+is the opt-in last resort and caches under the requested directory.
 """
 
 from __future__ import annotations
@@ -133,29 +133,23 @@ def fetch_oeis(
 ) -> BFile:
     """Resolve an A-number to a parsed b-file.
 
-    Offline (default): look in ``cache_dir``, then ``fixtures_dir``, then the
-    fixtures bundled with the package; raise FixtureMissingError otherwise.
-    Online: GET <base>/<A>/b<number>.txt (base from ``base_url`` or the
-    OEIS_BASE_URL environment variable) and cache the raw text on success.
-    Network failures, non-200 responses, and parse failures raise distinct
-    error types.
+    One order, online or not: ``cache_dir``, then ``fixtures_dir`` (an empty
+    string, like None, names no directory), then the bundled fixtures.  If
+    none has the file, raise FixtureMissingError, or with ``online`` GET
+    <base>/<A>/b<number>.txt (base from ``base_url`` or the OEIS_BASE_URL
+    environment variable) and cache the raw text on success.  Network
+    failures, non-200 responses, and parse failures raise distinct errors.
     """
     a = normalize_a_number(a_number)
     name = _bfile_name(a)
 
-    if cache_dir is not None:
-        cached = Path(cache_dir) / name
-        if cached.is_file():
-            return parse_bfile(cached.read_text(), source=a)
-
+    for directory in (cache_dir, fixtures_dir):
+        if directory and (Path(directory) / name).is_file():
+            return parse_bfile((Path(directory) / name).read_text(), source=a)
+    text = bundled_fixture_text(a)
+    if text is not None:
+        return parse_bfile(text, source=a)
     if not online:
-        if fixtures_dir is not None:
-            local = Path(fixtures_dir) / name
-            if local.is_file():
-                return parse_bfile(local.read_text(), source=a)
-        text = bundled_fixture_text(a)
-        if text is not None:
-            return parse_bfile(text, source=a)
         raise FixtureMissingError(
             f"no cached or bundled b-file for {a} (offline mode)"
         )
@@ -179,7 +173,7 @@ def fetch_oeis(
         raise FetchHTTPError(status, url)
     text = body.decode("utf-8")
     bf = parse_bfile(text, source=a)
-    if cache_dir is not None:
+    if cache_dir:
         import tempfile
 
         # all or nothing: the cache is read before the fixtures, so a

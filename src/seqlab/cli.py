@@ -63,7 +63,8 @@ def _existing_path(text: str) -> str:
 
 
 def _existing_dir(text: str) -> str:
-    if not Path(text).is_dir():
+    # Path("") is the current directory, which was not named
+    if not text or not Path(text).is_dir():
         raise argparse.ArgumentTypeError(f"directory {text!r} does not exist")
     return text
 
@@ -151,7 +152,7 @@ def check(source, upto, fmt, **fields):
     """Global realizability checks (Dold, sign, monotone) for one sequence."""
     from .experiment import ExperimentSpec
 
-    return _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
+    return _report(ExperimentSpec, source, fmt, depth=upto, primes=(), **fields)
 
 
 # The survey options a --catalog preset fixes, by field, in the order the
@@ -207,7 +208,7 @@ def magical(source, upto, fmt, **fields):
     """Test whether every shift of the sequence stays realizable."""
     from .experiment import ExperimentSpec
 
-    return _report(ExperimentSpec, source, fmt, depth=upto, include_local=False, **fields)
+    return _report(ExperimentSpec, source, fmt, depth=upto, primes=(), **fields)
 
 
 @command(
@@ -335,20 +336,23 @@ def oracle(max_prime, max_r, upto, family):
     option("a_number"),
     *_online("Allow network fetch (default: offline fixtures/cache only)."),
     option("--fixtures-dir", type=_existing_dir),
-    option("--cache-dir", default=str(DEFAULT_CACHE), help="Cache directory for fetched b-files."),
+    option("--cache-dir", default=str(DEFAULT_CACHE), help="Cache directory for fetched b-files (empty: no cache)."),
     option("--terms", type=int, default=8,
            help="How many leading terms to echo (>= 0; default: %(default)s)."),
 )
 def fetch(a_number, online, fixtures_dir, cache_dir, terms):
-    """Resolve an A-number to a b-file (bundled fixture, cache, or network)."""
+    """Resolve an A-number to a b-file (cache, fixtures, bundled fixture, then network)."""
     from .bfile import fetch_oeis
 
     if terms < 0:
         raise ValueError(f"--terms must be >= 0, got {terms}")
     bf = fetch_oeis(a_number, online=online, fixtures_dir=fixtures_dir,
                     cache_dir=cache_dir)
-    head = ", ".join(str(v) for v in bf.values[:terms])
-    return f"{bf.source}: offset {bf.offset}, {len(bf)} terms: {head}, ...\n"
+    line = f"{bf.source}: offset {bf.offset}, {len(bf)} terms"
+    if terms:
+        line += ": " + ", ".join(str(v) for v in bf.values[:terms])
+        line += ", ..." if terms < len(bf) else ""
+    return line + "\n"
 
 
 @command("catalog")

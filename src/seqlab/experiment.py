@@ -50,7 +50,8 @@ class ExperimentSpec:
     A spec is frozen, because the catalog presets are shared by the process,
     and it holds one normal form however the caller gave its fields:
     ``primes`` is a sorted tuple without repeats, ``local_checks`` a tuple.
-    A ``max_shift`` adds the magical section, shifts 0..max_shift.
+    ``primes=()`` skips the local scan, and a ``max_shift`` adds the magical
+    section, shifts 0..max_shift.
 
     ``local_checks`` selects which checks decide the per-prime partition into
     realizable*/not-realizable; the Dold congruence and the sign condition
@@ -63,8 +64,7 @@ class ExperimentSpec:
     label: str | None = None
     depth: int | None = None  # default: min(available terms, 400)
     prime_limit: int | None = None  # scan primes <= limit (default 200)
-    primes: tuple[int, ...] | None = None  # scan exactly these primes (excludes prime_limit)
-    include_local: bool = True
+    primes: tuple[int, ...] | None = None  # scan exactly these (excludes prime_limit); () scans none
     local_checks: tuple[str, ...] = LOCAL_CHECKS
     max_shift: int | None = None  # default: no magical section
     shift: int = 0  # drop this many leading terms before checking
@@ -218,42 +218,43 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "annotations": [],
     }
 
-    if spec.include_local:
-        if spec.primes is not None:
-            primes = spec.primes
-        else:
-            primes = primes_in_range(
-                2, DEFAULT_PRIME_LIMIT if spec.prime_limit is None else spec.prime_limit
-            )
-        parts = localize(seq.values, primes)
-        for q in primes:
-            # a prime missing from ``parts`` divides no term, so its q-part is
-            # all ones: o_1 = 1 and o_n = sum_{d|n} mu(n/d) = 0 for n > 1, and
-            # both Dold and sign pass with no inversion
-            witness = None
-            if q in parts:
-                verdicts = zip(LOCAL_CHECKS, dold_sign(parts[q]))
-                witness = _witness_json((name, v) for name, v in verdicts
-                                        if name in spec.local_checks)
-            status = "realizable*" if witness is None else "not-realizable"
-            doc["local"].append({"prime": q, "status": status, "witness": witness})
-        failing = not_realizable_primes(doc)
-        if failing:
-            doc["annotations"].append(
-                "not nilpotently realizable: local failure at prime(s) "
-                + ", ".join(str(q) for q in failing)
-            )
+    if spec.primes is not None:
+        primes = spec.primes
+    else:
+        primes = primes_in_range(
+            2, DEFAULT_PRIME_LIMIT if spec.prime_limit is None else spec.prime_limit
+        )
+    parts = localize(seq.values, primes)
+    for q in primes:
+        # a prime missing from ``parts`` divides no term, so its q-part is
+        # all ones: o_1 = 1 and o_n = sum_{d|n} mu(n/d) = 0 for n > 1, and
+        # both Dold and sign pass with no inversion
+        witness = None
+        if q in parts:
+            verdicts = zip(LOCAL_CHECKS, dold_sign(parts[q]))
+            witness = _witness_json((name, v) for name, v in verdicts
+                                    if name in spec.local_checks)
+        status = "realizable*" if witness is None else "not-realizable"
+        doc["local"].append({"prime": q, "status": status, "witness": witness})
+    failing = not_realizable_primes(doc)
+    if failing:
+        doc["annotations"].append(
+            "not nilpotently realizable: local failure at prime(s) "
+            + ", ".join(str(q) for q in failing)
+        )
 
     if spec.max_shift is not None:
-        # every shift k must pass Dold and sign; shift 0 is the global check
+        # every shift k must pass Dold and sign; shift 0 is the global check,
+        # and shift k is checked on the N - k terms after it
         mag = magical_report(seq, spec.max_shift)
-        witnesses = [(k, _witness_json(zip(LOCAL_CHECKS, verdicts)))
-                     for k, *verdicts in mag.entries]
+        witnesses = [(k, dold.checked_upto, _witness_json(zip(LOCAL_CHECKS, (dold, sign))))
+                     for k, dold, sign in mag.entries]
         doc["magical"] = {
             "max_shift": spec.max_shift,
             "all_pass": mag.all_pass,
-            "entries": [{"shift": k, "status": "pass" if w is None else "fail", "witness": w}
-                        for k, w in witnesses],
+            "entries": [{"shift": k, "checked_upto": upto,
+                         "status": "pass" if w is None else "fail", "witness": w}
+                        for k, upto, w in witnesses],
         }
 
     return doc
@@ -311,10 +312,9 @@ def _render_table(doc: dict) -> str:
             + ("yes" if mag["all_pass"] else "no")
         )
         for entry in mag["entries"]:
-            if entry["status"] == "fail":
-                lines.append(
-                    f"    shift {entry['shift']} fails [{_witness_str(entry['witness'])}]"
-                )
+            verdict = (f"fails [{_witness_str(entry['witness'])}]" if entry["witness"]
+                       else f"pass-up-to({entry['checked_upto']})")
+            lines.append(f"    shift {entry['shift']} {verdict}")
     for note in doc["annotations"]:
         lines.append(f"  note: {note}")
     return "\n".join(lines) + "\n"

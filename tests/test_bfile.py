@@ -122,6 +122,24 @@ def test_fetch_fixtures_dir_and_cache(tmp_path):
     assert bf.values == (99,)
 
 
+@pytest.mark.parametrize("online", [False, True])
+def test_one_resolution_order_online_or_not(tmp_path, online):
+    # cache, then fixtures_dir, then the bundled fixture, and the network
+    # only after all three: the dead address would raise if it were tried
+    def fetch(**dirs):
+        return fetch_oeis("A000364", online=online, base_url="http://127.0.0.1:9",
+                          timeout=0.5, **dirs).values
+
+    assert fetch()[:4] == (1, 5, 61, 1385)
+    fixtures, cache = tmp_path / "fx", tmp_path / "cache"
+    fixtures.mkdir()
+    (fixtures / "b000364.txt").write_text("1 7\n")
+    assert fetch(fixtures_dir=fixtures) == (7,)
+    cache.mkdir()
+    (cache / "b000364.txt").write_text("1 9\n")
+    assert fetch(fixtures_dir=fixtures, cache_dir=cache) == (9,)
+
+
 def test_fetch_online_roundtrip_with_local_server(tmp_path):
     # serve a fake b-file over HTTP to exercise the online path end to end
     import http.server
@@ -193,6 +211,18 @@ def test_fetch_cache_write_is_atomic(monkeypatch, tmp_path):
     with pytest.raises(OSError, match="disk full"):
         fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9", cache_dir=cache)
     assert list(cache.iterdir()) == []
+
+
+def test_an_empty_cache_dir_is_neither_read_nor_written(monkeypatch, tmp_path):
+    # Path("") is the current directory, which was not named
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: Response(b"1 2\n2 4\n3 8\n"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b000364.txt").write_text("1 7\n")
+    assert fetch_oeis("A000364", cache_dir="").values[:2] == (1, 5)
+    bf = fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9", cache_dir="")
+    assert bf.values == (2, 4, 8)
+    assert [path.name for path in tmp_path.iterdir()] == ["b000364.txt"]
 
 
 def test_fetch_non_200_is_http_error(monkeypatch):

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import functools
+import importlib.util
 import inspect
 import json
 import re
@@ -68,6 +69,20 @@ def test_check_shift_flag():
 def test_magical_command():
     res = run_cli("magical", "A000032", "--upto", "30", "--max-shift", "1")
     assert "shift 1 fails" in res.output
+
+
+def test_magical_states_each_shift_horizon():
+    # shift k rests on the N - k terms after it: shift 4 of 5 terms on one
+    argv = ["localscan", "e", "--upto", "5", "--prime", "2", "--magical", "--max-shift", "4"]
+    lines = invoke(argv).stdout.splitlines()
+    assert lines[lines.index("  magical up to shift 4: yes") + 1:] == [
+        f"    shift {k} pass-up-to({5 - k})" for k in range(5)]
+    doc = json.loads(invoke(argv + ["--format", "json"]).stdout)
+    assert [e["checked_upto"] for e in doc["magical"]["entries"]] == [5, 4, 3, 2, 1]
+    # a failing shift keeps its witness line and states its horizon in JSON
+    res = invoke(["magical", "A000032", "--upto", "30", "--max-shift", "1"])
+    assert res.stdout.splitlines()[-2:] == ["    shift 0 pass-up-to(30)",
+                                            "    shift 1 fails [check=dold n=2 value=1]"]
 
 
 def test_regular_bernoulli():
@@ -162,7 +177,48 @@ def test_fetch_offline_fixture():
 def test_fixtures_dir_is_read_before_the_bundled_fixture(tmp_path):
     (tmp_path / "b000032.txt").write_text("1 7\n2 9\n")
     res = invoke(["fetch", "A000032", "--fixtures-dir", str(tmp_path), "--cache-dir", ""])
-    assert res.stdout == "A000032: offset 1, 2 terms: 7, 9, ...\n"
+    assert res.stdout == "A000032: offset 1, 2 terms: 7, 9\n"
+
+
+A010122_WHOLE = "A010122: offset 1, 60 terms: " + ", ".join(["1, 1, 1, 1, 6"] * 12) + "\n"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["A000032", "--terms", "0"], "A000032: offset 1, 400 terms\n"),
+    (["A000032", "--terms", "3"], "A000032: offset 1, 400 terms: 1, 3, 4, ...\n"),
+    (["A010122", "--terms", "60"], A010122_WHOLE),
+    (["A010122", "--terms", "100"], A010122_WHOLE),
+], ids=["no-terms", "some-terms", "every-term", "more-than-every-term"])
+def test_fetch_line_lists_what_it_shows(argv, line):
+    # no list for no terms, and no "..." once the whole file is shown
+    assert invoke(["fetch", *argv, "--cache-dir", ""]).stdout == line
+
+
+def test_an_empty_cache_dir_is_no_cache(tmp_path, monkeypatch):
+    # Path("") is the current directory: a decoy there must not be read
+    (tmp_path / "b000364.txt").write_text("1 7\n")
+    monkeypatch.chdir(tmp_path)
+    res = invoke(["fetch", "A000364", "--terms", "3", "--cache-dir", ""])
+    assert (res.exit_code, res.stdout) == (0, "A000364: offset 1, 120 terms: 1, 5, 61, ...\n")
+
+
+def test_an_empty_fixtures_dir_is_refused(tmp_path, monkeypatch):
+    (tmp_path / "b000364.txt").write_text("1 7\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["check", "A000364", "--upto", "1", "--fixtures-dir", ""],
+                 ["fetch", "A000364", "--fixtures-dir", "", "--cache-dir", ""]):
+        res = invoke(argv)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "error: argument --fixtures-dir: directory '' does not exist" in res.stderr
+
+
+def test_online_reads_a_local_copy_before_the_network(monkeypatch):
+    # the bundled file is found first, so the dead address is never tried
+    monkeypatch.setenv("OEIS_BASE_URL", "http://127.0.0.1:9")
+    offline = invoke(["localscan", "A000032", "--catalog"])
+    online = invoke(["localscan", "A000032", "--catalog", "--online"])
+    assert (online.exit_code, online.stdout, online.stderr) == (0, offline.stdout, "")
 
 
 def test_fetch_missing_fixture_exit_code():
@@ -297,6 +353,28 @@ def test_readme_command_runs(argv):
     res = invoke(argv)
     assert res.exit_code == 0, res.output
     assert res.stdout
+
+
+def load_file(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_comparison_corpus_covers_the_readme_and_the_cli_pool():
+    # tools/compare_outputs.py diffs these lines between two trees; this
+    # only lists them and runs none
+    root = Path(__file__).parent.parent
+    pool = load_file(root / "perfbench" / "pool.py")
+    compare = load_file(root / "tools" / "compare_outputs.py")
+    lines = compare.corpus(root, extra=("seqlab fetch A000032 --online", "catalog"))
+    pool_lines = [task["args"][key] for task in pool.pool("cli")
+                  for key in ("argv", "ref_argv") if key in task["args"]]
+    assert len(pool_lines) > len(pool.pool("cli"))  # the ref_argv lines are there too
+    for argv in readme_commands() + pool_lines + [["fetch", "A000032", "--online"]]:
+        assert argv in lines
+    assert len(lines) == len({tuple(argv) for argv in lines})
 
 
 # Invalid values for every command that takes options: zero, negatives, empty

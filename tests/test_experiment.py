@@ -49,7 +49,7 @@ def test_load_sequence_returns_the_prefix_the_report_checks(tmp_path):
     }
     for source, terms in full.items():
         for depth, k in [(1, 0), (7, 3), (20, 10)]:
-            spec = ExperimentSpec(source, depth=depth, shift=k, include_local=False)
+            spec = ExperimentSpec(source, depth=depth, shift=k, primes=())
             seq = load_sequence(spec)
             assert seq.values == terms[k:k + depth]
             doc = run_experiment(spec)
@@ -72,6 +72,8 @@ def test_spec_refuses_a_prime_limit_with_explicit_primes():
     message = "^prime_limit and primes exclude each other; give one of them$"
     with pytest.raises(ValueError, match=message):
         ExperimentSpec(source="e", prime_limit=50, primes=(7,))
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(source="e", prime_limit=50, primes=())  # an empty scan would drop it too
     with pytest.raises(ValueError, match=message):
         catalog_spec("A000032", primes=(7,))
     assert catalog_spec("A000032", prime_limit=None, primes=(7,)).primes == (7,)
@@ -163,7 +165,7 @@ def test_table_format_mentions_witness():
 
 
 def test_all_formats_carry_global_checks():
-    doc = run_experiment(ExperimentSpec(source="e", depth=10, include_local=False))
+    doc = run_experiment(ExperimentSpec(source="e", depth=10, primes=()))
     for fmt in ("table", "json", "csv"):
         out = render_report(doc, fmt)
         assert "dold" in out
@@ -171,7 +173,7 @@ def test_all_formats_carry_global_checks():
 
 def test_magical_section():
     doc = run_experiment(
-        ExperimentSpec(source="A000032", depth=30, include_local=False, max_shift=1)
+        ExperimentSpec(source="A000032", depth=30, primes=(), max_shift=1)
     )
     mag = doc["magical"]
     assert mag["all_pass"] is False
@@ -187,8 +189,9 @@ def _magical_ref(seq, max_shift):
         failure = oracles.least_failure_ref((("dold", dold), ("sign", sign)))
         witness = None if failure is None else {
             "check": failure[0], "n": failure[1].n, "value": failure[1].value}
-        section.append({"shift": k, "status": "pass" if witness is None else "fail",
-                        "witness": witness})
+        # shift k is checked on the terms after it, its horizon N - k
+        section.append({"shift": k, "checked_upto": len(seq) - k,
+                        "status": "pass" if witness is None else "fail", "witness": witness})
     return {"max_shift": max_shift, "all_pass": all_pass, "entries": section}
 
 
@@ -201,7 +204,7 @@ def _magical_ref(seq, max_shift):
     ("e", 10, 0, 0),
 ])
 def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
-    spec = ExperimentSpec(source=source, depth=depth, include_local=False,
+    spec = ExperimentSpec(source=source, depth=depth, primes=(),
                           max_shift=max_shift, shift=drop)
     doc = run_experiment(spec)
     seq = shift(load_sequence(ExperimentSpec(source, depth=depth + drop)), drop)
@@ -210,7 +213,7 @@ def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
 
 
 def test_magical_shift_beyond_depth_is_refused():
-    spec = ExperimentSpec(source="e", depth=5, include_local=False, max_shift=5)
+    spec = ExperimentSpec(source="e", depth=5, primes=(), max_shift=5)
     with pytest.raises(ValueError, match="max_shift 5 >= length 5"):
         run_experiment(spec)
 

@@ -77,7 +77,7 @@ OPTIONS = [
 # The fields of ExperimentSpec, in order: each is an option of every survey, so
 # a new one is a reviewed change to this list.
 SPEC_FIELDS = [
-    "source", "label", "depth", "prime_limit", "primes", "include_local", "local_checks",
+    "source", "label", "depth", "prime_limit", "primes", "local_checks",
     "max_shift", "shift", "absolute", "offset_policy", "scale", "fixtures_dir", "cache_dir",
     "online",
 ]
