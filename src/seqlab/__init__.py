@@ -54,9 +54,8 @@ _EXPORTS = {
     ),
     "matrices": ("IntMatrix", "companion_matrix"),
     "primes": (
-        "BERNOULLI", "EULER", "EulerStrength", "NumeratorLocalStatus",
-        "PrimeClassification", "Regularity", "classify_bernoulli",
-        "classify_euler", "numerator_local_status", "scan_primes",
+        "BERNOULLI", "EULER", "EulerStrength", "PrimeClassification", "Regularity",
+        "classify_bernoulli", "classify_euler", "numerator_local_status", "scan_primes",
         "weak_euler_profile_check",
     ),
     "realizability": (

@@ -6,8 +6,9 @@ the first entry to n = 1 (shift-to-1, the default: sequence identities in
 this domain hold only up to shift, so the first listed term is the contract)
 or requires the file to start at 1 (strict).
 
-Fetching reads the cache, user-supplied and then bundled fixtures; the network
-is the opt-in last resort and caches under the requested directory.
+Fetching reads the user-supplied fixtures, the cache and then the bundled
+fixtures; the network is the opt-in last resort and caches under the requested
+directory.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ SHIFT_TO_1 = "shift-to-1"
 STRICT = "strict"
 
 DEFAULT_BASE_URL = "https://oeis.org"
+FETCH_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ def to_sequence(
     for i, v in enumerate(bf.values):
         if v < 0 and not absolute:
             raise ValueError(
-                f"signed value {v} at index {bf.offset + i}; pass absolute=True to take |.|"
+                f"signed value {v} at index {bf.offset + i}; "
+                f"take absolute values with --abs (absolute=True)"
             )
     return Sequence1(tuple(abs(v) for v in bf.values), bf.source)
 
@@ -126,24 +129,23 @@ def fetch_oeis(
     a_number: int | str,
     *,
     online: bool = False,
-    base_url: str | None = None,
     cache_dir: str | os.PathLike | None = None,
     fixtures_dir: str | os.PathLike | None = None,
-    timeout: float = 30.0,
 ) -> BFile:
     """Resolve an A-number to a parsed b-file.
 
-    One order, online or not: ``cache_dir``, then ``fixtures_dir`` (an empty
-    string, like None, names no directory), then the bundled fixtures.  If
-    none has the file, raise FixtureMissingError, or with ``online`` GET
-    <base>/<A>/b<number>.txt (base from ``base_url`` or the OEIS_BASE_URL
-    environment variable) and cache the raw text on success.  Network
-    failures, non-200 responses, and parse failures raise distinct errors.
+    One order, online or not: ``fixtures_dir``, the directory the caller
+    named, then ``cache_dir`` (an empty string, like None, names no
+    directory), then the bundled fixtures.  If none has the file, raise
+    FixtureMissingError, or with ``online`` GET <base>/<A>/b<number>.txt (base
+    from the OEIS_BASE_URL environment variable, default the OEIS) and cache
+    the raw text on success.  Network failures, non-200 responses, and parse
+    failures raise distinct errors.
     """
     a = normalize_a_number(a_number)
     name = _bfile_name(a)
 
-    for directory in (cache_dir, fixtures_dir):
+    for directory in (fixtures_dir, cache_dir):
         if directory and (Path(directory) / name).is_file():
             return parse_bfile((Path(directory) / name).read_text(), source=a)
     text = bundled_fixture_text(a)
@@ -158,10 +160,10 @@ def fetch_oeis(
     import urllib.error
     import urllib.request
 
-    base = base_url or os.environ.get("OEIS_BASE_URL") or DEFAULT_BASE_URL
+    base = os.environ.get("OEIS_BASE_URL") or DEFAULT_BASE_URL
     url = f"{base.rstrip('/')}/{a}/{name}"
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
             status, body = resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         exc.close()  # the error holds the response and its socket
@@ -176,8 +178,8 @@ def fetch_oeis(
     if cache_dir:
         import tempfile
 
-        # all or nothing: the cache is read before the fixtures, so a
-        # truncated file would silently shorten the prefix from then on
+        # all or nothing: the cache is read before the bundled fixtures, so
+        # a truncated file would silently shorten the prefix from then on
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{name}.")
         try:

@@ -335,13 +335,13 @@ def oracle(max_prime, max_r, upto, family):
     "fetch",
     option("a_number"),
     *_online("Allow network fetch (default: offline fixtures/cache only)."),
-    option("--fixtures-dir", type=_existing_dir),
+    option("--fixtures-dir", type=_existing_dir, help="Directory searched first for b-files."),
     option("--cache-dir", default=str(DEFAULT_CACHE), help="Cache directory for fetched b-files (empty: no cache)."),
     option("--terms", type=int, default=8,
            help="How many leading terms to echo (>= 0; default: %(default)s)."),
 )
 def fetch(a_number, online, fixtures_dir, cache_dir, terms):
-    """Resolve an A-number to a b-file (cache, fixtures, bundled fixture, then network)."""
+    """Resolve an A-number to a b-file (--fixtures-dir, cache, bundled fixture, then network)."""
     from .bfile import fetch_oeis
 
     if terms < 0:

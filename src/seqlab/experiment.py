@@ -20,7 +20,7 @@ from .arith import primes_in_range
 from .bfile import SHIFT_TO_1, STRICT, fetch_oeis, parse_bfile, to_sequence
 from .errors import DepthError
 from .realizability import (
-    RealizabilityReport,
+    CHECKS,
     Sequence1,
     Verdict,
     check_realizable,
@@ -36,7 +36,7 @@ DEFAULT_PRIME_LIMIT = 200
 
 BUILTIN_DEPTH = 200
 
-LOCAL_CHECKS = ("dold", "sign")
+LOCAL_CHECKS = CHECKS[:2]  # the Dold and sign checks, as dold_sign returns them
 
 TABLE = "table"
 JSON = "json"
@@ -189,14 +189,6 @@ def _verdict_json(name: str, v: Verdict) -> dict:
     return {"type": name, "status": v.status, "witness": witness}
 
 
-def _report_checks(report: RealizabilityReport) -> list[dict]:
-    return [
-        _verdict_json("dold", report.dold),
-        _verdict_json("sign", report.sign),
-        _verdict_json("monotone", report.monotone),
-    ]
-
-
 def _witness_json(verdicts) -> dict | None:
     # the least witness among the (name, verdict) pairs, or None if all pass
     failure = least_failure(verdicts)
@@ -209,11 +201,10 @@ def _witness_json(verdicts) -> dict | None:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute an experiment spec and return the report document."""
     seq = load_sequence(spec)
-    report = check_realizable(seq)
     doc: dict = {
         "sequence_id": seq.label,
         "depth": len(seq),
-        "checks": _report_checks(report),
+        "checks": [_verdict_json(name, v) for name, v in check_realizable(seq).verdicts],
         "local": [],
         "annotations": [],
     }
@@ -320,19 +311,6 @@ def _render_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CSV_GLOBAL = [
-    "sequence_id",
-    "depth",
-    "dold_status",
-    "dold_n",
-    "dold_value",
-    "sign_status",
-    "sign_n",
-    "sign_value",
-    "monotone_status",
-    "monotone_n",
-    "monotone_value",
-]
 _CSV_LOCAL = ["prime", "local_status", "witness_check", "witness_n", "witness_value"]
 
 
@@ -342,11 +320,13 @@ def _render_csv(doc: dict) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_GLOBAL + _CSV_LOCAL + ["annotations"])
-    prefix = [doc["sequence_id"], doc["depth"]]
+    # three global columns per check, named and filled in the order of doc["checks"]
+    header, prefix = ["sequence_id", "depth"], [doc["sequence_id"], doc["depth"]]
     for check in doc["checks"]:
         w = check["witness"]
+        header += [f"{check['type']}_{col}" for col in ("status", "n", "value")]
         prefix += [check["status"], w["n"] if w else "", w["value"] if w else ""]
+    writer.writerow(header + _CSV_LOCAL + ["annotations"])
     notes = "; ".join(doc["annotations"])
     if doc["local"]:
         for row in doc["local"]:

@@ -66,11 +66,15 @@ class PrimeClassification:
     euler_strength: EulerStrength | None = None
 
 
+def _least_index(parts: tuple[int, ...]) -> int | None:
+    """The least n whose q-part exceeds 1, from one column of ``localize``."""
+    return next((n for n, part in enumerate(parts, start=1) if part > 1), None)
+
+
 def _least_dividing(values: tuple[int, ...], primes: list[int]) -> list[int | None]:
     """Each prime's least n with q | a_n in the prefix, from one localization."""
     parts = localize(values, primes)
-    return [next((n for n, part in enumerate(parts.get(q, ()), start=1) if part > 1), None)
-            for q in primes]
+    return [_least_index(parts.get(q, ())) for q in primes]
 
 
 def _regularity(q: int, least: int | None) -> Regularity:
@@ -141,6 +145,9 @@ def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeCl
         raise ValueError(f"kind must be {BERNOULLI!r} or {EULER!r}")
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
+    if depth is not None and depth < 1:
+        # in ExperimentSpec's words: a depth below 1 checks no term
+        raise ValueError(f"depth must be >= 1, got {depth}")
     primes = primes_in_range(2, q_max)
     if depth is None:
         q = primes[-1]
@@ -172,39 +179,26 @@ def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
     return Verdict.pass_up_to(N)
 
 
-@dataclass(frozen=True)
-class NumeratorLocalStatus:
-    """How the Bernoulli-numerator sequence localizes at a prime q.
+def numerator_local_status(q: int, N: int) -> Verdict:
+    """The monotone verdict ``check_realizable`` gives t's q-part over t_1..t_N.
 
-    Regular primes localize trivially (all q-parts are 1); irregular primes
-    exhibit a divisor-monotonicity failure pair (k, m) with k | m and the
-    q-part dropping from index k to index m.
+    A regular q localizes trivially: pass-up-to(N).  An irregular q with least
+    witness k fails at the first multiple m of k whose q-part drops below that
+    of t_k, with divisor k; if no multiple up to N drops, DepthError.
     """
-
-    q: int
-    checked_upto: int
-    kind: str  # "trivial-localization" | "monotone-failure"
-    witness_k: int | None = None
-    witness_m: int | None = None
-    part_k: int | None = None
-    part_m: int | None = None
-
-
-def numerator_local_status(q: int, N: int) -> NumeratorLocalStatus:
-    """Trivial localization for regular q; least failure pair for irregular q."""
-    depth = max(N, (q - 3) // 2)
-    if depth >= 1:  # a depth below 1 is refused first, by the table build
-        _odd_prime(q)
-    t = derived_bernoulli(depth).numerators
-    [least] = _least_dividing(t.values, [q])
+    _odd_prime(q)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
+    parts = localize(t.values, (q,)).get(q, ())
+    least = _least_index(parts)
     k = _regularity(q, least).witness
     if k is None:
         if least is not None and least <= N:
             raise RuntimeError(f"regular prime {q} divides numerator at {least}: engine defect")
-        return NumeratorLocalStatus(q, N, "trivial-localization")
-    part_k = p_adic(t[k], q).part
+        return Verdict.pass_up_to(N)
+    part_k = parts[k - 1]
     for m in range(2 * k, N + 1, k):
-        part_m = p_adic(t[m], q).part
-        if part_k > part_m:
-            return NumeratorLocalStatus(q, N, "monotone-failure", k, m, part_k, part_m)
+        if part_k > parts[m - 1]:
+            return Verdict.fail_at(m, parts[m - 1], N, divisor=k, divisor_value=part_k)
     raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")

@@ -23,6 +23,11 @@ from .errors import ZeroEntryError
 PASS = "pass-up-to"
 FAIL = "fail-at"
 
+# The checks of a report, in the order every report lists them and in which
+# the earlier check wins a tie for the least witness; the magical and local
+# checks are the first two.
+CHECKS = ("dold", "sign", "monotone")
+
 
 @dataclass(frozen=True)
 class Sequence1:
@@ -112,10 +117,14 @@ class RealizabilityReport:
         """True when the prefix is consistent with realizability (Dold + sign)."""
         return self.dold.passed and self.sign.passed
 
+    @property
+    def verdicts(self) -> tuple[tuple[str, Verdict], ...]:
+        """(name, verdict) for each check, in ``CHECKS`` order."""
+        return tuple((name, getattr(self, name)) for name in CHECKS)
+
     def first_failure(self) -> tuple[str, Verdict] | None:
-        """The least witness among (dold, sign, monotone), if any check fails."""
-        return least_failure((("dold", self.dold), ("sign", self.sign),
-                              ("monotone", self.monotone)))
+        """The least witness among the verdicts, if any check fails."""
+        return least_failure(self.verdicts)
 
 
 def least_failure(verdicts: Iterable[tuple[str, Verdict]]) -> tuple[str, Verdict] | None:
@@ -287,7 +296,7 @@ class MagicalReport:
         """(shift, check name, verdict) of the least witness of the first
         failing shift, if any."""
         for k, dold, sign in self.entries:
-            failure = least_failure((("dold", dold), ("sign", sign)))
+            failure = least_failure(zip(CHECKS, (dold, sign)))
             if failure is not None:
                 return (k, *failure)
         return None

@@ -417,25 +417,30 @@ def scan_primes_ref(kind, q_max, depth):
 
 
 def numerator_local_status_ref(q, N):
-    """Regular q: check q divides no t_n, n <= N.  Irregular q with witness k:
-    the first multiple m of k whose q-part is below that of t_k."""
+    """The monotone verdict of t's q-part.  Regular q: check q divides no t_n,
+    n <= N.  Irregular q with witness k: the first multiple m of k whose q-part
+    is below that of t_k."""
     from seqlab.classical import derived_bernoulli
     from seqlab.errors import DepthError
-    from seqlab.primes import REGULAR, NumeratorLocalStatus
+    from seqlab.primes import REGULAR
+    from seqlab.realizability import Verdict
 
+    _odd_prime_ref(q)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
     status = classify_bernoulli_ref(q, t)
     if status.status == REGULAR:
         for n in range(1, N + 1):
             if t[n] % q == 0:
                 raise RuntimeError(f"regular prime {q} divides numerator at {n}: engine defect")
-        return NumeratorLocalStatus(q, N, "trivial-localization")
+        return Verdict.pass_up_to(N)
     k = status.witness
     part_k = p_part_sequence_ref((t[k],), q)[0]
     for m in range(2 * k, N + 1, k):
         part_m = p_part_sequence_ref((t[m],), q)[0]
         if part_k > part_m:
-            return NumeratorLocalStatus(q, N, "monotone-failure", k, m, part_k, part_m)
+            return Verdict.fail_at(m, part_m, N, divisor=k, divisor_value=part_k)
     raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")
 
 

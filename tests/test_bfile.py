@@ -23,6 +23,13 @@ from seqlab.errors import (
 )
 
 
+@pytest.fixture(autouse=True)
+def dead_oeis(monkeypatch):
+    # the network step goes to OEIS_BASE_URL: a closed local port, unless a
+    # test serves one or replaces urlopen
+    monkeypatch.setenv("OEIS_BASE_URL", "http://127.0.0.1:9")
+
+
 def test_parse_basic():
     bf = parse_bfile("1 12\n2 120\n3 252")
     assert bf.offset == 1
@@ -114,33 +121,34 @@ def test_fetch_fixtures_dir_and_cache(tmp_path):
     (fixtures / "b123456.txt").write_text("1 10\n2 20\n")
     bf = fetch_oeis("A123456", fixtures_dir=fixtures)
     assert bf.values == (10, 20)
-    # cache takes precedence once populated
+    # a populated cache is read when no fixtures directory is named, and
+    # never shadows one that is
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "b123456.txt").write_text("1 99\n")
+    assert fetch_oeis("A123456", cache_dir=cache).values == (99,)
     bf = fetch_oeis("A123456", fixtures_dir=fixtures, cache_dir=cache)
-    assert bf.values == (99,)
+    assert bf.values == (10, 20)
 
 
 @pytest.mark.parametrize("online", [False, True])
 def test_one_resolution_order_online_or_not(tmp_path, online):
-    # cache, then fixtures_dir, then the bundled fixture, and the network
+    # fixtures_dir, then the cache, then the bundled fixture, and the network
     # only after all three: the dead address would raise if it were tried
     def fetch(**dirs):
-        return fetch_oeis("A000364", online=online, base_url="http://127.0.0.1:9",
-                          timeout=0.5, **dirs).values
+        return fetch_oeis("A000364", online=online, **dirs).values
 
     assert fetch()[:4] == (1, 5, 61, 1385)
     fixtures, cache = tmp_path / "fx", tmp_path / "cache"
-    fixtures.mkdir()
-    (fixtures / "b000364.txt").write_text("1 7\n")
-    assert fetch(fixtures_dir=fixtures) == (7,)
     cache.mkdir()
     (cache / "b000364.txt").write_text("1 9\n")
-    assert fetch(fixtures_dir=fixtures, cache_dir=cache) == (9,)
+    assert fetch(cache_dir=cache) == (9,)
+    fixtures.mkdir()
+    (fixtures / "b000364.txt").write_text("1 7\n")
+    assert fetch(fixtures_dir=fixtures, cache_dir=cache) == (7,)
 
 
-def test_fetch_online_roundtrip_with_local_server(tmp_path):
+def test_fetch_online_roundtrip_with_local_server(monkeypatch, tmp_path):
     # serve a fake b-file over HTTP to exercise the online path end to end
     import http.server
 
@@ -164,13 +172,13 @@ def test_fetch_online_roundtrip_with_local_server(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        base = f"http://127.0.0.1:{server.server_port}"
+        monkeypatch.setenv("OEIS_BASE_URL", f"http://127.0.0.1:{server.server_port}")
         cache = tmp_path / "cache"
-        bf = fetch_oeis("A79", online=True, base_url=base, cache_dir=cache)
+        bf = fetch_oeis("A79", online=True, cache_dir=cache)
         assert bf.values == (2, 4, 8)
         assert (cache / "b000079.txt").read_text() == text
         with pytest.raises(FetchHTTPError) as err:
-            fetch_oeis("A999998", online=True, base_url=base)
+            fetch_oeis("A999998", online=True)
         assert err.value.status == 404
         # cached copy resolves offline afterwards
         bf2 = fetch_oeis("A000079", cache_dir=cache)
@@ -182,13 +190,21 @@ def test_fetch_online_roundtrip_with_local_server(tmp_path):
 
 def test_fetch_online_network_error():
     with pytest.raises(FetchNetworkError):
-        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9", timeout=0.5)
+        fetch_oeis("A79", online=True)
 
 
-def test_env_var_base_url(monkeypatch, tmp_path):
-    monkeypatch.setenv("OEIS_BASE_URL", "http://127.0.0.1:9")
-    with pytest.raises(FetchNetworkError):
-        fetch_oeis("A79", online=True, timeout=0.5)
+def test_env_var_base_url(monkeypatch):
+    # the request goes to OEIS_BASE_URL, with the one fetch timeout
+    requests = []
+
+    def record(url, timeout):
+        requests.append((url, timeout))
+        return Response(b"1 2\n")
+
+    monkeypatch.setattr(urllib.request, "urlopen", record)
+    monkeypatch.setenv("OEIS_BASE_URL", "http://127.0.0.1:9/")
+    assert fetch_oeis("A79", online=True).values == (2,)
+    assert requests == [("http://127.0.0.1:9/A000079/b000079.txt", 30.0)]
 
 
 class Response(io.BytesIO):
@@ -209,7 +225,7 @@ def test_fetch_cache_write_is_atomic(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "replace", fail)
     cache = tmp_path / "cache"
     with pytest.raises(OSError, match="disk full"):
-        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9", cache_dir=cache)
+        fetch_oeis("A79", online=True, cache_dir=cache)
     assert list(cache.iterdir()) == []
 
 
@@ -220,7 +236,7 @@ def test_an_empty_cache_dir_is_neither_read_nor_written(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "b000364.txt").write_text("1 7\n")
     assert fetch_oeis("A000364", cache_dir="").values[:2] == (1, 5)
-    bf = fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9", cache_dir="")
+    bf = fetch_oeis("A79", online=True, cache_dir="")
     assert bf.values == (2, 4, 8)
     assert [path.name for path in tmp_path.iterdir()] == ["b000364.txt"]
 
@@ -229,7 +245,7 @@ def test_fetch_non_200_is_http_error(monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen",
                         lambda url, timeout: Response(b"1 2\n", status=203))
     with pytest.raises(FetchHTTPError) as err:
-        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9")
+        fetch_oeis("A79", online=True)
     assert err.value.status == 203
 
 
@@ -242,7 +258,7 @@ def test_fetch_http_error_closes_the_response(monkeypatch):
 
     monkeypatch.setattr(urllib.request, "urlopen", not_found)
     with pytest.raises(FetchHTTPError) as err:
-        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9")
+        fetch_oeis("A79", online=True)
     assert err.value.status == 404
     assert reply.closed
 
@@ -253,4 +269,4 @@ def test_fetch_timeout_is_network_error(monkeypatch):
 
     monkeypatch.setattr(urllib.request, "urlopen", timeout)
     with pytest.raises(FetchNetworkError):
-        fetch_oeis("A79", online=True, base_url="http://127.0.0.1:9")
+        fetch_oeis("A79", online=True)

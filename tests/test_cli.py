@@ -180,6 +180,23 @@ def test_fixtures_dir_is_read_before_the_bundled_fixture(tmp_path):
     assert res.stdout == "A000032: offset 1, 2 terms: 7, 9\n"
 
 
+def test_fixtures_dir_is_read_before_the_default_cache(tmp_path, monkeypatch):
+    # the directory the user names is not shadowed by a copy in the cache
+    cache, fixtures = tmp_path / "cache", tmp_path / "fx"
+    cache.mkdir()
+    fixtures.mkdir()
+    (cache / "b000032.txt").write_text("1 1\n2 3\n")
+    (fixtures / "b000032.txt").write_text("1 1\n2 3\n3 4\n")
+    monkeypatch.setattr(cli, "DEFAULT_CACHE", cache)
+    res = invoke(["check", "A000032", "--fixtures-dir", str(fixtures), "--format", "json"])
+    assert (res.exit_code, json.loads(res.stdout)["depth"]) == (0, 3)
+    res = invoke(["fetch", "A000032", "--fixtures-dir", str(fixtures)])
+    assert res.stdout == "A000032: offset 1, 3 terms: 1, 3, 4\n"
+    # without --fixtures-dir the cached copy is read, before the bundled one
+    res = invoke(["check", "A000032", "--format", "json"])
+    assert json.loads(res.stdout)["depth"] == 2
+
+
 A010122_WHOLE = "A010122: offset 1, 60 terms: " + ", ".join(["1, 1, 1, 1, 6"] * 12) + "\n"
 
 
@@ -322,7 +339,7 @@ def test_fetch_refuses_negative_terms():
 def test_regular_upto_zero_is_not_the_default_depth():
     res = invoke(["regular", "--primes", "20", "--upto", "0"])
     assert res.exit_code == 1
-    assert res.output == "error: N >= 1 required\n"
+    assert res.output == "error: depth must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -378,8 +395,9 @@ def test_the_comparison_corpus_covers_the_readme_and_the_cli_pool():
 
 
 # Invalid values for every command that takes options: zero, negatives, empty
-# lists, non-primes and out-of-domain parameters, each with its exit code.
-# None starts a large search.
+# lists, non-primes and out-of-domain parameters, each with its exit code and,
+# where a row gives them, words its stderr must hold.  None starts a large
+# search.
 REFUSALS = [
     *[(["classical", "--what", what, "--upto", n], 1)
       for what in ("e", "t", "b", "d", "bernoulli", "euler") for n in ("0", "-2")],
@@ -392,6 +410,7 @@ REFUSALS = [
     (["check", "A000032", "--scale", "0"], 1),
     (["check", "A999999", "--scale", "0"], 1),
     (["check", "A000032", "--scale", "-2"], 1),
+    (["check", "A001067", "--upto", "5"], 1, "--abs"),
     (["localscan", "e", "--upto", "20", "--prime", "4"], 1),
     (["localscan", "e", "--upto", "20", "--prime", "0"], 1),
     (["localscan", "e", "--upto", "20", "--prime", "-3"], 1),
@@ -417,6 +436,9 @@ REFUSALS = [
     (["regular", "--kind", "euler", "--upto", "-1"], 1),
     (["regular", "--kind", "bernoulli", "--primes", "700", "--upto", "10"], 7),
     (["regular", "--kind", "euler", "--primes", "103", "--upto", "40"], 7),
+    (["regular", "--upto", "0"], 1, "error: depth must be >= 1, got 0\n"),
+    (["regular", "--kind", "euler", "--upto", "0"], 1, "error: depth must be >= 1, got 0\n"),
+    (["regular", "--upto", "-4"], 1, "error: depth must be >= 1, got -4\n"),
     (["ell", "--k", "0", "--m", "1", "--p", "5"], 1),
     (["ell", "--k", "-1", "--m", "1", "--p", "5"], 1),
     (["ell", "--k", "1", "--m", "0", "--p", "5"], 1),
@@ -444,14 +466,17 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("argv,code", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
-def test_refused_input_prints_nothing(argv, code):
+@pytest.mark.parametrize("argv,code,words",
+                         [(argv, code, "".join(words)) for argv, code, *words in REFUSALS],
+                         ids=[" ".join(row[0]) for row in REFUSALS])
+def test_refused_input_prints_nothing(argv, code, words):
     # a partial report, or a family that tested nothing reported as holding,
     # would claim more than was checked
     res = invoke(argv)
     assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr.startswith("error: ")
+    assert words in res.stderr
 
 
 def commands() -> dict[str, argparse.ArgumentParser]:
@@ -461,7 +486,7 @@ def commands() -> dict[str, argparse.ArgumentParser]:
 
 
 def test_refusals_cover_every_command_with_options():
-    assert {argv[0] for argv, _ in REFUSALS} == {
+    assert {row[0][0] for row in REFUSALS} == {
         name for name, command in commands().items()
         if any(not isinstance(action, argparse._HelpAction) for action in command._actions)}
 

@@ -19,7 +19,7 @@ from seqlab.primes import (
     scan_primes,
     weak_euler_profile_check,
 )
-from seqlab.realizability import Sequence1, local_report
+from seqlab.realizability import Sequence1, Verdict, local_report
 
 from oracles import (
     classify_bernoulli_ref,
@@ -108,22 +108,39 @@ def test_weak_profile_vacuous_for_strong_prime(e200):
 
 
 def test_numerator_local_status_regular(derived300):
-    st = numerator_local_status(7, 100)
-    assert st.kind == "trivial-localization"
+    assert numerator_local_status(7, 100) == Verdict.pass_up_to(100)
     assert all(derived300.numerators[n] % 7 != 0 for n in range(1, 101))
 
 
 def test_numerator_local_status_37():
-    st = numerator_local_status(37, 32)
-    assert (st.witness_k, st.witness_m) == (16, 32)
-    assert st.part_k == 37 and st.part_m == 1
+    # the 37-part drops from t_16 to t_32
+    assert numerator_local_status(37, 32) == \
+        Verdict.fail_at(32, 1, 32, divisor=16, divisor_value=37)
 
 
 def test_numerator_local_status_59(derived300):
-    st = numerator_local_status(59, 150)
-    assert st.kind == "monotone-failure"
-    assert st.witness_k == 22
+    assert numerator_local_status(59, 150) == \
+        Verdict.fail_at(44, 1, 150, divisor=22, divisor_value=59)
     assert derived300.numerators[22] % 59 == 0
+
+
+@pytest.mark.parametrize("N", [20, 60, 200, 1000])
+def test_numerator_local_status_is_the_monotone_verdict_of_the_q_part(N):
+    # the verdict check_realizable gives t's q-part, and DepthError exactly
+    # where that verdict passes at an irregular prime
+    t = Sequence1(derived_bernoulli(N).numerators.values[:N], "t")
+    for q in primes_in_range(3, 1000):
+        monotone = local_report(t, q).monotone
+        try:
+            assert numerator_local_status(q, N) == monotone, q
+        except DepthError:
+            assert monotone.passed, q
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_numerator_local_status_refuses_no_terms(N):
+    with pytest.raises(ValueError, match=rf"^N must be >= 1, got {N}$"):
+        numerator_local_status(7, N)
 
 
 def test_numerator_local_status_insufficient_depth():

@@ -49,9 +49,8 @@ EXPORTS = {
                    "not_realizable_primes", "realizable_star_primes", "render_report",
                    "run_experiment"],
     "matrices": ["IntMatrix", "companion_matrix"],
-    "primes": ["BERNOULLI", "EULER", "EulerStrength", "NumeratorLocalStatus",
-               "PrimeClassification", "Regularity", "classify_bernoulli",
-               "classify_euler", "numerator_local_status", "scan_primes",
+    "primes": ["BERNOULLI", "EULER", "EulerStrength", "PrimeClassification", "Regularity",
+               "classify_bernoulli", "classify_euler", "numerator_local_status", "scan_primes",
                "weak_euler_profile_check"],
     "realizability": ["MagicalReport", "OrbitCounts", "RealizabilityReport", "Sequence1",
                       "Verdict", "arias_criterion", "check_realizable", "dold_sign",
@@ -66,8 +65,7 @@ OPTIONS = [
     "algebraic.parse_cayley(label)",
     "bfile.parse_bfile(source)",
     "bfile.to_sequence(policy)", "bfile.to_sequence(absolute)",
-    "bfile.fetch_oeis(online)", "bfile.fetch_oeis(base_url)", "bfile.fetch_oeis(cache_dir)",
-    "bfile.fetch_oeis(fixtures_dir)", "bfile.fetch_oeis(timeout)",
+    "bfile.fetch_oeis(online)", "bfile.fetch_oeis(cache_dir)", "bfile.fetch_oeis(fixtures_dir)",
     "congruences.run_oracle_grids(max_prime)", "congruences.run_oracle_grids(max_r)",
     "congruences.run_oracle_grids(upto)", "congruences.run_oracle_grids(family)",
     "experiment.render_report(fmt)",
