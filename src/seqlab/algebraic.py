@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator
 
-from .arith import _odd_prime, _prime, factorize, p_adic
+from .arith import _at_least, _odd_prime, _prime, factorize, p_adic
 from .matrices import IntMatrix, _dets_of_powers_minus_identity
 from .realizability import Sequence1
 
@@ -112,8 +112,7 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     base-p integer, which makes the construction reproducible.
     """
     _prime(p)
-    if m < 1:
-        raise ValueError(f"degree m >= 1 required, got {m}")
+    _at_least("m", m, 1)
     for v in range(p**m):
         f = _digits(v, p, m) + (1,)
         if _is_irreducible(f, p):
@@ -165,8 +164,8 @@ class ConstructionParams:
     @classmethod
     def create(cls, k: int, m: int, p: int) -> "ConstructionParams":
         _prime(p)
-        if m < 1 or k < 1:
-            raise ValueError("k >= 1 and m >= 1 required")
+        _at_least("k", k, 1)
+        _at_least("m", m, 1)
         if gcd(k, p) != 1:
             raise ValueError(f"k = {k} must be coprime to p = {p}")
         q = p**m
@@ -222,8 +221,7 @@ def construct_matrix(p: int, m: int) -> tuple[IntMatrix, IntMatrix]:
 
 def ell_sequence(params: ConstructionParams, N: int) -> Sequence1:
     """The sequence with value p^(m(1+ord_p(n))) at multiples of k and 1 elsewhere."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
+    _at_least("depth", N, 1)
     p, m, k = params.p, params.m, params.k
     values = (p ** (m * (1 + p_adic(n, p).ord)) if n % k == 0 else 1 for n in range(1, N + 1))
     return Sequence1(tuple(values), f"ell({k},{m},{p})")
@@ -247,8 +245,8 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
     fix_n is the p-part of |det(A^{cn} - I)|; a vanishing determinant means
     the map has infinitely many periodic points at that n and raises.
     """
-    if c < 1 or N < 1:
-        raise ValueError("c >= 1 and N >= 1 required")
+    _at_least("c", c, 1)
+    _at_least("depth", N, 1)
     _prime(p)
     values = (p_adic(abs(d), p).part for d in _dets_of_powers_minus_identity(A**c, N))
     return Sequence1(tuple(values), f"torsion-fix(c={c},p={p})")
@@ -418,8 +416,7 @@ def fix_counts(G: FiniteGroup, theta: Endomorphism, N: int) -> Sequence1:
     Iterated self-maps of a finite set are eventually periodic, so once a
     composed power repeats the remaining counts are read off the cycle.
     """
-    if N < 1:
-        raise ValueError("N >= 1 required")
+    _at_least("depth", N, 1)
     m = theta.image
     counts: list[int] = []
     seen: dict[tuple[int, ...], int] = {}

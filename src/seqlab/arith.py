@@ -28,8 +28,7 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+    _at_least("n", n, 1)
     out: list[tuple[int, int]] = []
     for p in (2, 3):
         if n % p == 0:
@@ -60,8 +59,7 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
 
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
-    if n < 1:
-        raise ValueError(f"mobius requires n >= 1, got {n}")
+    _at_least("n", n, 1)
     if n == 1:
         return 1
     fac = _factorize_cached(n)
@@ -72,8 +70,7 @@ def mobius(n: int) -> int:
 
 def euler_phi(n: int) -> int:
     """Count of 1 <= k <= n coprime to n."""
-    if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1, got {n}")
+    _at_least("n", n, 1)
     out = n
     for p, _ in _factorize_cached(n):
         out -= out // p
@@ -90,10 +87,8 @@ class PAdicPart:
 
 def p_adic(n: int, p: int) -> PAdicPart:
     """Largest power of the prime p dividing n >= 1, as (ord, p**ord)."""
-    if n < 1:
-        raise ValueError(f"p_adic requires n >= 1, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"p_adic requires a prime modulus, got {p}")
+    _at_least("n", n, 1)
+    _prime(p)
     ord_ = 0
     part = 1
     while n % p == 0:
@@ -110,8 +105,7 @@ def p_part(n: int, p: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n >= 1, ascending (1 first, n last)."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
+    _at_least("n", n, 1)
     out = [1]
     for p, e in _factorize_cached(n):
         out = [d * pk for d in out for pk in _prime_powers(p, e)]
@@ -131,6 +125,12 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if lo > hi:
         raise ValueError(f"primes_in_range requires lo <= hi, got {lo} > {hi}")
     return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+
+
+def _at_least(name: str, value: int, least: int) -> None:
+    """Refuse an integer argument below its least value, in one wording."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _prime(p: int) -> None:

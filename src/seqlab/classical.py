@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, is_prime, p_adic
+from .arith import _at_least, divisors, is_prime, p_adic
 from .realizability import Sequence1
 
 
@@ -89,8 +89,7 @@ _SECANT = _Recurrence(1, lambda j, s: s)  # keeps |E_0|, |E_2|, ...
 
 def tangent_numbers(N: int) -> list[int]:
     """Tangent numbers T_1..T_N (1, 2, 16, 272, ...), exact integers."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
+    _at_least("depth", N, 1)
     out = []  # from the kept B_{2n}: T_n = |B_{2n}| 4^n (4^n - 1) / (2n)
     for n, b in enumerate(_TANGENT.columns(N - 1)[:N], start=1):
         four_n = 1 << (2 * n)
@@ -100,8 +99,7 @@ def tangent_numbers(N: int) -> list[int]:
 
 def secant_numbers(N: int) -> list[int]:
     """Secant numbers S_1..S_N = |E_2|, ..., |E_{2N}| (1, 5, 61, 1385, ...)."""
-    if N < 0:
-        raise ValueError("N >= 0 required")
+    _at_least("depth", N, 0)
     return list(_SECANT.columns(N)[1 : N + 1])
 
 
@@ -146,26 +144,26 @@ def bernoulli_upto(N: int) -> BernoulliTable:
     a single exact Fraction division away from the integer engine; the
     process-wide tangent table keeps these Fractions and extends them.
     """
-    if N < 1:
-        raise ValueError("N >= 1 required")
+    _at_least("depth", N, 1)
     return BernoulliTable(N, _TANGENT.columns(N - 1)[:N])
 
 
 def euler_upto(N: int) -> EulerTable:
     """Exact E_2, E_4, ..., E_{2N} from the secant numbers."""
+    _at_least("depth", N, 1)
     values = tuple((-1) ** n * s for n, s in enumerate(secant_numbers(N), start=1))
     return EulerTable(N, values)
 
 
 def sequence_e(N: int) -> Sequence1:
     """The positive Euler sequence e_n = (-1)^n E_{2n} = (1, 5, 61, 1385, ...)."""
+    _at_least("depth", N, 1)
     return Sequence1(tuple(secant_numbers(N)), "e")
 
 
 def clausen_denominator(n: int) -> int:
     """Denominator of B_{2n} by von Staudt-Clausen: product of primes p, p-1 | 2n."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    _at_least("n", n, 1)
     out = 1
     for d in divisors(2 * n):
         if is_prime(d + 1):
@@ -211,8 +209,7 @@ def b_product_formula(n: int) -> int:
 
     2 * prod over primes p with p-1 | 2n of p^(1 + ord_p(n)).
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    _at_least("n", n, 1)
     out = 2
     for d in divisors(2 * n):
         p = d + 1
@@ -229,8 +226,7 @@ def lehmer_pierce(char_poly_coeffs: list[int], N: int) -> Sequence1:
     automorphism induced by M.  Raises DegeneratePolynomialError at the first
     n <= N where the determinant vanishes (a root of unity among the zeros).
     """
-    if N < 1:
-        raise ValueError("N >= 1 required")
+    _at_least("depth", N, 1)
     from .matrices import _dets_of_powers_minus_identity, companion_matrix
 
     dets = _dets_of_powers_minus_identity(companion_matrix(char_poly_coeffs), N)

@@ -40,6 +40,8 @@ EXIT_CODES = {
 
 DEFAULT_CACHE = Path.home() / ".cache" / "seqlab" / "oeis"
 
+MAX_SHIFT = 5  # the largest shift --magical tests when --max-shift is not given
+
 # name -> (function, options); an option is the arguments of one add_argument
 COMMANDS: dict[str, tuple] = {}
 
@@ -102,8 +104,6 @@ def classical(upto, what):
     from .classical import bernoulli_upto, euler_upto
     from .experiment import ExperimentSpec, load_sequence
 
-    if upto < 1:
-        raise ValueError(f"--upto must be >= 1, got {upto}")
     if what == "bernoulli":
         table = bernoulli_upto(upto)
         return "".join(f"B_{2 * n} = {table.B(2 * n)}\n" for n in range(1, upto + 1))
@@ -175,7 +175,7 @@ _CATALOG_FIXED = {"primes": "--prime", "local_checks": "--local-checks",
            help="Use the bundled observation-catalog preset for this A-number."),
     option("--magical", action="store_true", help="Also test shifts."),
     option("--max-shift", type=int,
-           help="Largest shift to test with --magical (>= 0; default: 5)."),
+           help=f"Largest shift to test with --magical (>= 0; default: {MAX_SHIFT})."),
     _SHIFT,
 )
 def localscan(source, upto, prime_limit, catalog, magical, max_shift, fmt, **fields):
@@ -183,7 +183,7 @@ def localscan(source, upto, prime_limit, catalog, magical, max_shift, fmt, **fie
     from .experiment import ExperimentSpec, catalog_spec
 
     if magical:
-        fields["max_shift"] = 5 if max_shift is None else max_shift
+        fields["max_shift"] = MAX_SHIFT if max_shift is None else max_shift
     elif max_shift is not None:
         raise ValueError("--max-shift needs --magical")
     if not catalog:
@@ -201,7 +201,7 @@ def localscan(source, upto, prime_limit, catalog, magical, max_shift, fmt, **fie
 @command(
     "magical",
     *_survey("Prefix length to use."),
-    option("--max-shift", type=int, default=5,
+    option("--max-shift", type=int, default=MAX_SHIFT,
            help="Largest shift to test (>= 0; default: %(default)s)."),
 )
 def magical(source, upto, fmt, **fields):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .arith import _odd_prime, _prime, euler_phi, factorize, is_prime, p_adic
+from .arith import _at_least, _odd_prime, _prime, euler_phi, factorize, is_prime, p_adic
 from .classical import bernoulli_upto, euler_upto, secant_numbers
 
 
@@ -146,7 +146,7 @@ def lemma_five_check(n: int) -> CongruenceCheck:
     (5^n - 1) B_{2n}/2n = (5^k - 1) B_{2k}/2k (mod 2^r),   r = ord_2(n), k = n/2.
     """
     if n < 2 or n % 2 != 0:
-        raise ValueError(f"even n >= 2 required, got {n}")
+        raise ValueError(f"n must be even and >= 2, got {n}")
     r = p_adic(n, 2).ord
     k = n // 2
     return _young_type(
@@ -161,7 +161,7 @@ def staying_alive_check(n: int) -> CongruenceCheck:
     where n = 2^r m with m odd, r >= 1, k = n/2.
     """
     if n < 2 or n % 2 != 0:
-        raise ValueError(f"even n >= 2 required, got {n}")
+        raise ValueError(f"n must be even and >= 2, got {n}")
     r = p_adic(n, 2).ord
     k = n // 2
     x, rem_x = divmod(5**n - 1, 2 ** (r + 2))
@@ -181,8 +181,8 @@ def staying_alive_check(n: int) -> CongruenceCheck:
 
 def wagstaff_A(n: int, m: int) -> int:
     """Alternating power sum A_n(m) = sum_{k=1..m} (-1)^(m-k) k^n."""
-    if n < 0 or m < 1:
-        raise ValueError("need n >= 0 and m >= 1")
+    _at_least("n", n, 0)
+    _at_least("m", m, 1)
     return sum((-1) ** (m - k) * k**n for k in range(1, m + 1))
 
 
@@ -194,8 +194,7 @@ def wagstaff_identity_check(n: int, p: int) -> CongruenceCheck:
     for odd primes p (odd-index Euler numbers vanish).  Compared as exact
     integers; modulus 0 marks the equality convention.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    _at_least("n", n, 1)
     _odd_prime(p)
     table = euler_upto(n)
     lhs = 2 ** (2 * n + 1) * wagstaff_A(2 * n, (p - 1) // 2)
@@ -301,8 +300,7 @@ def euler_additive_check(p: int, r: int, b: int) -> CongruenceCheck:
     Holds for every prime p (including 2) and b coprime to p.
     """
     _prime(p)
-    if r < 1:
-        raise ValueError("r >= 1 required")
+    _at_least("r", r, 1)
     if b % p == 0:
         raise ValueError(f"b = {b} must be coprime to p = {p}")
     hi = p**r * b

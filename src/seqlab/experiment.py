@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import primes_in_range
+from .arith import _at_least, primes_in_range
 from .bfile import SHIFT_TO_1, STRICT, fetch_oeis, parse_bfile, to_sequence
 from .errors import DepthError
 from .realizability import (
@@ -82,23 +82,21 @@ class ExperimentSpec:
         if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
             raise ValueError(f"local_checks must be a non-empty subset of "
                              f"{LOCAL_CHECKS}, got {self.local_checks}")
-        if self.depth is not None and self.depth < 1:
+        if self.depth is not None:
             # a depth below 1 checks no term, so "pass-up-to" would claim too much
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.max_shift is not None and self.max_shift < 0:
+            _at_least("depth", self.depth, 1)
+        if self.max_shift is not None:
             # no shift would be tested, and "magical: yes" would claim too much
-            raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")
-        if self.prime_limit is not None and self.prime_limit < 2:
+            _at_least("max_shift", self.max_shift, 0)
+        if self.prime_limit is not None:
             # no prime lies below 2, so the scan would check nothing
-            raise ValueError(f"prime_limit must be >= 2, got {self.prime_limit}")
+            _at_least("prime_limit", self.prime_limit, 2)
         if self.offset_policy not in (SHIFT_TO_1, STRICT):
             raise ValueError(f"offset_policy must be one of {(SHIFT_TO_1, STRICT)}, "
                              f"got {self.offset_policy!r}")
         # refused before the source is read, shift in the words of realizability.shift
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
-        if self.shift < 0:
-            raise ValueError("shift must be >= 0")
+        _at_least("scale", self.scale, 1)
+        _at_least("shift", self.shift, 0)
         if self.prime_limit is not None and self.primes is not None:
             # the explicit list would silently drop the limit
             raise ValueError("prime_limit and primes exclude each other; give one of them")

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _odd_prime, p_adic, primes_in_range
+from .arith import _at_least, _odd_prime, p_adic, primes_in_range
 from .classical import derived_bernoulli, sequence_e
 from .errors import DepthError
-from .realizability import Sequence1, Verdict, localize
+from .realizability import Sequence1, Verdict, check_realizable, localize
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -143,11 +143,9 @@ def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeCl
     """
     if kind not in (BERNOULLI, EULER):
         raise ValueError(f"kind must be {BERNOULLI!r} or {EULER!r}")
-    if q_max < 2:
-        raise ValueError(f"q_max must be >= 2, got {q_max}")
-    if depth is not None and depth < 1:
-        # in ExperimentSpec's words: a depth below 1 checks no term
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _at_least("q_max", q_max, 2)
+    if depth is not None:
+        _at_least("depth", depth, 1)
     primes = primes_in_range(2, q_max)
     if depth is None:
         q = primes[-1]
@@ -182,23 +180,19 @@ def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
 def numerator_local_status(q: int, N: int) -> Verdict:
     """The monotone verdict ``check_realizable`` gives t's q-part over t_1..t_N.
 
-    A regular q localizes trivially: pass-up-to(N).  An irregular q with least
-    witness k fails at the first multiple m of k whose q-part drops below that
-    of t_k, with divisor k; if no multiple up to N drops, DepthError.
+    A regular q localizes trivially: pass-up-to(N).  An irregular q fails
+    where that check fails; if it passes up to N, DepthError.
     """
     _odd_prime(q)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    _at_least("depth", N, 1)
     t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
     parts = localize(t.values, (q,)).get(q, ())
     least = _least_index(parts)
-    k = _regularity(q, least).witness
-    if k is None:
+    if _regularity(q, least).status == REGULAR:
         if least is not None and least <= N:
             raise RuntimeError(f"regular prime {q} divides numerator at {least}: engine defect")
         return Verdict.pass_up_to(N)
-    part_k = parts[k - 1]
-    for m in range(2 * k, N + 1, k):
-        if part_k > parts[m - 1]:
-            return Verdict.fail_at(m, parts[m - 1], N, divisor=k, divisor_value=part_k)
-    raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")
+    monotone = check_realizable(Sequence1(parts[:N])).monotone
+    if monotone.passed:
+        raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")
+    return monotone

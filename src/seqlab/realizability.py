@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterable, Iterator
 
-from .arith import factorize, is_prime, mobius
+from .arith import _at_least, factorize, is_prime, mobius
 from .errors import ZeroEntryError
 
 PASS = "pass-up-to"
@@ -273,8 +273,7 @@ def local_report(a: Sequence1, q: int) -> RealizabilityReport:
 
 def shift(a: Sequence1, k: int) -> Sequence1:
     """Drop the first k terms: (a_{1+k}, ..., a_N)."""
-    if k < 0:
-        raise ValueError("shift must be >= 0")
+    _at_least("shift", k, 0)
     if k >= len(a):
         raise ValueError(f"shift {k} leaves no terms (length {len(a)})")
     label = f"{a.label}>>{k}" if k and a.label else a.label
@@ -304,8 +303,7 @@ class MagicalReport:
 
 def magical_report(a: Sequence1, max_shift: int) -> MagicalReport:
     """Dold and sign verdicts of each shifted prefix (a_{n+k}) for k <= max_shift."""
-    if max_shift < 0:
-        raise ValueError(f"max_shift must be >= 0, got {max_shift}")
+    _at_least("max_shift", max_shift, 0)
     if max_shift >= len(a):
         raise ValueError(f"max_shift {max_shift} >= length {len(a)}")
     return MagicalReport(tuple((k, *dold_sign(a.values[k:])) for k in range(max_shift + 1)))

@@ -427,7 +427,7 @@ def numerator_local_status_ref(q, N):
 
     _odd_prime_ref(q)
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ValueError(f"depth must be >= 1, got {N}")
     t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
     status = classify_bernoulli_ref(q, t)
     if status.status == REGULAR:

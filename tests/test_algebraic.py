@@ -57,8 +57,8 @@ def test_field_generator_gf5():
 
 
 @pytest.mark.parametrize("p,m,message", [
-    (5, 0, "degree m >= 1 required, got 0"),
-    (5, -2, "degree m >= 1 required, got -2"),
+    (5, 0, "m must be >= 1, got 0"),
+    (5, -2, "m must be >= 1, got -2"),
     (4, 2, "prime expected, got 4"),
     (1, 2, "prime expected, got 1"),
     (0, 1, "prime expected, got 0"),
@@ -137,8 +137,9 @@ def test_ell_realizability_criterion():
 @pytest.mark.parametrize("k,m,p", [(-1, 3, 5), (2, 0, 5), (2, -1, 5), (0, 1, 5)])
 def test_ell_realizability_refuses_what_the_params_refuse(k, m, p):
     # one guard: the criterion refuses exactly what ConstructionParams refuses
+    name, value = ("k", k) if k < 1 else ("m", m)
     for f in (ell_algebraically_realizable, ConstructionParams.create):
-        with pytest.raises(ValueError, match=r"^k >= 1 and m >= 1 required$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
             f(k, m, p)
 
 

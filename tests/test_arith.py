@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from seqlab import algebraic, classical, congruences, primes, realizability
 from seqlab.algebraic import (
     ConstructionParams,
     field_generator,
@@ -19,6 +20,7 @@ from seqlab.arith import (
     primes_in_range,
 )
 from seqlab.congruences import euler_additive_check
+from seqlab.experiment import ExperimentSpec
 from seqlab.matrices import IntMatrix
 from oracles import phi_by_count, primes_by_trial
 
@@ -128,9 +130,73 @@ def test_rational_normalization_round_trip(a, b):
     lambda p: ConstructionParams.create(1, 1, p),
     lambda p: torsion_fix_counts(IntMatrix([[2]]), 1, p, 3),
     lambda p: euler_additive_check(p, 1, 1),
+    lambda p: p_adic(8, p),
 ], ids=["smallest_irreducible", "field_generator", "ConstructionParams.create",
-        "torsion_fix_counts", "euler_additive_check"])
+        "torsion_fix_counts", "euler_additive_check", "p_adic"])
 @pytest.mark.parametrize("p", [4, 1])
 def test_every_prime_parameter_refuses_a_non_prime_alike(refuse, p):
     with pytest.raises(ValueError, match=f"^prime expected, got {p}$"):
         refuse(p)
+
+
+def _fix_counts(N):
+    G = algebraic.bundled_group("z6")
+    return algebraic.fix_counts(G, algebraic.enumerate_endomorphisms(G)[0], N)
+
+
+# (call, argument name, least value): every count and depth argument the
+# library takes, refused below its least value by arith._at_least
+BOUNDS = {
+    "factorize": (factorize, "n", 1),
+    "mobius": (mobius, "n", 1),
+    "euler_phi": (euler_phi, "n", 1),
+    "p_adic": (lambda v: p_adic(v, 3), "n", 1),
+    "divisors": (divisors, "n", 1),
+    "tangent_numbers": (classical.tangent_numbers, "depth", 1),
+    "secant_numbers": (classical.secant_numbers, "depth", 0),
+    "bernoulli_upto": (classical.bernoulli_upto, "depth", 1),
+    "euler_upto": (classical.euler_upto, "depth", 1),
+    "sequence_e": (classical.sequence_e, "depth", 1),
+    "derived_bernoulli": (classical.derived_bernoulli, "depth", 1),
+    "clausen_denominator": (classical.clausen_denominator, "n", 1),
+    "b_product_formula": (classical.b_product_formula, "n", 1),
+    "lehmer_pierce": (lambda v: classical.lehmer_pierce([-1, -1, 1], v), "depth", 1),
+    "smallest_irreducible": (lambda v: smallest_irreducible(5, v), "m", 1),
+    "ConstructionParams.create(k)": (lambda v: ConstructionParams.create(v, 1, 5), "k", 1),
+    "ConstructionParams.create(m)": (lambda v: ConstructionParams.create(1, v, 5), "m", 1),
+    "ell_algebraically_realizable": (
+        lambda v: algebraic.ell_algebraically_realizable(v, 1, 5), "k", 1),
+    "ell_sequence": (
+        lambda v: algebraic.ell_sequence(ConstructionParams.create(1, 1, 5), v), "depth", 1),
+    "torsion_fix_counts(c)": (lambda v: torsion_fix_counts(IntMatrix([[2]]), v, 5, 3), "c", 1),
+    "torsion_fix_counts(N)": (
+        lambda v: torsion_fix_counts(IntMatrix([[2]]), 1, 5, v), "depth", 1),
+    "fix_counts": (_fix_counts, "depth", 1),
+    "wagstaff_A(n)": (lambda v: congruences.wagstaff_A(v, 3), "n", 0),
+    "wagstaff_A(m)": (lambda v: congruences.wagstaff_A(2, v), "m", 1),
+    "wagstaff_identity_check": (lambda v: congruences.wagstaff_identity_check(v, 5), "n", 1),
+    "euler_additive_check": (lambda v: euler_additive_check(5, v, 1), "r", 1),
+    "run_oracle_grids": (lambda v: congruences.run_oracle_grids(upto=v), "depth", 1),
+    "ExperimentSpec.depth": (lambda v: ExperimentSpec("e", depth=v), "depth", 1),
+    "ExperimentSpec.max_shift": (lambda v: ExperimentSpec("e", max_shift=v), "max_shift", 0),
+    "ExperimentSpec.prime_limit": (
+        lambda v: ExperimentSpec("e", prime_limit=v), "prime_limit", 2),
+    "ExperimentSpec.scale": (lambda v: ExperimentSpec("e", scale=v), "scale", 1),
+    "ExperimentSpec.shift": (lambda v: ExperimentSpec("e", shift=v), "shift", 0),
+    "scan_primes(q_max)": (lambda v: primes.scan_primes(primes.BERNOULLI, v), "q_max", 2),
+    "scan_primes(depth)": (lambda v: primes.scan_primes(primes.EULER, 20, v), "depth", 1),
+    "numerator_local_status": (lambda v: primes.numerator_local_status(7, v), "depth", 1),
+    "shift": (lambda v: realizability.shift(realizability.Sequence1((1, 3, 4)), v), "shift", 0),
+    "magical_report": (
+        lambda v: realizability.magical_report(realizability.Sequence1((1, 3, 4)), v),
+        "max_shift", 0),
+}
+
+
+@pytest.mark.parametrize("below", [1, 4])
+@pytest.mark.parametrize("guarded", BOUNDS)
+def test_every_bound_is_refused_in_one_wording(guarded, below):
+    call, name, least = BOUNDS[guarded]
+    value = least - below  # just below the bound, then negative
+    with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {value}$"):
+        call(value)

@@ -389,67 +389,75 @@ def test_the_comparison_corpus_covers_the_readme_and_the_cli_pool():
     pool_lines = [task["args"][key] for task in pool.pool("cli")
                   for key in ("argv", "ref_argv") if key in task["args"]]
     assert len(pool_lines) > len(pool.pool("cli"))  # the ref_argv lines are there too
-    for argv in readme_commands() + pool_lines + [["fetch", "A000032", "--online"]]:
+    named = readme_commands() + pool_lines + [["fetch", "A000032", "--online"], ["catalog"]]
+    helps = [["--help"]] + [[argv[0], "--help"] for argv in named]
+    for argv in named + helps:
         assert argv in lines
     assert len(lines) == len({tuple(argv) for argv in lines})
 
 
 # Invalid values for every command that takes options: zero, negatives, empty
 # lists, non-primes and out-of-domain parameters, each with its exit code and,
-# where a row gives them, words its stderr must hold.  None starts a large
-# search.
+# where a row gives them, words its stderr must hold (a whole "error: " line is
+# the exact stderr).  bound() is the one wording of a refused lower bound.  None
+# starts a large search.
+def bound(name, least, value):
+    return f"error: {name} must be >= {least}, got {value}\n"
+
+
 REFUSALS = [
-    *[(["classical", "--what", what, "--upto", n], 1)
+    *[(["classical", "--what", what, "--upto", n], 1, bound("depth", 1, n))
       for what in ("e", "t", "b", "d", "bernoulli", "euler") for n in ("0", "-2")],
-    (["check", "e", "--upto", "0"], 1),
-    (["check", "e", "--upto", "-5"], 1),
-    (["check", "A000032", "--upto", "-5"], 1),
-    (["check", "e", "--shift", "-1"], 1),
+    (["check", "e", "--upto", "0"], 1, bound("depth", 1, 0)),
+    (["check", "e", "--upto", "-5"], 1, bound("depth", 1, -5)),
+    (["check", "A000032", "--upto", "-5"], 1, bound("depth", 1, -5)),
+    (["check", "e", "--shift", "-1"], 1, bound("shift", 0, -1)),
     (["check", "A000032", "--shift", "400"], 1),
-    (["check", "A999999", "--shift", "-1"], 1),
-    (["check", "A000032", "--scale", "0"], 1),
-    (["check", "A999999", "--scale", "0"], 1),
-    (["check", "A000032", "--scale", "-2"], 1),
+    (["check", "A999999", "--shift", "-1"], 1, bound("shift", 0, -1)),
+    (["check", "A000032", "--scale", "0"], 1, bound("scale", 1, 0)),
+    (["check", "A999999", "--scale", "0"], 1, bound("scale", 1, 0)),
+    (["check", "A000032", "--scale", "-2"], 1, bound("scale", 1, -2)),
     (["check", "A001067", "--upto", "5"], 1, "--abs"),
     (["localscan", "e", "--upto", "20", "--prime", "4"], 1),
     (["localscan", "e", "--upto", "20", "--prime", "0"], 1),
     (["localscan", "e", "--upto", "20", "--prime", "-3"], 1),
-    (["localscan", "e", "--upto", "20", "--primes", "0"], 1),
-    (["localscan", "e", "--upto", "20", "--primes", "-5"], 1),
-    (["localscan", "e", "--upto", "20", "--primes", "1"], 1),
+    (["localscan", "e", "--upto", "20", "--primes", "0"], 1, bound("prime_limit", 2, 0)),
+    (["localscan", "e", "--upto", "20", "--primes", "-5"], 1, bound("prime_limit", 2, -5)),
+    (["localscan", "e", "--upto", "20", "--primes", "1"], 1, bound("prime_limit", 2, 1)),
     (["localscan", "e", "--upto", "20", "--primes", "50", "--prime", "7"], 1),
-    (["localscan", "A000032", "--catalog", "--primes", "0"], 1),
+    (["localscan", "A000032", "--catalog", "--primes", "0"], 1, bound("prime_limit", 2, 0)),
     (["localscan", "e", "--upto", "20", "--local-checks", ""], 1),
-    (["localscan", "e", "--upto", "0"], 1),
-    (["localscan", "A000032", "--upto", "-3", "--primes", "20"], 1),
-    (["localscan", "A000032", "--catalog", "--upto", "-1"], 1),
-    (["localscan", "e", "--upto", "20", "--magical", "--max-shift", "-1"], 1),
+    (["localscan", "e", "--upto", "0"], 1, bound("depth", 1, 0)),
+    (["localscan", "A000032", "--upto", "-3", "--primes", "20"], 1, bound("depth", 1, -3)),
+    (["localscan", "A000032", "--catalog", "--upto", "-1"], 1, bound("depth", 1, -1)),
+    (["localscan", "e", "--upto", "20", "--magical", "--max-shift", "-1"], 1,
+     bound("max_shift", 0, -1)),
     (["localscan", "e", "--upto", "20", "--prime", "7", "--max-shift", "3"], 1),
-    (["magical", "A000032", "--upto", "10", "--max-shift", "-1"], 1),
-    (["magical", "A000032", "--upto", "0"], 1),
-    (["magical", "A000032", "--upto", "-2"], 1),
+    (["magical", "A000032", "--upto", "10", "--max-shift", "-1"], 1, bound("max_shift", 0, -1)),
+    (["magical", "A000032", "--upto", "0"], 1, bound("depth", 1, 0)),
+    (["magical", "A000032", "--upto", "-2"], 1, bound("depth", 1, -2)),
     (["magical", "A000032", "--upto", "10", "--max-shift", "10"], 1),
-    (["regular", "--primes", "1"], 1),
-    (["regular", "--primes", "0"], 1),
-    (["regular", "--primes", "-5"], 1),
-    (["regular", "--primes", "20", "--upto", "0"], 1),
-    (["regular", "--kind", "euler", "--upto", "-1"], 1),
+    (["regular", "--primes", "1"], 1, bound("q_max", 2, 1)),
+    (["regular", "--primes", "0"], 1, bound("q_max", 2, 0)),
+    (["regular", "--primes", "-5"], 1, bound("q_max", 2, -5)),
+    (["regular", "--primes", "20", "--upto", "0"], 1, bound("depth", 1, 0)),
+    (["regular", "--kind", "euler", "--upto", "-1"], 1, bound("depth", 1, -1)),
     (["regular", "--kind", "bernoulli", "--primes", "700", "--upto", "10"], 7),
     (["regular", "--kind", "euler", "--primes", "103", "--upto", "40"], 7),
-    (["regular", "--upto", "0"], 1, "error: depth must be >= 1, got 0\n"),
-    (["regular", "--kind", "euler", "--upto", "0"], 1, "error: depth must be >= 1, got 0\n"),
-    (["regular", "--upto", "-4"], 1, "error: depth must be >= 1, got -4\n"),
-    (["ell", "--k", "0", "--m", "1", "--p", "5"], 1),
-    (["ell", "--k", "-1", "--m", "1", "--p", "5"], 1),
-    (["ell", "--k", "1", "--m", "0", "--p", "5"], 1),
+    (["regular", "--upto", "0"], 1, bound("depth", 1, 0)),
+    (["regular", "--kind", "euler", "--upto", "0"], 1, bound("depth", 1, 0)),
+    (["regular", "--upto", "-4"], 1, bound("depth", 1, -4)),
+    (["ell", "--k", "0", "--m", "1", "--p", "5"], 1, bound("k", 1, 0)),
+    (["ell", "--k", "-1", "--m", "1", "--p", "5"], 1, bound("k", 1, -1)),
+    (["ell", "--k", "1", "--m", "0", "--p", "5"], 1, bound("m", 1, 0)),
     (["ell", "--k", "1", "--m", "1", "--p", "4"], 1),
     (["ell", "--k", "1", "--m", "1", "--p", "-5"], 1),
-    (["ell", "--k", "1", "--m", "1", "--p", "5", "--upto", "0"], 1),
+    (["ell", "--k", "1", "--m", "1", "--p", "5", "--upto", "0"], 1, bound("depth", 1, 0)),
     (["ell", "--k", "5", "--m", "1", "--p", "5"], 1),
     (["ell", "--k", "3", "--m", "1", "--p", "5", "--upto", "5", "--cross-check"], 1),
     (["ell", "--k", "3", "--m", "1", "--p", "2", "--upto", "5", "--cross-check"], 1),
-    (["groups", "--name", "s3", "--upto", "0"], 1),
-    (["groups", "--name", "s3", "--upto", "-2"], 1),
+    (["groups", "--name", "s3", "--upto", "0"], 1, bound("depth", 1, 0)),
+    (["groups", "--name", "s3", "--upto", "-2"], 1, bound("depth", 1, -2)),
     (["groups", "--name", "s3", "--target", ""], 1),
     (["groups", "--name", "s3", "--target", "1,-1"], 1),
     (["groups"], 1),
@@ -457,9 +465,9 @@ REFUSALS = [
     (["oracle", "--max-prime", "-3"], 1),
     (["oracle", "--max-r", "0"], 1),
     (["oracle", "--max-r", "-1"], 1),
-    (["oracle", "--upto", "0"], 1),
+    (["oracle", "--upto", "0"], 1, bound("depth", 1, 0)),
     (["oracle", "--family", "young", "--upto", "2"], 1),
-    (["fetch", "A000032", "--terms", "-2", "--cache-dir", ""], 1),
+    (["fetch", "A000032", "--terms", "-2", "--cache-dir", ""], 1, bound("--terms", 0, -2)),
     (["fetch", "", "--cache-dir", ""], 1),
     (["fetch", "A0", "--cache-dir", ""], 1),
     (["fetch", "A999999", "--cache-dir", ""], 6),
@@ -476,7 +484,10 @@ def test_refused_input_prints_nothing(argv, code, words):
     assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr.startswith("error: ")
-    assert words in res.stderr
+    if words.startswith("error: "):
+        assert res.stderr == words
+    else:
+        assert words in res.stderr
 
 
 def commands() -> dict[str, argparse.ArgumentParser]:

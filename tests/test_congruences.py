@@ -80,8 +80,9 @@ def test_lemma_five_examples():
     assert lemma_five_check(2).holds
     assert lemma_five_check(4).holds
     assert lemma_five_check(12).holds
-    with pytest.raises(ValueError):
-        lemma_five_check(3)
+    for n in (3, 0):
+        with pytest.raises(ValueError, match=rf"^n must be even and >= 2, got {n}$"):
+            lemma_five_check(n)
 
 
 def test_staying_alive_examples():
@@ -91,8 +92,9 @@ def test_staying_alive_examples():
     c = staying_alive_check(2)
     assert c.holds and (c.lhs, c.rhs) == (1, 1)
     assert staying_alive_check(8).holds and staying_alive_check(8).modulus == 8
-    with pytest.raises(ValueError):
-        staying_alive_check(5)
+    for n in (5, 0):
+        with pytest.raises(ValueError, match=rf"^n must be even and >= 2, got {n}$"):
+            staying_alive_check(n)
 
 
 def test_wagstaff_A_values():
@@ -180,7 +182,7 @@ def test_small_grids_match_reference(max_prime, max_r, upto, family):
 def test_grid_refuses_upto_below_one_for_every_family(family):
     # the grid's Bernoulli table refuses it, whichever families are wanted
     for upto in (0, -3):
-        with pytest.raises(ValueError, match=r"^N >= 1 required$"):
+        with pytest.raises(ValueError, match=rf"^depth must be >= 1, got {upto}$"):
             run_oracle_grids(upto=upto, family=family)
 
 

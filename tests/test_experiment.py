@@ -124,7 +124,7 @@ def test_shifted_builtin_checks_the_terms_after_the_shift(tmp_path, source, k):
 ])
 def test_spec_refuses_scale_and_shift_before_loading(field, value, message):
     # A999999 has no fixture: reading it first would raise FixtureMissingError
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
         ExperimentSpec(source="A999999", **{field: value})
 
 

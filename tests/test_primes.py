@@ -139,7 +139,7 @@ def test_numerator_local_status_is_the_monotone_verdict_of_the_q_part(N):
 
 @pytest.mark.parametrize("N", [0, -3])
 def test_numerator_local_status_refuses_no_terms(N):
-    with pytest.raises(ValueError, match=rf"^N must be >= 1, got {N}$"):
+    with pytest.raises(ValueError, match=rf"^depth must be >= 1, got {N}$"):
         numerator_local_status(7, N)
 
 

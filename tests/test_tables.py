@@ -56,7 +56,8 @@ def fresh_tables():
 
 def expected(name, N):
     """The request's result rebuilt from the reference, or ValueError."""
-    if N < 1 and name in ("tangent_numbers", "bernoulli_upto", "derived_bernoulli", "sequence_e"):
+    if N < 1 and name in ("tangent_numbers", "bernoulli_upto", "euler_upto", "derived_bernoulli",
+                          "sequence_e"):
         return ValueError
     if name == "tangent_numbers":
         return T_REF[:N]

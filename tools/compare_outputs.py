@@ -5,7 +5,8 @@
 The corpus is every command line of the README's CLI block, every `cli`-pool
 ``argv`` and ``ref_argv`` of ``perfbench/pool.py`` (read, never edited), from
 either tree, and each extra LINE given (a quoted command line, with or
-without a leading ``seqlab``).  Each line runs in both trees as
+without a leading ``seqlab``), then ``--help`` and ``COMMAND --help`` for
+every command those lines name, so help text is compared too.  Each line runs in both trees as
 ``python -m seqlab.cli``, with that tree's ``src`` alone on PYTHONPATH and a
 fresh empty directory as HOME and as the working directory, so no b-file
 cache or stray file carries over.  The rest of the environment is the
@@ -56,6 +57,8 @@ def corpus(*roots: Path, extra: tuple[str, ...] = ()) -> list[list[str]]:
     for text in extra:
         argv = shlex.split(text)
         lines.append(argv[1:] if argv[:1] == ["seqlab"] else argv)
+    names = [argv[0] for argv in lines if argv and not argv[0].startswith("-")]
+    lines += [["--help"]] + [[name, "--help"] for name in names]
     unique = {tuple(argv): list(argv) for argv in lines}
     return list(unique.values())
 
