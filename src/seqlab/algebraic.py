@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator
 
-from .arith import _at_least, _odd_prime, _prime, factorize, p_adic
+from .arith import _at_least, _at_most, _odd_prime, _prime, factorize, p_adic
 from .matrices import IntMatrix, _dets_of_powers_minus_identity
 from .realizability import Sequence1
 
@@ -140,8 +140,8 @@ def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     against the prime factors of p^m - 1.
     """
     _prime(p)
-    if not 1 <= m <= 8:
-        raise ValueError(f"degree 1..8 supported, got {m}")
+    _at_least("m", m, 1)
+    _at_most("m", m, 8)
     f = smallest_irreducible(p, m)
     q1 = p**m - 1
     for v in range(1, p**m):
@@ -260,8 +260,8 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
 class FiniteGroup:
     """Finite group presented by its full multiplication table.
 
-    The table is validated on construction: identity axioms, associativity,
-    and existence of inverses are all checked exhaustively.
+    The table is validated on construction, order first (at most 64): identity
+    axioms, associativity, and existence of inverses are all checked exhaustively.
     """
 
     order: int
@@ -272,6 +272,8 @@ class FiniteGroup:
 
     def __post_init__(self):
         n = self.order
+        _at_least("order", n, 1)
+        _at_most("order", n, 64)
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("Cayley table must be order x order")
         if any(not 0 <= v < n for row in self.table for v in row):
@@ -279,8 +281,8 @@ class FiniteGroup:
         if len(self.names) != n:
             raise ValueError("need one name per element")
         e = self.identity
-        if not 0 <= e < n:
-            raise ValueError("identity index out of range")
+        _at_least("identity", e, 0)
+        _at_most("identity", e, n - 1)
         for x in range(n):
             if self.table[e][x] != x or self.table[x][e] != x:
                 raise ValueError(f"index {e} is not an identity")
@@ -360,21 +362,11 @@ def _endomorphisms(G: FiniteGroup) -> Iterator[Endomorphism]:
     of y: theta(x y'g) = theta(x y')theta(g) = theta(x)theta(y')theta(g)
     = theta(x)theta(y'g).
 
-    Refused with ValueError, before any candidate is tried, when |G| > 64 or
-    the search would try more than MAX_SEARCH_TUPLES generator-image tuples.
+    Refused with ValueError, before any candidate is tried, when the search
+    would try more than MAX_SEARCH_TUPLES generator-image tuples.
     """
-    if G.order > 64:
-        raise ValueError("endomorphism search supported for |G| <= 64 only")
     gens = G.generating_set()
-    tuples = G.order ** len(gens)
-    if tuples > MAX_SEARCH_TUPLES:
-        raise ValueError(
-            f"endomorphism search would try {G.order}^{len(gens)} = {tuples} "
-            f"generator-image tuples, more than the budget of {MAX_SEARCH_TUPLES}"
-        )
-    if not gens:  # trivial group
-        yield Endomorphism((G.identity,))
-        return
+    _at_most("generator-image tuples", G.order ** len(gens), MAX_SEARCH_TUPLES)
     for images in itertools.product(range(G.order), repeat=len(gens)):
         image = _extend_from_generators(G, gens, images)
         if image is not None:

@@ -122,8 +122,7 @@ def _prime_powers(p: int, e: int) -> list[int]:
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Ascending primes p with lo <= p <= hi (empty list if none)."""
-    if lo > hi:
-        raise ValueError(f"primes_in_range requires lo <= hi, got {lo} > {hi}")
+    _at_most("lo", lo, hi)
     return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
@@ -131,6 +130,12 @@ def _at_least(name: str, value: int, least: int) -> None:
     """Refuse an integer argument below its least value, in one wording."""
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _at_most(name: str, value: int, most: int) -> None:
+    """Refuse an integer argument above its greatest value, in one wording."""
+    if value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
 def _prime(p: int) -> None:

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .arith import _at_least, _at_most
 from .errors import (
     BFileError,
     FetchHTTPError,
@@ -104,8 +105,8 @@ def normalize_a_number(a_number: int | str) -> str:
         if not m:
             raise ValueError(f"not an A-number: {a_number!r}")
         num = int(m.group(1))
-    if not 0 < num < 10**6:
-        raise ValueError(f"A-number out of range: {num}")
+    _at_least("a_number", num, 1)
+    _at_most("a_number", num, 999999)
     return f"A{num:06d}"
 
 

@@ -281,6 +281,12 @@ def groups(name, path, upto, target):
 
     if (name is None) == (path is None):
         raise ValueError("give exactly one of --name or --file")
+    if target is not None:  # parsed before the group is read or searched
+        try:
+            want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
+        except ValueError:
+            raise ValueError(f"--target must be comma-separated integers >= 0, "
+                             f"got {target!r}") from None
     if name is not None:
         G = bundled_group(name)
     else:
@@ -291,7 +297,6 @@ def groups(name, path, upto, target):
         fix = fix_counts(G, theta, upto).values
         lines.append(f"  endo {i}: image={list(theta.image)} fix={list(fix)}")
     if target is not None:
-        want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
         # the first match in enumeration order, as find_realizing_endomorphism
         # would give, without enumerating a second time
         found = next((theta for theta in endos

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import _at_least, primes_in_range
+from .arith import _at_least, _at_most, _prime, primes_in_range
 from .bfile import SHIFT_TO_1, STRICT, fetch_oeis, parse_bfile, to_sequence
 from .errors import DepthError
 from .realizability import (
@@ -49,7 +49,8 @@ class ExperimentSpec:
 
     A spec is frozen, because the catalog presets are shared by the process,
     and it holds one normal form however the caller gave its fields:
-    ``primes`` is a sorted tuple without repeats, ``local_checks`` a tuple.
+    ``primes`` is a sorted tuple without repeats, ``local_checks`` a tuple in
+    ``CHECKS`` order without repeats.
     ``primes=()`` skips the local scan, and a ``max_shift`` adds the magical
     section, shifts 0..max_shift.
 
@@ -76,18 +77,21 @@ class ExperimentSpec:
     online: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "local_checks", tuple(self.local_checks))
-        if self.primes is not None:
-            object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
         if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
             raise ValueError(f"local_checks must be a non-empty subset of "
-                             f"{LOCAL_CHECKS}, got {self.local_checks}")
+                             f"{LOCAL_CHECKS}, got {tuple(self.local_checks)}")
+        object.__setattr__(self, "local_checks",
+                           tuple(name for name in CHECKS if name in self.local_checks))
+        if self.primes is not None:
+            object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
         if self.depth is not None:
             # a depth below 1 checks no term, so "pass-up-to" would claim too much
             _at_least("depth", self.depth, 1)
         if self.max_shift is not None:
             # no shift would be tested, and "magical: yes" would claim too much
             _at_least("max_shift", self.max_shift, 0)
+            if self.depth is not None:  # before the source is read, as magical_report
+                _at_most("max_shift", self.max_shift, self.depth - 1)
         if self.prime_limit is not None:
             # no prime lies below 2, so the scan would check nothing
             _at_least("prime_limit", self.prime_limit, 2)
@@ -100,6 +104,8 @@ class ExperimentSpec:
         if self.prime_limit is not None and self.primes is not None:
             # the explicit list would silently drop the limit
             raise ValueError("prime_limit and primes exclude each other; give one of them")
+        for q in self.primes or ():  # before the source is read, as localize
+            _prime(q)
 
 
 def load_sequence(spec: ExperimentSpec) -> Sequence1:
@@ -207,12 +213,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "annotations": [],
     }
 
-    if spec.primes is not None:
-        primes = spec.primes
-    else:
-        primes = primes_in_range(
-            2, DEFAULT_PRIME_LIMIT if spec.prime_limit is None else spec.prime_limit
-        )
+    primes = spec.primes
+    if primes is None:
+        primes = primes_in_range(2, spec.prime_limit or DEFAULT_PRIME_LIMIT)
     parts = localize(seq.values, primes)
     for q in primes:
         # a prime missing from ``parts`` divides no term, so its q-part is
@@ -271,11 +274,8 @@ def render_report(doc: dict, fmt: str = TABLE) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _witness_str(witness: dict | None) -> str:
-    if witness is None:
-        return ""
-    parts = [f"{k}={witness[k]}" for k in witness]
-    return " ".join(parts)
+def _witness_str(witness: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in witness.items())
 
 
 def _render_table(doc: dict) -> str:

@@ -72,8 +72,8 @@ class IntMatrix:
     def __pow__(self, k: int, m: int | None = None) -> "IntMatrix":
         """self**k by square and multiply; ``pow(M, k, m)`` reduces every
         product mod m, so its entries stay below m."""
-        if k < 0:
-            raise ValueError("only non-negative matrix powers are supported")
+        if k < 0:  # arith._at_least's words, spelled out: matrices imports no module
+            raise ValueError(f"k must be >= 0, got {k}")
 
         def reduce(M: IntMatrix) -> IntMatrix:
             return M if m is None else M.mod(m)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterable, Iterator
 
-from .arith import _at_least, factorize, is_prime, mobius
+from .arith import _at_least, _at_most, _prime, factorize, mobius
 from .errors import ZeroEntryError
 
 PASS = "pass-up-to"
@@ -234,14 +234,12 @@ def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[
     primes = sorted(primes)
     if not primes:
         return {}
-    if not is_prime(primes[0]):
-        raise ValueError(f"localization prime expected, got {primes[0]}")
+    _prime(primes[0])
     if 0 in values:
         raise ZeroEntryError(values.index(0) + 1)
     distinct = sorted(set(primes))
     for q in distinct:
-        if not is_prime(q):
-            raise ValueError(f"localization prime expected, got {q}")
+        _prime(q)
     P = prod(distinct)
     parts: dict[int, list[int]] = {}
     for i, v in enumerate(values):
@@ -274,8 +272,7 @@ def local_report(a: Sequence1, q: int) -> RealizabilityReport:
 def shift(a: Sequence1, k: int) -> Sequence1:
     """Drop the first k terms: (a_{1+k}, ..., a_N)."""
     _at_least("shift", k, 0)
-    if k >= len(a):
-        raise ValueError(f"shift {k} leaves no terms (length {len(a)})")
+    _at_most("shift", k, len(a) - 1)  # a shift must leave a term
     label = f"{a.label}>>{k}" if k and a.label else a.label
     return Sequence1(a.values[k:], label)
 
@@ -304,8 +301,7 @@ class MagicalReport:
 def magical_report(a: Sequence1, max_shift: int) -> MagicalReport:
     """Dold and sign verdicts of each shifted prefix (a_{n+k}) for k <= max_shift."""
     _at_least("max_shift", max_shift, 0)
-    if max_shift >= len(a):
-        raise ValueError(f"max_shift {max_shift} >= length {len(a)}")
+    _at_most("max_shift", max_shift, len(a) - 1)
     return MagicalReport(tuple((k, *dold_sign(a.values[k:])) for k in range(max_shift + 1)))
 
 

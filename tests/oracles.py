@@ -194,7 +194,7 @@ def p_part_sequence_ref(values, q) -> tuple[int, ...]:
     from seqlab.errors import ZeroEntryError
 
     if q < 2 or any(q % d == 0 for d in range(2, q)):
-        raise ValueError(f"localization prime expected, got {q}")
+        raise ValueError(f"prime expected, got {q}")
     parts = []
     for n, v in enumerate(values, start=1):
         if v == 0:

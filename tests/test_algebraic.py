@@ -233,7 +233,18 @@ def test_enumerate_z6_and_s3_match_brute_force():
 
 def test_trivial_group_has_one_endomorphism():
     G = FiniteGroup(1, ((0,),), 0, ("e",))
-    assert len(enumerate_endomorphisms(G)) == 1
+    # no generators: the one empty image tuple extends to the identity map
+    assert [theta.image for theta in enumerate_endomorphisms(G)] == [(0,)]
+
+
+def test_an_order_above_64_is_refused_before_the_table_is_checked():
+    # Z/65 with 1*1 and 1*2 swapped: identity and inverses hold, associativity
+    # fails, and the O(n^3) associativity check is never reached
+    n = 65
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    table[1][1], table[1][2] = table[1][2], table[1][1]
+    with pytest.raises(ValueError, match="^order must be <= 64, got 65$"):
+        FiniteGroup(n, tuple(map(tuple, table)), 0, tuple(map(str, range(n))))
 
 
 def test_fix_counts_dihedral_outer():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from seqlab import algebraic, classical, congruences, primes, realizability
 from seqlab.algebraic import (
     ConstructionParams,
+    FiniteGroup,
     field_generator,
     smallest_irreducible,
     torsion_fix_counts,
@@ -19,6 +20,7 @@ from seqlab.arith import (
     p_adic,
     primes_in_range,
 )
+from seqlab.bfile import normalize_a_number
 from seqlab.congruences import euler_additive_check
 from seqlab.experiment import ExperimentSpec
 from seqlab.matrices import IntMatrix
@@ -139,6 +141,10 @@ def test_every_prime_parameter_refuses_a_non_prime_alike(refuse, p):
         refuse(p)
 
 
+def _z2(identity=0):
+    return FiniteGroup(2, ((0, 1), (1, 0)), identity, ("e", "a"))
+
+
 def _fix_counts(N):
     G = algebraic.bundled_group("z6")
     return algebraic.fix_counts(G, algebraic.enumerate_endomorphisms(G)[0], N)
@@ -190,6 +196,12 @@ BOUNDS = {
     "magical_report": (
         lambda v: realizability.magical_report(realizability.Sequence1((1, 3, 4)), v),
         "max_shift", 0),
+    "field_generator": (lambda v: field_generator(5, v), "m", 1),
+    "FiniteGroup(order)": (lambda v: FiniteGroup(v, (), 0, ()), "order", 1),
+    "FiniteGroup(identity)": (lambda v: _z2(identity=v), "identity", 0),
+    "normalize_a_number": (normalize_a_number, "a_number", 1),
+    # IntMatrix spells the wording itself: seqlab.matrices imports nothing
+    "IntMatrix.__pow__": (lambda v: IntMatrix([[2]]) ** v, "k", 0),
 }
 
 
@@ -200,3 +212,50 @@ def test_every_bound_is_refused_in_one_wording(guarded, below):
     value = least - below  # just below the bound, then negative
     with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {value}$"):
         call(value)
+
+
+def _cyclic_search(order):
+    # the cyclic group has one generator, so its search would try ``order``
+    # generator-image tuples; a budget of 5 brings the ceiling within reach of
+    # a small group, as no group of order <= 64 has 2**20 + 1 tuples
+    table = tuple(tuple((x + y) % order for y in range(order)) for x in range(order))
+    G = FiniteGroup(order, table, 0, tuple(map(str, range(order))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebraic, "MAX_SEARCH_TUPLES", 5)
+        algebraic.enumerate_endomorphisms(G)
+
+
+# (call, argument name, greatest value): every single-value ceiling the
+# library takes, refused above its greatest value by arith._at_most
+CEILINGS = {
+    "field_generator": (lambda v: field_generator(5, v), "m", 8),
+    "FiniteGroup(order)": (lambda v: FiniteGroup(v, (), 0, ()), "order", 64),
+    "FiniteGroup(identity)": (lambda v: _z2(identity=v), "identity", 1),
+    "_endomorphisms": (_cyclic_search, "generator-image tuples", 5),
+    "shift": (lambda v: realizability.shift(realizability.Sequence1((1, 3, 4)), v), "shift", 2),
+    "magical_report": (
+        lambda v: realizability.magical_report(realizability.Sequence1((1, 3, 4)), v),
+        "max_shift", 2),
+    "ExperimentSpec.max_shift": (
+        lambda v: ExperimentSpec("e", depth=5, max_shift=v), "max_shift", 4),
+    "normalize_a_number": (normalize_a_number, "a_number", 999999),
+    "primes_in_range": (lambda v: primes_in_range(v, 10), "lo", 10),
+}
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["most+1", "far"])
+@pytest.mark.parametrize("guarded", CEILINGS)
+def test_every_ceiling_is_refused_in_one_wording(guarded, far):
+    call, name, most = CEILINGS[guarded]
+    value = 10 * most + 7 if far else most + 1
+    with pytest.raises(ValueError, match=rf"^{name} must be <= {most}, got {value}$"):
+        call(value)
+
+
+def test_the_bounds_themselves_are_accepted():
+    # the guards refuse only past the bound: the greatest value still works
+    assert field_generator(2, 8)[0][-1] == 1
+    assert _z2(identity=0).order == 2
+    assert len(realizability.shift(realizability.Sequence1((1, 3, 4)), 2)) == 1
+    assert normalize_a_number(999999) == "A999999"
+    assert primes_in_range(11, 11) == [11]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from seqlab import cli, congruences, experiment
+from seqlab import classical, cli, congruences, experiment
 from seqlab.congruences import CongruenceCheck
 from conftest import invoke
 
@@ -319,41 +319,6 @@ def test_localscan_catalog_rejects_flags_it_would_ignore(flags, name):
     assert "realizable" not in res.output
 
 
-@pytest.mark.parametrize("argv", [
-    ["magical", "A000032", "--upto", "10", "--max-shift", "-1"],
-    ["localscan", "A005259", "--catalog", "--magical", "--max-shift", "-3"],
-])
-def test_negative_max_shift_is_refused(argv):
-    # no shift would be tested, so "magical: yes" would claim too much
-    res = invoke(argv)
-    assert res.exit_code == 1
-    assert res.output == f"error: max_shift must be >= 0, got {argv[-1]}\n"
-
-
-def test_fetch_refuses_negative_terms():
-    res = invoke(["fetch", "A000032", "--terms", "-2", "--cache-dir", ""])
-    assert res.exit_code == 1
-    assert res.output == "error: --terms must be >= 0, got -2\n"
-
-
-def test_regular_upto_zero_is_not_the_default_depth():
-    res = invoke(["regular", "--primes", "20", "--upto", "0"])
-    assert res.exit_code == 1
-    assert res.output == "error: depth must be >= 1, got 0\n"
-
-
-@pytest.mark.parametrize("argv,field", [
-    (["localscan", "e", "--upto", "20", "--primes", "1"], "prime_limit"),
-    (["localscan", "A000032", "--catalog", "--primes", "0"], "prime_limit"),
-    (["regular", "--primes", "1"], "q_max"),
-    (["regular", "--kind", "euler", "--primes", "-5", "--upto", "20"], "q_max"),
-])
-def test_prime_bound_refusal_names_the_field(argv, field):
-    res = invoke(argv)
-    assert res.exit_code == 1
-    assert res.output == f"error: {field} must be >= 2, got {argv[argv.index('--primes') + 1]}\n"
-
-
 def readme_commands():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
@@ -399,10 +364,14 @@ def test_the_comparison_corpus_covers_the_readme_and_the_cli_pool():
 # Invalid values for every command that takes options: zero, negatives, empty
 # lists, non-primes and out-of-domain parameters, each with its exit code and,
 # where a row gives them, words its stderr must hold (a whole "error: " line is
-# the exact stderr).  bound() is the one wording of a refused lower bound.  None
-# starts a large search.
+# the exact stderr).  bound() is the one wording of a refused lower bound, and
+# ceiling() of a refused upper bound.  None starts a large search.
 def bound(name, least, value):
     return f"error: {name} must be >= {least}, got {value}\n"
+
+
+def ceiling(name, most, value):
+    return f"error: {name} must be <= {most}, got {value}\n"
 
 
 REFUSALS = [
@@ -412,15 +381,14 @@ REFUSALS = [
     (["check", "e", "--upto", "-5"], 1, bound("depth", 1, -5)),
     (["check", "A000032", "--upto", "-5"], 1, bound("depth", 1, -5)),
     (["check", "e", "--shift", "-1"], 1, bound("shift", 0, -1)),
-    (["check", "A000032", "--shift", "400"], 1),
+    (["check", "A000032", "--shift", "400"], 1, ceiling("shift", 399, 400)),
     (["check", "A999999", "--shift", "-1"], 1, bound("shift", 0, -1)),
     (["check", "A000032", "--scale", "0"], 1, bound("scale", 1, 0)),
     (["check", "A999999", "--scale", "0"], 1, bound("scale", 1, 0)),
     (["check", "A000032", "--scale", "-2"], 1, bound("scale", 1, -2)),
     (["check", "A001067", "--upto", "5"], 1, "--abs"),
-    (["localscan", "e", "--upto", "20", "--prime", "4"], 1),
-    (["localscan", "e", "--upto", "20", "--prime", "0"], 1),
-    (["localscan", "e", "--upto", "20", "--prime", "-3"], 1),
+    *[(["localscan", "e", "--upto", "20", "--prime", q], 1, f"error: prime expected, got {q}\n")
+      for q in ("4", "0", "-3")],
     (["localscan", "e", "--upto", "20", "--primes", "0"], 1, bound("prime_limit", 2, 0)),
     (["localscan", "e", "--upto", "20", "--primes", "-5"], 1, bound("prime_limit", 2, -5)),
     (["localscan", "e", "--upto", "20", "--primes", "1"], 1, bound("prime_limit", 2, 1)),
@@ -433,15 +401,18 @@ REFUSALS = [
     (["localscan", "e", "--upto", "20", "--magical", "--max-shift", "-1"], 1,
      bound("max_shift", 0, -1)),
     (["localscan", "e", "--upto", "20", "--prime", "7", "--max-shift", "3"], 1),
+    (["localscan", "A005259", "--catalog", "--magical", "--max-shift", "-3"], 1,
+     bound("max_shift", 0, -3)),
     (["magical", "A000032", "--upto", "10", "--max-shift", "-1"], 1, bound("max_shift", 0, -1)),
     (["magical", "A000032", "--upto", "0"], 1, bound("depth", 1, 0)),
     (["magical", "A000032", "--upto", "-2"], 1, bound("depth", 1, -2)),
-    (["magical", "A000032", "--upto", "10", "--max-shift", "10"], 1),
+    (["magical", "A000032", "--upto", "10", "--max-shift", "10"], 1, ceiling("max_shift", 9, 10)),
     (["regular", "--primes", "1"], 1, bound("q_max", 2, 1)),
     (["regular", "--primes", "0"], 1, bound("q_max", 2, 0)),
     (["regular", "--primes", "-5"], 1, bound("q_max", 2, -5)),
     (["regular", "--primes", "20", "--upto", "0"], 1, bound("depth", 1, 0)),
     (["regular", "--kind", "euler", "--upto", "-1"], 1, bound("depth", 1, -1)),
+    (["regular", "--kind", "euler", "--primes", "-5", "--upto", "20"], 1, bound("q_max", 2, -5)),
     (["regular", "--kind", "bernoulli", "--primes", "700", "--upto", "10"], 7),
     (["regular", "--kind", "euler", "--primes", "103", "--upto", "40"], 7),
     (["regular", "--upto", "0"], 1, bound("depth", 1, 0)),
@@ -458,8 +429,9 @@ REFUSALS = [
     (["ell", "--k", "3", "--m", "1", "--p", "2", "--upto", "5", "--cross-check"], 1),
     (["groups", "--name", "s3", "--upto", "0"], 1, bound("depth", 1, 0)),
     (["groups", "--name", "s3", "--upto", "-2"], 1, bound("depth", 1, -2)),
-    (["groups", "--name", "s3", "--target", ""], 1),
-    (["groups", "--name", "s3", "--target", "1,-1"], 1),
+    *[(["groups", "--name", "s3", "--target", target], 1,
+       f"error: --target must be comma-separated integers >= 0, got {target!r}\n")
+      for target in ("", "1,-1", "1,x")],
     (["groups"], 1),
     (["oracle", "--max-prime", "1"], 1),
     (["oracle", "--max-prime", "-3"], 1),
@@ -469,7 +441,7 @@ REFUSALS = [
     (["oracle", "--family", "young", "--upto", "2"], 1),
     (["fetch", "A000032", "--terms", "-2", "--cache-dir", ""], 1, bound("--terms", 0, -2)),
     (["fetch", "", "--cache-dir", ""], 1),
-    (["fetch", "A0", "--cache-dir", ""], 1),
+    (["fetch", "A0", "--cache-dir", ""], 1, bound("a_number", 1, 0)),
     (["fetch", "A999999", "--cache-dir", ""], 6),
 ]
 
@@ -488,6 +460,22 @@ def test_refused_input_prints_nothing(argv, code, words):
         assert res.stderr == words
     else:
         assert words in res.stderr
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["magical", "e", "--upto", "2000", "--max-shift", "2000"],
+     "error: max_shift must be <= 1999, got 2000\n"),
+    (["localscan", "e", "--upto", "2000", "--prime", "4"], "error: prime expected, got 4\n"),
+])
+def test_a_refused_survey_builds_no_table(monkeypatch, argv, words):
+    # the spec refuses them before the source is read, so the Euler table of
+    # depth 2000 (seconds of work) is never built
+    def never(M):
+        raise AssertionError("the Euler table was built")
+
+    monkeypatch.setattr(classical._SECANT, "columns", never)
+    res = invoke(argv)
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", words)
 
 
 def commands() -> dict[str, argparse.ArgumentParser]:
@@ -539,7 +527,7 @@ def test_a_value_starting_with_a_dash_attaches_with_equals():
     # negative integers need no "=" (see REFUSALS); other such values do
     res = invoke(["groups", "--name", "s3", "--target=-1,2"])
     assert res.exit_code == 1
-    assert res.stderr == "error: Sequence1 values must be >= 0; a_1 = -1\n"
+    assert res.stderr == "error: --target must be comma-separated integers >= 0, got '-1,2'\n"
 
 
 def test_version():

@@ -85,6 +85,9 @@ def test_spec_holds_one_normal_form():
     assert ExperimentSpec("e", primes=[7, 7, 61]).primes == (7, 61)
     assert spec == ExperimentSpec("e", primes=(7, 61), local_checks=("dold",))
     assert hash(spec) == hash(ExperimentSpec("e", primes=(7, 61), local_checks=("dold",)))
+    # local_checks in CHECKS order without repeats: the same survey is one spec
+    assert ExperimentSpec("e", local_checks=("sign", "dold")) == ExperimentSpec("e")
+    assert ExperimentSpec("e", local_checks=["sign", "sign"]).local_checks == ("sign",)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -126,6 +129,20 @@ def test_spec_refuses_scale_and_shift_before_loading(field, value, message):
     # A999999 has no fixture: reading it first would raise FixtureMissingError
     with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
         ExperimentSpec(source="A999999", **{field: value})
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(primes=(7, 4, 1)), "prime expected, got 1"),
+    (dict(primes=[0]), "prime expected, got 0"),
+    (dict(primes=(-3, 5)), "prime expected, got -3"),
+    (dict(depth=5, max_shift=5), "max_shift must be <= 4, got 5"),
+    (dict(depth=1, max_shift=40), "max_shift must be <= 0, got 40"),
+])
+def test_spec_refuses_primes_and_max_shift_before_loading(fields, message):
+    # in the words of localize and magical_report, which would refuse them
+    # only after the source is read
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentSpec(source="A999999", **fields)
 
 
 def test_local_witness_e61():
@@ -213,9 +230,11 @@ def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
 
 
 def test_magical_shift_beyond_depth_is_refused():
-    spec = ExperimentSpec(source="e", depth=5, primes=(), max_shift=5)
-    with pytest.raises(ValueError, match="max_shift 5 >= length 5"):
-        run_experiment(spec)
+    with pytest.raises(ValueError, match="^max_shift must be <= 4, got 5$"):
+        ExperimentSpec(source="e", depth=5, primes=(), max_shift=5)
+    # without a depth the prefix length is known only once the source is read
+    with pytest.raises(ValueError, match="^max_shift must be <= 199, got 200$"):
+        run_experiment(ExperimentSpec(source="e", primes=(), max_shift=200))
 
 
 @pytest.mark.parametrize("max_shift", [-1, -3])
@@ -253,8 +272,9 @@ def test_spec_rejects_unknown_local_checks(checks):
 
 
 def test_spec_accepts_known_local_checks():
-    for checks in (("dold",), ("sign",), ("sign", "dold")):
-        assert ExperimentSpec(source="e", local_checks=checks).local_checks == checks
+    for checks, normal in [(("dold",), ("dold",)), (("sign",), ("sign",)),
+                           (("sign", "dold"), ("dold", "sign"))]:
+        assert ExperimentSpec(source="e", local_checks=checks).local_checks == normal
 
 
 @pytest.mark.parametrize("limit", [1, 0, -5])

@@ -190,6 +190,18 @@ def test_groups_target_searches_once(monkeypatch, target):
         assert last == f"target: realized by image={list(want.image)}"
 
 
+@pytest.mark.parametrize("target", ["1,x", "", "1,-1"])
+def test_groups_target_is_parsed_before_the_search(monkeypatch, target):
+    def never(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(algebraic, "_extend_from_generators", never)
+    res = invoke(["groups", "--name", "d8", "--target", target])
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == (f"error: --target must be comma-separated integers >= 0, "
+                          f"got {target!r}\n")
+
+
 def test_groups_command_refuses_over_budget(tmp_path):
     G = elementary_abelian(5)
     path = tmp_path / "c2-5.cayley"
