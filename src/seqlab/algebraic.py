@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Iterator
 
 from .arith import _at_least, _at_most, _odd_prime, _prime, factorize, p_adic
-from .matrices import IntMatrix, _dets_of_powers_minus_identity
+from .matrices import IntMatrix
 from .realizability import Sequence1
 
 # ---------------------------------------------------------------------------
@@ -243,12 +243,44 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
     """Fixed-point counts of x -> A^c x on the (dim A)-fold p-torsion module.
 
     fix_n is the p-part of |det(A^{cn} - I)|; a vanishing determinant means
-    the map has infinitely many periodic points at that n and raises.
+    the map has infinitely many periodic points at that n and raises
+    DegeneratePolynomialError(n).
+
+    Only the p-part is needed, so each determinant is taken mod p^K:
+    det(M) = det(M mod p^K) mod p^K, and a nonzero residue d has
+    ord_p det(M) = ord_p d < K exactly.  K starts at m(1 + max ord_p n) + 1
+    over n <= N (m = dim A), one more than the valuation of ell(k,m,p), so
+    the matrices of ``construct_matrix`` take one pass.  A zero residue
+    doubles K; once p^K exceeds Hadamard's bound (|A|_F^(cn) + 1)^m on
+    |det(A^(cn) - I)| (each row of A^(cn) has norm at most |A|_F^(cn)), the
+    determinant is 0.
     """
     _at_least("c", c, 1)
     _at_least("depth", N, 1)
     _prime(p)
-    values = (p_adic(abs(d), p).part for d in _dets_of_powers_minus_identity(A**c, N))
+    m = A.n
+    I = IntMatrix.identity(m)
+    top = 0  # max ord_p n over n <= N
+    while p ** (top + 1) <= N:
+        top += 1
+    K = m * (1 + top) + 1
+    mod = p**K
+    step = pow(A, c, mod)
+    power = I
+    norm = isqrt(sum(a * a for row in A.rows for a in row)) + 1  # > |A|_F
+    values = []
+    for n in range(1, N + 1):
+        power = (power * step).mod(mod)
+        while (d := (power - I).det() % mod) == 0:
+            if mod > (norm ** (c * n) + 1) ** m:
+                from .errors import DegeneratePolynomialError  # loaded only to raise
+
+                raise DegeneratePolynomialError(n)
+            K *= 2
+            mod = p**K
+            step = pow(A, c, mod)
+            power = pow(A, c * n, mod)
+        values.append(p_adic(d, p).part)
     return Sequence1(tuple(values), f"torsion-fix(c={c},p={p})")
 
 
@@ -260,8 +292,15 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
 class FiniteGroup:
     """Finite group presented by its full multiplication table.
 
-    The table is validated on construction, order first (at most 64): identity
-    axioms, associativity, and existence of inverses are all checked exhaustively.
+    The table is validated on construction, order first (at most 64): the
+    identity axioms, existence of inverses, then associativity by Light's
+    test.  That test asks (xg)z = x(gz) for every generator g from
+    ``generating_set`` and all x, z, O(|G|^2) per generator.  It is sound:
+    the elements y with (xy)z = x(yz) for all x, z are closed under products
+    (if a and b are, (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z)),
+    they include the identity, and ``generating_set`` reaches every element
+    by products alone.  A table failing it is searched for its least failing
+    triple (x, y, z), which the refusal names.
     """
 
     order: int
@@ -289,14 +328,13 @@ class FiniteGroup:
         for x in range(n):
             if e not in self.table[x]:
                 raise ValueError(f"element {x} has no right inverse")
-        for x in range(n):
-            for y in range(n):
-                xy = self.table[x][y]
-                for z in range(n):
-                    if self.table[xy][z] != self.table[x][self.table[y][z]]:
-                        raise ValueError(
-                            f"associativity fails at ({x},{y},{z})"
-                        )
+        table = self.table
+        # row x of the table maps z to xz, so row xg lists (xg)z over z
+        if any(list(table[row[g]]) != list(map(row.__getitem__, table[g]))
+               for g in self.generating_set() for row in table):
+            x, y, z = next((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                           if table[table[x][y]][z] != table[x][table[y][z]])
+            raise ValueError(f"associativity fails at ({x},{y},{z})")
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]

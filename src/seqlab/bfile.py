@@ -93,7 +93,9 @@ def to_sequence(
     return Sequence1(tuple(abs(v) for v in bf.values), bf.source)
 
 
-_A_NUMBER = re.compile(r"\A[Aa]?(\d{1,6})\Z")
+# up to six digits, zero-padded or not, or any number of digits without
+# padding: the bounds, not the pattern, refuse a number above 999999
+_A_NUMBER = re.compile(r"\A[Aa]?(\d{1,6}|[1-9]\d*)\Z")
 
 
 def normalize_a_number(a_number: int | str) -> str:
@@ -104,7 +106,12 @@ def normalize_a_number(a_number: int | str) -> str:
         m = _A_NUMBER.match(a_number.strip())
         if not m:
             raise ValueError(f"not an A-number: {a_number!r}")
-        num = int(m.group(1))
+        digits = m.group(1)
+        try:
+            num = int(digits)
+        except ValueError:  # more digits than int() reads: far above the bound
+            raise ValueError(f"a_number must be <= 999999, got a number of "
+                             f"{len(digits)} digits") from None
     _at_least("a_number", num, 1)
     _at_most("a_number", num, 999999)
     return f"A{num:06d}"

@@ -277,11 +277,14 @@ def ell(k, m, p, upto, cross_check):
 def groups(name, path, upto, target):
     """Enumerate endomorphisms of a finite group and their fixed-point counts."""
     from .algebraic import bundled_group, enumerate_endomorphisms, fix_counts, parse_cayley
+    from .arith import _at_least
     from .realizability import Sequence1
 
     if (name is None) == (path is None):
         raise ValueError("give exactly one of --name or --file")
-    if target is not None:  # parsed before the group is read or searched
+    # --upto and --target are checked before the group is read or searched
+    _at_least("depth", upto, 1)
+    if target is not None:
         try:
             want = Sequence1(tuple(int(x) for x in target.split(",")), "target")
         except ValueError:

@@ -7,9 +7,10 @@ The realizability reference is the original divisor-by-divisor inversion; it
 only borrows the package's verdict containers, so results compare field by
 field.  The tangent/secant reference is the original one-shot in-place
 recurrence, rebuilt from scratch on every call.  The matrix-construction
-reference checks the unit condition at every exponent below q-1.  The p-part
-reference strips one prime from every term, as localization did before the
-batched reduction.  The prime-classification references try one prime and
+reference checks the unit condition at every exponent below q-1, and the
+torsion-count reference takes every determinant exactly; the associativity
+reference tries every triple.  The p-part reference strips one prime from
+every term, as localization did before the batched reduction.  The prime-classification references try one prime and
 one term at a time, as the classification did before it read every prime's
 least dividing index from one localization; they borrow the package's
 status containers and its number tables.  The congruence-grid reference is
@@ -344,6 +345,39 @@ def construct_matrix_ref(p, m):
                 f"construct_matrix({p},{m}): det(A^{n} - I) = 0 mod {p}"
             )
     return A, B
+
+
+def torsion_fix_counts_ref(A, c, p, N):
+    """``torsion_fix_counts`` the exact way: det(A^(cn) - I) taken exactly,
+    with entries growing with c*n, and its p-part stripped one p at a time."""
+    from seqlab.errors import DegeneratePolynomialError
+    from seqlab.matrices import IntMatrix
+    from seqlab.realizability import Sequence1
+
+    step = A**c
+    I = IntMatrix.identity(A.n)
+    power = I
+    values = []
+    for n in range(1, N + 1):
+        power = power * step
+        d = abs((power - I).det())
+        if d == 0:
+            raise DegeneratePolynomialError(n)
+        part = 1
+        while d % p == 0:
+            d //= p
+            part *= p
+        values.append(part)
+    return Sequence1(tuple(values), f"torsion-fix(c={c},p={p})")
+
+
+def associativity_failure_ref(table):
+    """The least triple (x, y, z) with (xy)z != x(yz), or None: all |G|^3 tried."""
+    n = len(table)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return x, y, z
+    return None
 
 
 # --- reference prime classification: one prime and one term at a time -------

@@ -476,6 +476,7 @@ REFUSALS = [
     (["fetch", "A000032", "--terms", "-2", "--cache-dir", ""], 1, bound("--terms", 0, -2)),
     (["fetch", "", "--cache-dir", ""], 1),
     (["fetch", "A0", "--cache-dir", ""], 1, bound("a_number", 1, 0)),
+    (["fetch", "A1000000", "--cache-dir", ""], 1, ceiling("a_number", 999999, 1000000)),
     (["fetch", "A999999", "--cache-dir", ""], 6),
 ]
 
@@ -494,6 +495,17 @@ def test_refused_input_prints_nothing(argv, code, words):
         assert res.stderr == words
     else:
         assert words in res.stderr
+
+
+def test_an_a_number_longer_than_int_reads_is_refused_in_one_line():
+    # int() refuses a digit string longer than the interpreter's limit; the
+    # number is then far above 999999, and is refused as one
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter reads a digit string of any length")
+    res = invoke(["fetch", "A1" + "0" * limit, "--cache-dir", ""])
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == f"error: a_number must be <= 999999, got a number of {limit + 1} digits\n"
 
 
 @pytest.mark.parametrize("argv,words", [

@@ -6,8 +6,12 @@ candidate and sorts.  ``IntMatrix.det`` is the one determinant, exact by
 Bareiss elimination; the reference is a cofactor expansion.
 ``construct_matrix`` checks its unit condition by one order test; the
 reference takes a determinant at every exponent below q-1.
+``torsion_fix_counts`` takes its determinants mod p^K; the reference takes
+them exactly.  ``FiniteGroup`` checks associativity on generators only
+(Light's test); the reference tries every triple.
 """
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -24,7 +28,8 @@ from seqlab.algebraic import (
     find_realizing_endomorphism,
     fix_counts,
 )
-from seqlab.arith import factorize, primes_in_range
+from seqlab.arith import divisors, factorize, primes_in_range
+from seqlab.errors import DegeneratePolynomialError
 from seqlab.matrices import IntMatrix
 from seqlab.realizability import Sequence1
 import oracles
@@ -190,16 +195,19 @@ def test_groups_target_searches_once(monkeypatch, target):
         assert last == f"target: realized by image={list(want.image)}"
 
 
-@pytest.mark.parametrize("target", ["1,x", "", "1,-1"])
-def test_groups_target_is_parsed_before_the_search(monkeypatch, target):
+@pytest.mark.parametrize("options,words", [
+    *[pytest.param(["--target", target],
+                   f"--target must be comma-separated integers >= 0, got {target!r}", id=target)
+      for target in ("1,x", "", "1,-1")],
+    pytest.param(["--upto", "0"], "depth must be >= 1, got 0", id="upto-0"),
+])
+def test_groups_target_is_parsed_before_the_search(monkeypatch, options, words):
     def never(*args):
         raise AssertionError("the search started")
 
     monkeypatch.setattr(algebraic, "_extend_from_generators", never)
-    res = invoke(["groups", "--name", "d8", "--target", target])
-    assert (res.exit_code, res.stdout) == (1, "")
-    assert res.stderr == (f"error: --target must be comma-separated integers >= 0, "
-                          f"got {target!r}\n")
+    res = invoke(["groups", "--name", "d8", *options])
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {words}\n")
 
 
 def test_groups_command_refuses_over_budget(tmp_path):
@@ -273,3 +281,131 @@ def test_construct_matrix_takes_few_determinants(monkeypatch, p, m):
     algebraic.construct_matrix(p, m)
     # one per prime factor of q-1, and one or two for det(B)
     assert len(factorize(p**m - 1)) + 1 <= len(calls) <= len(factorize(p**m - 1)) + 2
+
+
+# --- torsion counts mod p^K against the exact determinants ------------------
+
+
+def _torsion(count, A, c, p, N):
+    """The counts, or the n at which the determinant vanished."""
+    try:
+        return count(A, c, p, N).values
+    except DegeneratePolynomialError as exc:
+        return f"degenerate at n = {exc.n}"
+
+
+small_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=300)
+@given(rows=small_matrices, c=st.integers(1, 4), p=st.sampled_from([2, 3, 5, 7]),
+       N=st.integers(1, 8))
+def test_torsion_counts_match_the_exact_determinants(rows, c, p, N):
+    A = IntMatrix(rows)
+    got = _torsion(algebraic.torsion_fix_counts, A, c, p, N)
+    assert got == _torsion(oracles.torsion_fix_counts_ref, A, c, p, N)
+
+
+ELL_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("p,m", ELL_FIELDS)
+def test_torsion_counts_of_the_constructed_matrix_match_the_exact_determinants(p, m):
+    A, _ = algebraic.construct_matrix(p, m)
+    for k in divisors(p**m - 1):
+        c = (p**m - 1) // k
+        want = oracles.torsion_fix_counts_ref(A, c, p, 12)
+        assert algebraic.torsion_fix_counts(A, c, p, 12) == want, k
+
+
+def test_a_zero_residue_doubles_the_precision():
+    # K starts at 1 * (1 + 1) + 1 = 3; det(A - I) = 3^5 is 0 mod 3^3, so K
+    # doubles to 6, and det(A^3 - I), of valuation 6, doubles it to 12
+    assert algebraic.torsion_fix_counts(IntMatrix([[1 + 3**5]]), 1, 3, 3).values == (243, 243, 729)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_vanishing_determinant_raises_at_its_n(p):
+    # a quarter turn: det(A^n - I) = 2, 4, 2 for n = 1..3, and A^4 = I
+    with pytest.raises(DegeneratePolynomialError) as err:
+        algebraic.torsion_fix_counts(IntMatrix([[0, -1], [1, 0]]), 1, p, 8)
+    assert err.value.n == 4
+
+
+def test_the_constructed_matrix_takes_one_determinant_per_term(monkeypatch):
+    # K = m(1 + max ord_p n) + 1 exceeds the valuation of ell(1,3,13), so no
+    # residue is zero and no determinant is taken twice
+    A, _ = algebraic.construct_matrix(13, 3)
+    calls = []
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda M: calls.append(M) or det(M))
+    got = algebraic.torsion_fix_counts(A, 13**3 - 1, 13, 200)
+    assert got.values == algebraic.ell_sequence(algebraic.ConstructionParams.create(1, 3, 13), 200).values
+    assert len(calls) == 200
+
+
+# --- associativity by Light's test against every triple ----------------------
+
+
+def permutation_group(perms, label):
+    """The group of the given permutations (a closed set, identity first)."""
+    index = {perm: i for i, perm in enumerate(perms)}
+    return _group(len(perms), lambda x, y: index[tuple(perms[x][i] for i in perms[y])], label)
+
+
+def dihedral(n):
+    # r^i s^j is index i + n j, and s r = r^-1 s
+    return _group(2 * n, lambda x, y: ((x % n + (-1) ** (x // n) * (y % n)) % n
+                                       + n * ((x // n) ^ (y // n))), f"dih{n}")
+
+
+def direct_product(a, b):
+    return _group(a * b, lambda x, y: (x // b + y // b) % a * b + (x % b + y % b) % b,
+                  f"z{a}xz{b}")
+
+
+def _even(perm):
+    return sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))) % 2 == 0
+
+
+UP_TO_12 = ([cyclic(n) for n in range(1, 13)]
+            + [bundled_group(name) for name in BUNDLED_GROUPS]
+            + [dihedral(n) for n in (3, 4, 5, 6)]
+            + [direct_product(2, 2), direct_product(2, 4), direct_product(2, 6),
+               direct_product(3, 3)]
+            + [permutation_group([q for q in itertools.permutations(range(4)) if _even(q)], "a4")])
+UP_TO_12 += [relabel(G, 7) for G in UP_TO_12 if G.order > 1]
+
+
+def _refusal(table, identity):
+    """The words FiniteGroup refuses the table in, or None if it accepts it."""
+    n = len(table)
+    try:
+        FiniteGroup(n, table, identity, tuple(map(str, range(n))))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("G", UP_TO_12, ids=lambda G: G.label)
+def test_a_group_table_is_accepted(G):
+    assert oracles.associativity_failure_ref(G.table) is None
+    assert _refusal(G.table, G.identity) is None
+
+
+@settings(max_examples=300)
+@given(G=st.sampled_from([G for G in UP_TO_12 if G.order > 2]), data=st.data())
+def test_a_swapped_table_is_refused_at_the_least_failing_triple(G, data):
+    # two entries of one row swapped, both off the identity's row and column:
+    # the identity and every right inverse survive, associativity does not
+    others = [v for v in range(G.order) if v != G.identity]
+    x = data.draw(st.sampled_from(others))
+    y1, y2 = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+    table = [list(row) for row in G.table]
+    table[x][y1], table[x][y2] = table[x][y2], table[x][y1]
+    table = tuple(map(tuple, table))
+    want = oracles.associativity_failure_ref(table)
+    assert _refusal(table, G.identity) == (
+        None if want is None else "associativity fails at ({},{},{})".format(*want))
