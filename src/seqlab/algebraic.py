@@ -298,9 +298,10 @@ class FiniteGroup:
     ``generating_set`` and all x, z, O(|G|^2) per generator.  It is sound:
     the elements y with (xy)z = x(yz) for all x, z are closed under products
     (if a and b are, (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z)),
-    they include the identity, and ``generating_set`` reaches every element
-    by products alone.  A table failing it is searched for its least failing
-    triple (x, y, z), which the refusal names.
+    they include the identity, and every element is a product of generators
+    (``generating_set`` grows its span by right products).  A table failing
+    it is searched for its least failing triple (x, y, z), which the refusal
+    names.
     """
 
     order: int
@@ -340,26 +341,22 @@ class FiniteGroup:
         return self.table[x][y]
 
     def generating_set(self) -> list[int]:
-        """Small generating set found greedily (deterministic)."""
+        """Small generating set, found greedily: each generator is the least
+        element outside the span of the ones before it, and the span grows
+        breadth-first by right products x*g, so every element is a product of
+        generators."""
         gens: list[int] = []
-        span = {self.identity}
+        span = [self.identity]
+        inside = {self.identity}
         while len(span) < self.order:
-            x = min(i for i in range(self.order) if i not in span)
-            gens.append(x)
-            span = self._closure(span | {x})
+            gens.append(next(x for x in range(self.order) if x not in inside))
+            for x in span:  # span grows while it is walked: breadth-first
+                for g in gens:
+                    y = self.table[x][g]
+                    if y not in inside:
+                        inside.add(y)
+                        span.append(y)
         return gens
-
-    def _closure(self, seed: set[int]) -> set[int]:
-        span = set(seed) | {self.identity}
-        frontier = list(span)
-        while frontier:
-            x = frontier.pop()
-            for y in list(span):
-                for z in (self.table[x][y], self.table[y][x]):
-                    if z not in span:
-                        span.add(z)
-                        frontier.append(z)
-        return span
 
 
 @dataclass(frozen=True)
@@ -394,10 +391,9 @@ def _endomorphisms(G: FiniteGroup) -> Iterator[Endomorphism]:
     O(|G|^2) check of every product (``tests/oracles.verified_endomorphism``
     makes it).  ``_extend_from_generators`` pops every element x once and
     checks or sets theta(xg) = theta(x)theta(g) for every generator g, with
-    theta(e) = e.  Every y in G is a product of
-    generators (``generating_set`` closes under products only), and G is
-    associative (``FiniteGroup`` validates it), so by induction on the length
-    of y: theta(x y'g) = theta(x y')theta(g) = theta(x)theta(y')theta(g)
+    theta(e) = e.  Every y in G is a product of generators (``generating_set``
+    grows its span by right products), and G is associative (``FiniteGroup``
+    validates it), so by induction on the length of y: theta(x y'g) = theta(x y')theta(g) = theta(x)theta(y')theta(g)
     = theta(x)theta(y'g).
 
     Refused with ValueError, before any candidate is tried, when the search
@@ -441,29 +437,28 @@ def _extend_from_generators(G, gens, images) -> tuple[int, ...] | None:
 
 
 def fix_counts(G: FiniteGroup, theta: Endomorphism, N: int) -> Sequence1:
-    """fix_n = #{x : theta^n(x) = x} for n <= N, with cycle shortcutting.
+    """fix_n = #{x : theta^n(x) = x} for n <= N, from the cycles of theta.
 
-    Iterated self-maps of a finite set are eventually periodic, so once a
-    composed power repeats the remaining counts are read off the cycle.
+    theta^n fixes x exactly when x lies on a cycle of theta whose length
+    divides n, so a cycle of length k adds k to fix_n at every multiple n of
+    k.  One walk from each element not yet visited finds each cycle once: a
+    walk that closes on itself has found a new cycle, one that runs into an
+    earlier walk has not.
     """
     _at_least("depth", N, 1)
-    m = theta.image
-    counts: list[int] = []
-    seen: dict[tuple[int, ...], int] = {}
-    cur = m
-    n = 1
-    while n <= N:
-        if cur in seen:
-            start = seen[cur]
-            period = n - start
-            while len(counts) < N:
-                j = len(counts) + 1
-                counts.append(counts[start - 1 + (j - start) % period])
-            break
-        seen[cur] = n
-        counts.append(sum(1 for i in range(G.order) if cur[i] == i))
-        cur = tuple(m[cur[i]] for i in range(G.order))
-        n += 1
+    counts = [0] * N
+    walk_of = [None] * G.order  # the walk that first visited each element
+    for start in range(G.order):
+        path = []
+        x = start
+        while walk_of[x] is None:
+            walk_of[x] = start
+            path.append(x)
+            x = theta.image[x]
+        if walk_of[x] == start:
+            k = len(path) - path.index(x)
+            for n in range(k - 1, N, k):
+                counts[n] += k
     return Sequence1(tuple(counts), f"fix({G.label})" if G.label else "fix")
 
 

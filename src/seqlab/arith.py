@@ -7,7 +7,6 @@ Primality is deterministic trial division; intended scale is n <= ~10**9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 def is_prime(n: int) -> bool:
@@ -52,17 +51,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=65536)
-def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(factorize(n))
-
-
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
     _at_least("n", n, 1)
     if n == 1:
         return 1
-    fac = _factorize_cached(n)
+    fac = factorize(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
@@ -72,7 +66,7 @@ def euler_phi(n: int) -> int:
     """Count of 1 <= k <= n coprime to n."""
     _at_least("n", n, 1)
     out = n
-    for p, _ in _factorize_cached(n):
+    for p, _ in factorize(n):
         out -= out // p
     return out
 
@@ -107,7 +101,7 @@ def divisors(n: int) -> list[int]:
     """All divisors of n >= 1, ascending (1 first, n last)."""
     _at_least("n", n, 1)
     out = [1]
-    for p, e in _factorize_cached(n):
+    for p, e in factorize(n):
         out = [d * pk for d in out for pk in _prime_powers(p, e)]
     out.sort()
     return out

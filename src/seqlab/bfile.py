@@ -96,6 +96,7 @@ def to_sequence(
 # up to six digits, zero-padded or not, or any number of digits without
 # padding: the bounds, not the pattern, refuse a number above 999999
 _A_NUMBER = re.compile(r"\A[Aa]?(\d{1,6}|[1-9]\d*)\Z")
+_PADDED = re.compile(r"\A[Aa]?0\d{6,}\Z")  # refused with its reason
 
 
 def normalize_a_number(a_number: int | str) -> str:
@@ -103,9 +104,11 @@ def normalize_a_number(a_number: int | str) -> str:
     if isinstance(a_number, int):
         num = a_number
     else:
-        m = _A_NUMBER.match(a_number.strip())
+        text = a_number.strip()
+        m = _A_NUMBER.match(text)
         if not m:
-            raise ValueError(f"not an A-number: {a_number!r}")
+            why = " (more than six digits with a leading zero)" if _PADDED.match(text) else ""
+            raise ValueError(f"not an A-number: {a_number!r}{why}")
         digits = m.group(1)
         try:
             num = int(digits)

@@ -350,10 +350,10 @@ def oracle(max_prime, max_r, upto, family):
 )
 def fetch(a_number, online, fixtures_dir, cache_dir, terms):
     """Resolve an A-number to a b-file (--fixtures-dir, cache, bundled fixture, then network)."""
+    from .arith import _at_least
     from .bfile import fetch_oeis
 
-    if terms < 0:
-        raise ValueError(f"--terms must be >= 0, got {terms}")
+    _at_least("--terms", terms, 0)
     bf = fetch_oeis(a_number, online=online, fixtures_dir=fixtures_dir,
                     cache_dir=cache_dir)
     line = f"{bf.source}: offset {bf.offset}, {len(bf)} terms"

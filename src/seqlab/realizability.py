@@ -13,7 +13,6 @@ check winning a tie.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd, prod
 from typing import Iterable, Iterator
 
@@ -137,10 +136,17 @@ def least_failure(verdicts: Iterable[tuple[str, Verdict]]) -> tuple[str, Verdict
     return least
 
 
-@lru_cache(maxsize=8)
+_MU: tuple[int, ...] = ()  # (mu(1), mu(2), ...), as far as any inversion read
+
+
 def _mobius_table(N: int) -> tuple[int, ...]:
-    # (mu(1), ..., mu(N)): one table per depth serves every inversion
-    return tuple(mobius(m) for m in range(1, N + 1))
+    # one table per process serves every depth; it is extended by its missing
+    # entries and committed by one assignment, so an exception part-way
+    # through (KeyboardInterrupt included) leaves the previous table
+    global _MU
+    if len(_MU) < N:
+        _MU = _MU + tuple(mobius(m) for m in range(len(_MU) + 1, N + 1))
+    return _MU
 
 
 def _orbit_values(a: tuple[int, ...]) -> list[int]:

@@ -19,7 +19,10 @@ public Kummer and Young check per grid point, over every prime up to
 max_prime and every r up to max_r; it borrows the package's other checks.
 The magical reference runs the full realizability reference on every shift
 and picks each least witness with its own loop.  ``verified_endomorphism``
-checks a map built by hand against every product of the group.
+checks a map built by hand against every product of the group.  The
+fixed-point reference composes whole powers of the map until one repeats,
+and the generating-set reference recomputes a two-sided closure of the span
+for every generator it adds.
 """
 
 from __future__ import annotations
@@ -292,6 +295,56 @@ def enumerate_endomorphisms_ref(G):
             continue
     found.sort(key=lambda t: t.image)
     return found
+
+
+def fix_counts_ref(G, theta, N):
+    """``fix_counts`` by composed powers: theta^n as an |G|-tuple, its fixed
+    points counted, and the counts read off the cycle once a power repeats."""
+    from seqlab.realizability import Sequence1
+
+    m = theta.image
+    counts: list[int] = []
+    seen: dict[tuple[int, ...], int] = {}
+    cur = m
+    n = 1
+    while n <= N:
+        if cur in seen:
+            start = seen[cur]
+            period = n - start
+            while len(counts) < N:
+                j = len(counts) + 1
+                counts.append(counts[start - 1 + (j - start) % period])
+            break
+        seen[cur] = n
+        counts.append(sum(1 for i in range(G.order) if cur[i] == i))
+        cur = tuple(m[cur[i]] for i in range(G.order))
+        n += 1
+    return Sequence1(tuple(counts), f"fix({G.label})" if G.label else "fix")
+
+
+def generating_set_ref(G):
+    """``generating_set`` with every span recomputed from scratch as the
+    closure under products on both sides, all pairs at a time."""
+    gens: list[int] = []
+    span = {G.identity}
+    while len(span) < G.order:
+        x = min(i for i in range(G.order) if i not in span)
+        gens.append(x)
+        span = _closure_ref(G, span | {x})
+    return gens
+
+
+def _closure_ref(G, seed):
+    span = set(seed) | {G.identity}
+    frontier = list(span)
+    while frontier:
+        x = frontier.pop()
+        for y in list(span):
+            for z in (G.table[x][y], G.table[y][x]):
+                if z not in span:
+                    span.add(z)
+                    frontier.append(z)
+    return span
 
 
 def find_realizing_endomorphism_ref(G, target, endos=None):

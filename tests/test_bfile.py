@@ -96,6 +96,14 @@ def test_normalize_a_number():
         normalize_a_number("A0000001")
 
 
+@pytest.mark.parametrize("text", ["A0000001", "a00000032"])
+def test_a_padded_a_number_is_refused_with_its_reason(text):
+    # the number is in range, but "A000001" already names it
+    with pytest.raises(ValueError) as err:
+        normalize_a_number(text)
+    assert str(err.value) == f"not an A-number: {text!r} (more than six digits with a leading zero)"
+
+
 def test_bundled_fixtures_present():
     for a in ("A000364", "A006953", "A000032", "A002895", "A005259", "A005258",
               "A005725", "A054783", "A053175", "A001850", "A010122", "A001945"):

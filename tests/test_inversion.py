@@ -211,3 +211,37 @@ def test_reports_match_reference_verdicts(spec, monkeypatch):
     monkeypatch.setattr(experiment, "check_realizable", reference_check)
     monkeypatch.setattr(realizability, "dold_sign", reference_dold_sign)
     assert run_experiment(spec) == doc
+
+
+# --- one Möbius table per process ---------------------------------------------
+
+
+def test_one_mobius_table_serves_every_depth(monkeypatch):
+    # a table per depth would call mobius 60 + 30 + 90 = 180 times
+    calls = []
+    mobius = realizability.mobius
+    monkeypatch.setattr(realizability, "_MU", ())
+    monkeypatch.setattr(realizability, "mobius", lambda m: calls.append(m) or mobius(m))
+    for N in (60, 30, 90):
+        assert realizability._mobius_table(N)[:N] == tuple(map(mobius, range(1, N + 1)))
+    assert calls == list(range(1, 91))
+
+
+def test_an_interrupted_mobius_extension_keeps_the_previous_table(monkeypatch):
+    mobius = realizability.mobius
+    monkeypatch.setattr(realizability, "_MU", ())
+    before = realizability._mobius_table(20)
+
+    def failing(m):
+        if m == 35:
+            raise KeyboardInterrupt("interrupted part-way")
+        return mobius(m)
+
+    monkeypatch.setattr(realizability, "mobius", failing)
+    with pytest.raises(KeyboardInterrupt):
+        realizability._mobius_table(50)
+    assert realizability._MU is before
+    monkeypatch.setattr(realizability, "mobius", mobius)
+    assert realizability._mobius_table(50) == tuple(map(mobius, range(1, 51)))
+    values = [1, 3, 4, 7, 11] * 10
+    assert orbit_counts(Sequence1(values)).values == oracles.orbit_counts_ref(values)

@@ -8,7 +8,10 @@ Bareiss elimination; the reference is a cofactor expansion.
 reference takes a determinant at every exponent below q-1.
 ``torsion_fix_counts`` takes its determinants mod p^K; the reference takes
 them exactly.  ``FiniteGroup`` checks associativity on generators only
-(Light's test); the reference tries every triple.
+(Light's test); the reference tries every triple.  ``fix_counts`` reads
+the counts off the cycle lengths of the map; the reference composes its
+powers.  ``generating_set`` grows each span by right products; the reference
+recomputes a two-sided closure for every generator.
 """
 
 import itertools
@@ -22,6 +25,7 @@ import seqlab.algebraic as algebraic
 from seqlab.algebraic import (
     BUNDLED_GROUPS,
     MAX_SEARCH_TUPLES,
+    Endomorphism,
     FiniteGroup,
     bundled_group,
     enumerate_endomorphisms,
@@ -409,3 +413,38 @@ def test_a_swapped_table_is_refused_at_the_least_failing_triple(G, data):
     want = oracles.associativity_failure_ref(table)
     assert _refusal(table, G.identity) == (
         None if want is None else "associativity fails at ({},{},{})".format(*want))
+
+
+# --- fixed points from cycle lengths, generating sets from right products ----
+
+
+@pytest.mark.parametrize("G", BASE[:-1] + C2_4[:1], ids=lambda G: G.label)
+def test_fix_counts_match_the_composed_powers(G):
+    # the reference's counts to depth N are the first N of its counts to 40
+    for theta in search(G):
+        want = oracles.fix_counts_ref(G, theta, 40)
+        for N in (1, 5, 12, 40):
+            got = fix_counts(G, theta, N)
+            assert (got.values, got.label) == (want.values[:N], want.label), theta.image
+
+
+self_maps = st.integers(1, 64).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.permutations(range(n))))
+
+
+@settings(max_examples=300)
+@given(image=self_maps, N=st.integers(1, 40))
+def test_fix_counts_of_any_self_map_match_the_composed_powers(image, N):
+    # fix_counts reads only the order of the group, so any self-map will do
+    G = _cyclic(len(image))
+    theta = Endomorphism(tuple(image))
+    assert fix_counts(G, theta, N) == oracles.fix_counts_ref(G, theta, N)
+
+
+_cyclic = lru_cache(maxsize=None)(cyclic)
+
+
+@pytest.mark.parametrize("G", UP_TO_12 + [cyclic(64)] + C2_4, ids=lambda G: G.label)
+def test_generating_set_matches_the_two_sided_closure(G):
+    assert G.generating_set() == oracles.generating_set_ref(G)
