@@ -393,7 +393,8 @@ def _endomorphisms(G: FiniteGroup) -> Iterator[Endomorphism]:
     checks or sets theta(xg) = theta(x)theta(g) for every generator g, with
     theta(e) = e.  Every y in G is a product of generators (``generating_set``
     grows its span by right products), and G is associative (``FiniteGroup``
-    validates it), so by induction on the length of y: theta(x y'g) = theta(x y')theta(g) = theta(x)theta(y')theta(g)
+    validates it), so by induction on the length of y:
+    theta(x y'g) = theta(x y')theta(g) = theta(x)theta(y')theta(g)
     = theta(x)theta(y'g).
 
     Refused with ValueError, before any candidate is tried, when the search

@@ -54,8 +54,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
     _at_least("n", n, 1)
-    if n == 1:
-        return 1
     fac = factorize(n)
     if any(e > 1 for _, e in fac):
         return 0

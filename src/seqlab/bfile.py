@@ -96,7 +96,7 @@ def to_sequence(
 # up to six digits, zero-padded or not, or any number of digits without
 # padding: the bounds, not the pattern, refuse a number above 999999
 _A_NUMBER = re.compile(r"\A[Aa]?(\d{1,6}|[1-9]\d*)\Z")
-_PADDED = re.compile(r"\A[Aa]?0\d{6,}\Z")  # refused with its reason
+_PADDED = re.compile(r"\A[Aa]?0\d{6,}\Z")  # zero-padded past six digits: the refusal says so
 
 
 def normalize_a_number(a_number: int | str) -> str:

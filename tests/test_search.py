@@ -428,6 +428,7 @@ def test_fix_counts_match_the_composed_powers(G):
             assert (got.values, got.label) == (want.values[:N], want.label), theta.image
 
 
+_cyclic = lru_cache(maxsize=None)(cyclic)
 self_maps = st.integers(1, 64).flatmap(lambda n: st.one_of(
     st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
     st.permutations(range(n))))
@@ -440,9 +441,6 @@ def test_fix_counts_of_any_self_map_match_the_composed_powers(image, N):
     G = _cyclic(len(image))
     theta = Endomorphism(tuple(image))
     assert fix_counts(G, theta, N) == oracles.fix_counts_ref(G, theta, N)
-
-
-_cyclic = lru_cache(maxsize=None)(cyclic)
 
 
 @pytest.mark.parametrize("G", UP_TO_12 + [cyclic(64)] + C2_4, ids=lambda G: G.label)
