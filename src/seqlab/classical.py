@@ -1,11 +1,13 @@
 """Exact Bernoulli and Euler number engines and the derived integer sequences.
 
 Bernoulli numbers are produced from the tangent numbers (integer arithmetic
-throughout, reassembled as Fractions), Euler numbers from the secant numbers;
-one recurrence gives both.  It is O(N^2) big-integer additions/multiplications
-and comfortably reaches B_600 / E_400 in seconds.  Each engine keeps one table
-per process and extends it column by column, so a deeper request pays only
-for the new columns and a shallower one is a slice.
+throughout, each reassembled as a Fraction over its von Staudt-Clausen
+denominator), Euler numbers from the secant numbers; one recurrence gives
+both.  It is O(N^2) big-integer additions/multiplications and comfortably
+reaches B_600 / E_400 in seconds.  Each engine keeps one table per process
+and extends it column by column, so a deeper request pays only for the new
+columns and a shallower one is a slice; the derived t/b/d columns are kept
+the same way.
 
 Derived sequences, all indexed from 1:
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import _at_least, divisors, is_prime, p_adic
+from .arith import _at_least, divisors, is_prime, p_adic, primes_in_range
 from .realizability import Sequence1
 
 
@@ -76,22 +78,56 @@ class _Recurrence:
         return outputs
 
 
+_CLAUSEN: tuple[int, ...] = ()  # D_1, D_2, ...: the denominators of B_2, B_4, ...
+
+
+def _clausen_table(N: int) -> tuple[int, ...]:
+    # D_n = prod of the primes p with p - 1 | 2n (von Staudt-Clausen); the
+    # missing D_n come from one pass over the primes p <= 2N + 1, each
+    # multiplying into the n that max((p - 1)/2, 1) divides, and are
+    # committed by one assignment, as ``realizability._mobius_table`` is
+    global _CLAUSEN
+    table = _CLAUSEN
+    M = len(table)
+    if M < N:
+        new = [1] * (N - M)  # D_{M+1}, ..., D_N
+        for p in primes_in_range(2, 2 * N + 1):
+            step = max((p - 1) // 2, 1)
+            for n in range(M // step * step + step, N + 1, step):
+                new[n - M - 1] *= p
+        table = _CLAUSEN = table + tuple(new)
+    return table
+
+
 def _bernoulli_from_tangent(k: int, t: int) -> Fraction:
     # column k holds T_n, n = k + 1; T_n = (-1)^(n-1) 4^n (4^n - 1) B_{2n} / (2n)
+    # and B_{2n} = a / D_n in lowest terms, so |a| = 2n T_n D_n / (4^n (4^n - 1))
+    # exactly: a shift by 2n and one exact division, with no gcd
     n = k + 1
-    four_n = 1 << (2 * n)
-    return Fraction((1 if n % 2 else -1) * 2 * n * t, four_n * (four_n - 1))
+    D = _clausen_table(n)[k]
+    x = 2 * n * t * D
+    a, r = divmod(x >> (2 * n), (1 << (2 * n)) - 1)
+    if r or x & ((1 << (2 * n)) - 1):
+        raise RuntimeError(f"4^{n} (4^{n} - 1) does not divide 2n T_{n} D_{n}: engine defect")
+    return Fraction(a if n % 2 else -a, D)
 
 
 _TANGENT = _Recurrence(2, _bernoulli_from_tangent)  # keeps B_2, B_4, ...
 _SECANT = _Recurrence(1, lambda j, s: s)  # keeps |E_0|, |E_2|, ...
 
 
+def _bernoulli_columns(N: int) -> tuple[Fraction, ...]:
+    # B_2, ..., B_2N at least; the Clausen denominators of the new columns
+    # come first, in one pass
+    _clausen_table(N)
+    return _TANGENT.columns(N - 1)
+
+
 def tangent_numbers(N: int) -> list[int]:
     """Tangent numbers T_1..T_N (1, 2, 16, 272, ...), exact integers."""
     _at_least("depth", N, 1)
     out = []  # from the kept B_{2n}: T_n = |B_{2n}| 4^n (4^n - 1) / (2n)
-    for n, b in enumerate(_TANGENT.columns(N - 1)[:N], start=1):
+    for n, b in enumerate(_bernoulli_columns(N)[:N], start=1):
         four_n = 1 << (2 * n)
         out.append(abs(b.numerator) * four_n * (four_n - 1) // (2 * n * b.denominator))
     return out
@@ -140,12 +176,13 @@ class EulerTable:
 def bernoulli_upto(N: int) -> BernoulliTable:
     """Exact B_2, B_4, ..., B_{2N} from tangent numbers.
 
-    T_n = (-1)^(n-1) 4^n (4^n - 1) B_{2n} / (2n), so each Bernoulli number is
-    a single exact Fraction division away from the integer engine; the
-    process-wide tangent table keeps these Fractions and extends them.
+    T_n = (-1)^(n-1) 4^n (4^n - 1) B_{2n} / (2n), and B_{2n} = a / D_n with
+    D_n its von Staudt-Clausen denominator, so each numerator a is one shift
+    and one exact division away from the integer engine; the process-wide
+    tangent table keeps these Fractions and extends them.
     """
     _at_least("depth", N, 1)
-    return BernoulliTable(N, _TANGENT.columns(N - 1)[:N])
+    return BernoulliTable(N, _bernoulli_columns(N)[:N])
 
 
 def euler_upto(N: int) -> EulerTable:
@@ -186,22 +223,33 @@ class DerivedBernoulli:
     clausen_denominators: Sequence1
 
 
+_DERIVED: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = ((), (), ())  # t, b, d
+
+
 def derived_bernoulli(N: int) -> DerivedBernoulli:
-    """Build the numerator/denominator/Clausen sequences up to index N."""
-    nums, dens, claus = [], [], []
-    for n, b in enumerate(bernoulli_upto(N).values, start=1):
-        # B_{2n} = a/d in lowest terms, and d is the von Staudt-Clausen
-        # denominator; |a|/(2n d) reduces by gcd(a, 2n) alone, as gcd(a, d) = 1
-        g = gcd(b.numerator, 2 * n)
-        nums.append(abs(b.numerator) // g)
-        dens.append(2 * n * b.denominator // g)
-        claus.append(b.denominator)
-    return DerivedBernoulli(
-        N,
-        Sequence1(tuple(nums), "t"),
-        Sequence1(tuple(dens), "b"),
-        Sequence1(tuple(claus), "d"),
-    )
+    """Build the numerator/denominator/Clausen sequences up to index N.
+
+    The three columns are kept for the process: a deeper request extends
+    them from the tangent table, and commits them by one assignment, so an
+    exception part-way through (KeyboardInterrupt included) leaves the
+    previous columns; a shallower one is a slice.
+    """
+    _at_least("depth", N, 1)
+    global _DERIVED
+    columns = _DERIVED
+    M = len(columns[0])
+    if M < N:
+        nums, dens, claus = [], [], []
+        for n, b in enumerate(_bernoulli_columns(N)[M:N], start=M + 1):
+            # B_{2n} = a/d in lowest terms, and d is the von Staudt-Clausen
+            # denominator; |a|/(2n d) reduces by gcd(a, 2n) alone, as gcd(a, d) = 1
+            g = gcd(b.numerator, 2 * n)
+            nums.append(abs(b.numerator) // g)
+            dens.append(2 * n * b.denominator // g)
+            claus.append(b.denominator)
+        columns = _DERIVED = tuple(old + tuple(new) for old, new in zip(columns, (nums, dens, claus)))
+    t, b, d = columns
+    return DerivedBernoulli(N, Sequence1(t[:N], "t"), Sequence1(b[:N], "b"), Sequence1(d[:N], "d"))
 
 
 def b_product_formula(n: int) -> int:

@@ -23,11 +23,11 @@ from .realizability import (
     CHECKS,
     Sequence1,
     Verdict,
+    _magical_report,
     check_realizable,
     dold_sign,
     least_failure,
     localize,
-    magical_report,
     shift as shift_sequence,
 )
 
@@ -205,10 +205,11 @@ def _witness_json(verdicts) -> dict | None:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute an experiment spec and return the report document."""
     seq = load_sequence(spec)
+    report = check_realizable(seq)
     doc: dict = {
         "sequence_id": seq.label,
         "depth": len(seq),
-        "checks": [_verdict_json(name, v) for name, v in check_realizable(seq).verdicts],
+        "checks": [_verdict_json(name, v) for name, v in report.verdicts],
         "local": [],
         "annotations": [],
     }
@@ -237,8 +238,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     if spec.max_shift is not None:
         # every shift k must pass Dold and sign; shift 0 is the global check,
-        # and shift k is checked on the N - k terms after it
-        mag = magical_report(seq, spec.max_shift)
+        # whose verdicts are reused, and shift k is checked on the N - k
+        # terms after it
+        mag = _magical_report(seq, spec.max_shift, (report.dold, report.sign))
         witnesses = [(k, dold.checked_upto, _witness_json(zip(LOCAL_CHECKS, (dold, sign))))
                      for k, dold, sign in mag.entries]
         doc["magical"] = {

@@ -13,6 +13,7 @@ check winning a tie.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd, prod
 from typing import Iterable, Iterator
 
@@ -151,15 +152,20 @@ def _mobius_table(N: int) -> tuple[int, ...]:
 
 def _orbit_values(a: tuple[int, ...]) -> list[int]:
     # o_n = [n = 1] + sum_{d|n, a_d != 1} mu(n/d) (a_d - 1), because
-    # sum_{d|n} mu(n/d) = [n = 1]: only terms other than 1 push into multiples
+    # sum_{d|n} mu(n/d) = [n = 1]: only terms other than 1 push into
+    # multiples, and each push adds or subtracts a_d - 1, as mu(n/d) = +-1
     N = len(a)
     mu = _mobius_table(N)
     o = [1] + [0] * (N - 1)
     for d, ad in enumerate(a, start=1):
         if ad != 1:
+            x = ad - 1
             for i, u in zip(range(d - 1, N, d), mu):
                 if u:
-                    o[i] += u * (ad - 1)
+                    if u > 0:
+                        o[i] += x
+                    else:
+                        o[i] -= x
     return o
 
 
@@ -175,10 +181,18 @@ def orbit_counts(a: Sequence1) -> OrbitCounts:
 def dold_sign(a: tuple[int, ...]) -> tuple[Verdict, Verdict]:
     """Dold and sign verdicts, each with its least witness, of (a_1, ..., a_N)."""
     N = len(a)
-    o = list(enumerate(_orbit_values(a), start=1))
-    dold = next((Verdict.fail_at(n, v, N) for n, v in o if v % n), Verdict.pass_up_to(N))
-    sign = next((Verdict.fail_at(n, v, N) for n, v in o if v < 0), Verdict.pass_up_to(N))
-    return dold, sign
+    o = _orbit_values(a)
+    dold = sign = None
+    # one pass over the nonzero orbit counts: o_n = 0 passes both checks
+    for n in compress(range(1, N + 1), o):
+        v = o[n - 1]
+        if dold is None and v % n:
+            dold = Verdict.fail_at(n, v, N)
+        if sign is None and v < 0:
+            sign = Verdict.fail_at(n, v, N)
+        if dold is not None and sign is not None:
+            break
+    return dold or Verdict.pass_up_to(N), sign or Verdict.pass_up_to(N)
 
 
 def check_realizable(a: Sequence1) -> RealizabilityReport:
@@ -225,17 +239,25 @@ def arias_criterion(a: Sequence1) -> Verdict:
     return Verdict.pass_up_to(N)
 
 
+# terms per coprimality test in ``localize``: one gcd clears a block of terms
+# that no scanned prime divides
+_BLOCK = 16
+
+
 def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """Entrywise q-parts of a strictly positive prefix, for each q in ``primes``
     that divides some term; a prime dividing no term has no entry.
 
-    Each term v is reduced once modulo P, the product of the distinct primes,
-    and only the q dividing g = gcd(v mod P, P) = gcd(v, P) are stripped from
-    v (the batch step of D. J. Bernstein, "How to find smooth parts of
-    integers", 2004).  Errors follow the primes in ascending order: a first
-    prime that is not prime raises ValueError; otherwise a zero term raises
-    ZeroEntryError at its least index; otherwise any later non-prime raises
-    ValueError.
+    Each term v is reduced once modulo P, the product of the distinct primes
+    (the batch step of D. J. Bernstein, "How to find smooth parts of
+    integers", 2004).  P is squarefree, so a block of ``_BLOCK`` terms holds a
+    term some q divides exactly when G = gcd(product of their residues mod P,
+    P) exceeds 1; only the terms of such a block get a gcd of their own,
+    g = gcd(v mod P, G) = gcd(v, P), and only the q dividing g are stripped
+    from v, by ``_q_part``.  Errors follow the primes in ascending order: a
+    first prime that is not prime raises ValueError; otherwise a zero term
+    raises ZeroEntryError at its least index; otherwise any later non-prime
+    raises ValueError.
     """
     primes = sorted(primes)
     if not primes:
@@ -247,20 +269,42 @@ def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[
     for q in distinct:
         _prime(q)
     P = prod(distinct)
+    N = len(values)
+    residues = [v % P for v in values]
     parts: dict[int, list[int]] = {}
-    for i, v in enumerate(values):
-        g = gcd(v % P, P)
-        for q in distinct:
-            if g == 1:
-                break
-            if g % q == 0:
-                g //= q
-                part = 1
-                while v % q == 0:
-                    v //= q
-                    part *= q
-                parts.setdefault(q, [1] * len(values))[i] = part
+    for start in range(0, N, _BLOCK):
+        x = 1
+        for r in residues[start : start + _BLOCK]:
+            x = x * r % P
+        G = gcd(x, P)
+        if G == 1:
+            continue
+        for i in range(start, min(start + _BLOCK, N)):
+            g = gcd(residues[i], G)
+            for q in distinct:
+                if g == 1:
+                    break
+                if g % q == 0:
+                    g //= q
+                    parts.setdefault(q, [1] * N)[i] = _q_part(values[i], q)
     return {q: tuple(column) for q, column in parts.items()}
+
+
+def _q_part(v: int, q: int) -> int:
+    # q^e, e = ord_q(v) >= 1, by a squaring ladder: find the largest q^(2^K)
+    # dividing v, then take e - 2^K < 2^K from the lower rungs, largest first;
+    # at e = 1 that is the one remainder v % q^2
+    ladder = [q]
+    while v % (square := ladder[-1] * ladder[-1]) == 0:
+        ladder.append(square)
+    part = ladder.pop()
+    if ladder:
+        v //= part
+        for rung in reversed(ladder):
+            w, r = divmod(v, rung)
+            if not r:
+                v, part = w, part * rung
+    return part
 
 
 def p_part_sequence(a: Sequence1, q: int) -> Sequence1:
@@ -306,9 +350,18 @@ class MagicalReport:
 
 def magical_report(a: Sequence1, max_shift: int) -> MagicalReport:
     """Dold and sign verdicts of each shifted prefix (a_{n+k}) for k <= max_shift."""
+    return _magical_report(a, max_shift, None)
+
+
+def _magical_report(a: Sequence1, max_shift: int,
+                    unshifted: tuple[Verdict, Verdict] | None) -> MagicalReport:
+    # ``unshifted``: the Dold and sign verdicts of shift 0, the whole prefix,
+    # when the caller has them from its global checks; None inverts it here
     _at_least("max_shift", max_shift, 0)
     _at_most("max_shift", max_shift, len(a) - 1)
-    return MagicalReport(tuple((k, *dold_sign(a.values[k:])) for k in range(max_shift + 1)))
+    first = dold_sign(a.values) if unshifted is None else unshifted
+    rest = tuple((k, *dold_sign(a.values[k:])) for k in range(1, max_shift + 1))
+    return MagicalReport(((0, *first),) + rest)
 
 
 def pointwise_product(a: Sequence1, b: Sequence1) -> Sequence1:

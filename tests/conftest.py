@@ -3,8 +3,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from seqlab.classical import bernoulli_upto, derived_bernoulli, euler_upto, sequence_e
+
+# `pytest --hypothesis-profile=ci`: ten times the examples, fresh ones on
+# every run.  Hypothesis loads a profile named "ci" by itself where it detects
+# a CI service, so the suite loads its default profile unless the option
+# names another, and tier-1 runs the default everywhere.
+settings.register_profile("ci", max_examples=1000, derandomize=False, deadline=None,
+                          database=None, print_blob=True)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

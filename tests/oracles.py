@@ -6,7 +6,9 @@ cosh power series, and the combinatorial helpers are direct enumerations.
 The realizability reference is the original divisor-by-divisor inversion; it
 only borrows the package's verdict containers, so results compare field by
 field.  The tangent/secant reference is the original one-shot in-place
-recurrence, rebuilt from scratch on every call.  The matrix-construction
+recurrence, rebuilt from scratch on every call, and the Bernoulli reference
+reduces 2n T_n / (4^n (4^n - 1)) by a full gcd, as the engine did before it
+divided by its von Staudt-Clausen denominator.  The matrix-construction
 reference checks the unit condition at every exponent below q-1, and the
 torsion-count reference takes every determinant exactly; the associativity
 reference tries every triple.  The p-part reference strips one prime from
@@ -91,6 +93,14 @@ def tangent_secant_ref(M: int, c: int) -> list[int]:
         for j in range(k, M + 1):
             X[j] = (j - k) * X[j - 1] + (j - k + c) * X[j]
     return X
+
+
+def bernoulli_from_tangent_ref(k: int, t: int) -> Fraction:
+    """B_{2n}, n = k + 1, from the tangent number t = T_n, by one Fraction
+    division that a full gcd reduces: T_n = (-1)^(n-1) 4^n (4^n - 1) B_{2n} / (2n)."""
+    n = k + 1
+    four_n = 1 << (2 * n)
+    return Fraction((1 if n % 2 else -1) * 2 * n * t, four_n * (four_n - 1))
 
 
 def phi_by_count(n: int) -> int:

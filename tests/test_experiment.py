@@ -15,7 +15,8 @@ from seqlab.experiment import (
     render_report,
     run_experiment,
 )
-from seqlab.realizability import Sequence1, shift
+import seqlab.realizability as realizability
+from seqlab.realizability import Sequence1, check_realizable, least_failure, magical_report, shift
 import oracles
 
 
@@ -227,6 +228,30 @@ def test_magical_section_matches_full_reports(source, depth, max_shift, drop):
     seq = shift(load_sequence(ExperimentSpec(source, depth=depth + drop)), drop)
     ref = dict(doc, magical=_magical_ref(Sequence1(seq.values[:depth]), max_shift))
     assert render_report(doc, "json") == render_report(ref, "json")
+
+
+@pytest.mark.parametrize("source,depth,max_shift,drop", [
+    ("A000032", 30, 3, 1),  # fails the global Dold check, so shift 0 fails
+    ("e", 60, 5, 0),
+    ("e", 10, 0, 0),
+])
+def test_magical_shift_zero_reuses_the_global_verdicts(source, depth, max_shift, drop, monkeypatch):
+    # the global checks invert the whole prefix once, and the magical section
+    # inverts only shifts 1..max_shift
+    calls = []
+    dold_sign = realizability.dold_sign
+    monkeypatch.setattr(realizability, "dold_sign", lambda values: calls.append(len(values)) or dold_sign(values))
+    doc = run_experiment(ExperimentSpec(source=source, depth=depth, primes=(),
+                                        max_shift=max_shift, shift=drop))
+    assert calls == [depth - k for k in range(max_shift + 1)]
+    seq = load_sequence(ExperimentSpec(source, depth=depth, shift=drop))
+    report = check_realizable(seq)
+    assert magical_report(seq, max_shift).entries[0] == (0, report.dold, report.sign)
+    failure = least_failure(report.verdicts[:2])
+    witness = None if failure is None else {"check": failure[0], "n": failure[1].n, "value": failure[1].value}
+    assert doc["magical"]["entries"][0] == {"shift": 0, "checked_upto": depth,
+                                            "status": "pass" if witness is None else "fail",
+                                            "witness": witness}
 
 
 def test_magical_shift_beyond_depth_is_refused():

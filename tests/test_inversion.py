@@ -5,11 +5,12 @@ The reference (``oracles``) rebuilds divisors and Mobius values for every
 index; the package inverts once over a Mobius table and skips indices whose
 term is 1, and finds its monotone witness in one pass over multiples.  The
 p-part reference strips each prime from each term; the package reduces each
-term once modulo the product of the primes.  Verdicts, witnesses, q-parts,
-errors and whole reports must agree.
+term once modulo the product of the primes, clears each block of terms prime
+to it with one gcd, and finds each valuation by a squaring ladder.
+Verdicts, witnesses, q-parts, errors and whole reports must agree.
 """
 
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,9 @@ from seqlab.realizability import (
     p_part_sequence,
 )
 import oracles
+
+# the loaded profile's example count: 100, or 1000 under --hypothesis-profile=ci
+EXAMPLES = settings.default.max_examples
 
 dense = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=40)
 
@@ -58,7 +62,7 @@ def late_monotone_failures(draw):
 prefixes = st.one_of(dense, p_part_like(), late_monotone_failures())
 
 
-@settings(max_examples=200)
+@settings(max_examples=2 * EXAMPLES)
 @given(prefixes)
 def test_orbit_counts_match_reference(values):
     got = orbit_counts(Sequence1(values)).values
@@ -66,7 +70,7 @@ def test_orbit_counts_match_reference(values):
     assert got == tuple(oracles.mobius_sum(values, n) for n in range(1, len(values) + 1))
 
 
-@settings(max_examples=200)
+@settings(max_examples=2 * EXAMPLES)
 @given(prefixes)
 def test_checks_match_reference(values):
     ref = oracles.check_realizable_ref(values)
@@ -81,7 +85,7 @@ def shifted_prefixes(draw):
     return values, draw(st.integers(min_value=0, max_value=len(values) - 1))
 
 
-@settings(max_examples=200)
+@settings(max_examples=2 * EXAMPLES)
 @given(shifted_prefixes())
 def test_magical_report_matches_reference(case):
     values, max_shift = case
@@ -101,7 +105,7 @@ def test_p_part_sequence_matches_gcd(values, q):
     assert p_part_sequence(Sequence1(values), q).values == expected
 
 
-@settings(max_examples=200)
+@settings(max_examples=2 * EXAMPLES)
 @given(late_monotone_failures())
 def test_late_monotone_witness_matches_reference(values):
     monotone = check_realizable(Sequence1(values)).monotone
@@ -130,36 +134,49 @@ def localize_ref(values, primes):
     return out
 
 
+BLOCK = realizability._BLOCK
+
+
 @st.composite
 def localization_inputs(draw):
     # a window of consecutive primes, terms divisible by high powers of several
-    # window primes, of the primes at its edges and of the primes just outside
+    # window primes, of the primes at its edges and of the primes just outside,
+    # and one term by powers up to a few hundred; the terms come in runs, some
+    # prime to the window, so that blocks localize skips meet blocks it
+    # strips, and a prefix may run past four blocks
     i = draw(st.integers(min_value=0, max_value=len(SMALL_PRIMES) - 1))
     j = draw(st.integers(min_value=i + 1, max_value=min(len(SMALL_PRIMES), i + 12)))
     window = SMALL_PRIMES[i:j]
     near = window + [window[0], window[-1]] + SMALL_PRIMES[max(i - 1, 0) : i] + SMALL_PRIMES[j : j + 1]
+    powers = st.sampled_from([q**e for q in near for e in range(1, 61)])
     values = []
-    for _ in range(draw(st.integers(min_value=1, max_value=30))):
-        v = draw(st.integers(min_value=1, max_value=10**6))
-        for q in draw(st.lists(st.sampled_from(near), max_size=4)):
-            v *= q ** draw(st.integers(min_value=1, max_value=60))
-        values.append(v)
+    for coprime, length in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 2 * BLOCK)),
+                                         min_size=1, max_size=5)):
+        for v in draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=length, max_size=length)):
+            if coprime:
+                v //= gcd(v, prod(window) ** 20)
+            else:
+                v *= prod(draw(st.lists(powers, max_size=4)))
+            values.append(v)
+    deep = draw(st.integers(min_value=0, max_value=len(values) - 1))
+    for q in draw(st.lists(st.sampled_from(near), max_size=2)):
+        values[deep] *= q ** draw(st.sampled_from([127, 128, 255, 256]) | st.integers(1, 300))
     primes = window + draw(st.lists(st.sampled_from(window), max_size=3))  # duplicates
     return values, draw(st.permutations(primes))
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(localization_inputs())
 def test_localize_matches_reference(args):
     values, primes = args
     assert localize(tuple(values), primes) == localize_ref(values, primes)
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(
     localization_inputs(),
     st.lists(st.sampled_from([0, 1, 4, 9, 1000, -1, -2, -7]), max_size=2),
-    st.lists(st.integers(min_value=0, max_value=29), max_size=2),
+    st.lists(st.integers(min_value=0, max_value=12 * BLOCK - 1), max_size=2),
 )
 def test_localize_errors_match_reference(args, non_primes, zeros):
     values, primes = args
@@ -173,6 +190,27 @@ def test_localize_errors_match_reference(args, non_primes, zeros):
         want = outcome(oracles.p_part_sequence_ref, values, q)
         got = outcome(lambda: p_part_sequence(Sequence1(values), q).values)
         assert got == want
+
+
+def test_skipped_and_stripped_blocks_meet_at_every_boundary():
+    # five whole blocks and one term: each block is prime to the window or
+    # holds one term a window prime divides, at its first or last place
+    window = [5, 7, 11]
+    N = 5 * BLOCK + 1
+    for pattern in range(2**6):
+        for place in (0, BLOCK - 1):
+            values = [3 * 2 ** (i % 9) for i in range(N)]
+            for b in range(6):
+                if pattern >> b & 1:
+                    values[min(b * BLOCK + place, N - 1)] *= window[b % 3] ** (b + 1)
+            assert localize(tuple(values), window) == localize_ref(values, window)
+
+
+@pytest.mark.parametrize("q", [2, 3, 61, 251])
+def test_q_part_finds_every_valuation_up_to_a_few_hundred(q):
+    for e in range(1, 301):
+        for unit in (1, q - 1, q + 1, (q + 1) ** 40):
+            assert realizability._q_part(unit * q**e, q) == q**e
 
 
 def test_localize_strips_each_duplicate_prime_once():

@@ -4,7 +4,11 @@ Every public number engine reads one resumable table per engine.  These tests
 replay request sequences in arbitrary depth order on fresh tables and compare
 each result with the seed's one-shot recurrence (``oracles.tangent_secant_ref``),
 check that callers cannot reach the shared state, and that an extension that
-dies part-way leaves the previous table in place.
+dies part-way leaves the previous table in place.  The Bernoulli numbers
+assembled over their von Staudt-Clausen denominators are compared with the
+gcd-reduced reference (``oracles.bernoulli_from_tangent_ref``) to depth 1000,
+and the kept Clausen table and derived t/b/d columns are checked as the
+tables are.
 """
 
 import inspect
@@ -14,6 +18,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest.mock import patch
 
@@ -27,6 +32,7 @@ from seqlab.classical import (
     DerivedBernoulli,
     EulerTable,
     bernoulli_upto,
+    clausen_denominator,
     derived_bernoulli,
     euler_upto,
     secant_numbers,
@@ -34,9 +40,10 @@ from seqlab.classical import (
     tangent_numbers,
 )
 from seqlab.realizability import Sequence1
-from oracles import tangent_secant_ref
+from oracles import bernoulli_from_tangent_ref, tangent_secant_ref
 
 DEPTH = 60
+EXAMPLES = settings.default.max_examples  # 100, or 1000 under --hypothesis-profile=ci
 T_REF = tangent_secant_ref(DEPTH - 1, 2)  # T_1..T_DEPTH
 S_REF = tangent_secant_ref(DEPTH, 1)  # |E_0|..|E_{2 DEPTH}|
 B_REF = [
@@ -99,7 +106,7 @@ orders = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=3 * EXAMPLES // 2, deadline=None)
 @given(orders)
 @example([("tangent_numbers", 0), ("bernoulli_upto", 0), ("derived_bernoulli", 0), ("secant_numbers", 0)])
 @example([(name, N) for N in (0, 1) for name in ENGINES])
@@ -212,12 +219,64 @@ def test_shared_tables_match_the_bundled_fixtures(euler_first):
     assert tuple(q.denominator for q in quotients) == bundled("A006953")
 
 
+def test_bernoulli_numbers_from_their_clausen_denominators_match_the_gcd():
+    # every column to depth 1000 from a fresh recurrence that keeps T_n itself
+    tangents = classical._Recurrence(2, lambda j, x: x).columns(999)
+    assert len(tangents) == 1000 and tangents[:DEPTH] == tuple(T_REF)
+    for k, t in enumerate(tangents):
+        assert classical._bernoulli_from_tangent(k, t) == bernoulli_from_tangent_ref(k, t), k + 1
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_a_tangent_number_off_by_one_is_an_engine_defect(n):
+    with pytest.raises(RuntimeError, match="engine defect"):
+        classical._bernoulli_from_tangent(n - 1, T_REF[n - 1] + 1)
+
+
+def test_clausen_table_extends_by_its_missing_entries(monkeypatch):
+    monkeypatch.setattr(classical, "_CLAUSEN", ())
+    for N in (1, 2, 7, 6, 30, 31, 200):
+        assert classical._clausen_table(N)[:N] == tuple(map(clausen_denominator, range(1, N + 1))), N
+
+
+def test_kept_derived_columns_serve_every_depth(monkeypatch):
+    # columns per call would take 40 + 20 + 60 = 120 gcds
+    calls = []
+    monkeypatch.setattr(classical, "_DERIVED", ((), (), ()))
+    monkeypatch.setattr(classical, "gcd", lambda a, b: calls.append(b) or gcd(a, b))
+    for N in (40, 20, 60):
+        assert derived_bernoulli(N) == expected("derived_bernoulli", N)
+    assert calls == [2 * n for n in range(1, 61)]
+
+
+def test_an_interrupted_derived_extension_keeps_the_previous_columns(monkeypatch):
+    monkeypatch.setattr(classical, "_DERIVED", ((), (), ()))
+    derived_bernoulli(20)
+    before = classical._DERIVED
+
+    def failing(a, b):
+        if b == 2 * 35:
+            raise KeyboardInterrupt("interrupted part-way")
+        return gcd(a, b)
+
+    monkeypatch.setattr(classical, "gcd", failing)
+    with pytest.raises(KeyboardInterrupt):
+        derived_bernoulli(50)
+    assert classical._DERIVED is before
+    monkeypatch.setattr(classical, "gcd", gcd)
+    for N in (50, 20, DEPTH):
+        assert derived_bernoulli(N) == expected("derived_bernoulli", N)
+    with pytest.raises(ValueError, match="^depth must be >= 1, got 0$"):
+        derived_bernoulli(0)
+
+
 def test_import_builds_no_table():
     code = (
         "import seqlab, seqlab.cli\n"
         "from seqlab import classical\n"
         "assert classical._TANGENT._state == ((), []), classical._TANGENT._state\n"
         "assert classical._SECANT._state == ((), []), classical._SECANT._state\n"
+        "assert classical._CLAUSEN == () and classical._DERIVED == ((), (), ())\n"
     )
     src = str(Path(classical.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
