@@ -6,8 +6,9 @@ denominator), Euler numbers from the secant numbers; one recurrence gives
 both.  It is O(N^2) big-integer additions/multiplications and comfortably
 reaches B_600 / E_400 in seconds.  Each engine keeps one table per process
 and extends it column by column, so a deeper request pays only for the new
-columns and a shallower one is a slice; the derived t/b/d columns are kept
-the same way.
+columns and a shallower one is a slice.  The tangent table keeps B_2n with
+the numerator and denominator of |B_2n / (2n)| beside it, committed together,
+and the von Staudt-Clausen denominators are a table of their own.
 
 Derived sequences, all indexed from 1:
 
@@ -45,26 +46,27 @@ class _Recurrence:
     extension needs besides the outputs is G_M[1..M] of the last column M,
     and one list holds it, each G_{j-1}[k] overwritten by G_j[k].
 
-    One instance per engine lives for the whole process.  An extension works
-    on copies of both lists and commits them by one assignment, so an
-    exception part-way through (KeyboardInterrupt included) leaves the
-    previous table, and threads extending at once each commit a consistent
-    table (the last commit wins).
+    One instance per engine lives for the whole process.  Each column keeps
+    a tuple of values, one per kept sequence, and each sequence is a tuple of
+    its own, so a reader slices it.  An extension works on copies of every
+    list and commits them by one assignment, so an exception part-way through
+    (KeyboardInterrupt included) leaves the previous table, and threads
+    extending at once each commit a consistent table (the last commit wins).
     """
 
-    def __init__(self, c: int, output) -> None:
+    def __init__(self, c: int, output, width: int) -> None:
         self._c = c
-        self._output = output  # (j, final X_j) -> the value kept for column j
-        self._state: tuple[tuple, list[int]] = ((), [])  # outputs, G_M[1..M]
+        self._output = output  # (j, final X_j) -> the ``width`` values kept for column j
+        self._state: tuple[tuple[tuple, ...], list[int]] = (((),) * width, [])  # kept, G_M[1..M]
 
-    def columns(self, M: int) -> tuple:
-        """The kept values of columns 0..M at least (the whole table so far)."""
-        outputs, column = self._state
-        if M < len(outputs):
-            return outputs
+    def columns(self, M: int) -> tuple[tuple, ...]:
+        """The kept sequences, each over columns 0..M at least (the whole table so far)."""
+        kept, column = self._state
+        if M < len(kept[0]):
+            return kept
         c, output = self._c, self._output
-        new, column = list(outputs), list(column)
-        for j in range(len(outputs), M + 1):
+        rows, column = [], list(column)
+        for j in range(len(kept[0]), M + 1):
             x = 1
             for i, a in enumerate(range(j, 1, -1)):  # G_{j-1}[k] -> G_j[k], k = i + 1
                 x = column[i] + a * (a - 1 + c) * x
@@ -72,10 +74,10 @@ class _Recurrence:
             if j:
                 x *= c
                 column.append(x)
-            new.append(output(j, x))
-        outputs = tuple(new)
-        self._state = (outputs, column)
-        return outputs
+            rows.append(output(j, x))
+        kept = tuple(old + new for old, new in zip(kept, zip(*rows)))
+        self._state = (kept, column)
+        return kept
 
 
 _CLAUSEN: tuple[int, ...] = ()  # D_1, D_2, ...: the denominators of B_2, B_4, ...
@@ -99,26 +101,28 @@ def _clausen_table(N: int) -> tuple[int, ...]:
     return table
 
 
-def _bernoulli_from_tangent(k: int, t: int) -> Fraction:
+def _bernoulli_from_tangent(k: int, t: int) -> tuple[Fraction, int, int]:
     # column k holds T_n, n = k + 1; T_n = (-1)^(n-1) 4^n (4^n - 1) B_{2n} / (2n)
     # and B_{2n} = a / D_n in lowest terms, so |a| = 2n T_n D_n / (4^n (4^n - 1))
-    # exactly: a shift by 2n and one exact division, with no gcd
+    # exactly: a shift by 2n and one exact division, with no gcd.  Then
+    # |B_{2n}| / (2n) = |a| / (2n D_n) reduces by gcd(a, 2n) alone, as gcd(a, D_n) = 1
     n = k + 1
     D = _clausen_table(n)[k]
     x = 2 * n * t * D
     a, r = divmod(x >> (2 * n), (1 << (2 * n)) - 1)
     if r or x & ((1 << (2 * n)) - 1):
         raise RuntimeError(f"4^{n} (4^{n} - 1) does not divide 2n T_{n} D_{n}: engine defect")
-    return Fraction(a if n % 2 else -a, D)
+    g = gcd(a, 2 * n)
+    return Fraction(a if n % 2 else -a, D), a // g, 2 * n * D // g
 
 
-_TANGENT = _Recurrence(2, _bernoulli_from_tangent)  # keeps B_2, B_4, ...
-_SECANT = _Recurrence(1, lambda j, s: s)  # keeps |E_0|, |E_2|, ...
+_TANGENT = _Recurrence(2, _bernoulli_from_tangent, 3)  # keeps B_2n, t_n, b_n for n = 1, 2, ...
+_SECANT = _Recurrence(1, lambda j, s: (s,), 1)  # keeps |E_0|, |E_2|, ...
 
 
-def _bernoulli_columns(N: int) -> tuple[Fraction, ...]:
-    # B_2, ..., B_2N at least; the Clausen denominators of the new columns
-    # come first, in one pass
+def _bernoulli_columns(N: int) -> tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]]:
+    # B_2n, t_n and b_n for n = 1..N at least; the Clausen denominators of
+    # the new columns come first, in one pass
     _clausen_table(N)
     return _TANGENT.columns(N - 1)
 
@@ -127,7 +131,7 @@ def tangent_numbers(N: int) -> list[int]:
     """Tangent numbers T_1..T_N (1, 2, 16, 272, ...), exact integers."""
     _at_least("depth", N, 1)
     out = []  # from the kept B_{2n}: T_n = |B_{2n}| 4^n (4^n - 1) / (2n)
-    for n, b in enumerate(_bernoulli_columns(N)[:N], start=1):
+    for n, b in enumerate(_bernoulli_columns(N)[0][:N], start=1):
         four_n = 1 << (2 * n)
         out.append(abs(b.numerator) * four_n * (four_n - 1) // (2 * n * b.denominator))
     return out
@@ -136,7 +140,7 @@ def tangent_numbers(N: int) -> list[int]:
 def secant_numbers(N: int) -> list[int]:
     """Secant numbers S_1..S_N = |E_2|, ..., |E_{2N}| (1, 5, 61, 1385, ...)."""
     _at_least("depth", N, 0)
-    return list(_SECANT.columns(N)[1 : N + 1])
+    return list(_SECANT.columns(N)[0][1 : N + 1])
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ def bernoulli_upto(N: int) -> BernoulliTable:
     tangent table keeps these Fractions and extends them.
     """
     _at_least("depth", N, 1)
-    return BernoulliTable(N, _bernoulli_columns(N)[:N])
+    return BernoulliTable(N, _bernoulli_columns(N)[0][:N])
 
 
 def euler_upto(N: int) -> EulerTable:
@@ -223,32 +227,15 @@ class DerivedBernoulli:
     clausen_denominators: Sequence1
 
 
-_DERIVED: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = ((), (), ())  # t, b, d
-
-
 def derived_bernoulli(N: int) -> DerivedBernoulli:
     """Build the numerator/denominator/Clausen sequences up to index N.
 
-    The three columns are kept for the process: a deeper request extends
-    them from the tangent table, and commits them by one assignment, so an
-    exception part-way through (KeyboardInterrupt included) leaves the
-    previous columns; a shallower one is a slice.
+    t and b are kept in the tangent table beside B_{2n}, and d is the Clausen
+    table, so a request slices them (a deeper one extends both tables first).
     """
     _at_least("depth", N, 1)
-    global _DERIVED
-    columns = _DERIVED
-    M = len(columns[0])
-    if M < N:
-        nums, dens, claus = [], [], []
-        for n, b in enumerate(_bernoulli_columns(N)[M:N], start=M + 1):
-            # B_{2n} = a/d in lowest terms, and d is the von Staudt-Clausen
-            # denominator; |a|/(2n d) reduces by gcd(a, 2n) alone, as gcd(a, d) = 1
-            g = gcd(b.numerator, 2 * n)
-            nums.append(abs(b.numerator) // g)
-            dens.append(2 * n * b.denominator // g)
-            claus.append(b.denominator)
-        columns = _DERIVED = tuple(old + tuple(new) for old, new in zip(columns, (nums, dens, claus)))
-    t, b, d = columns
+    _, t, b = _bernoulli_columns(N)
+    d = _clausen_table(N)
     return DerivedBernoulli(N, Sequence1(t[:N], "t"), Sequence1(b[:N], "b"), Sequence1(d[:N], "d"))
 
 

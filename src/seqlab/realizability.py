@@ -37,12 +37,13 @@ class Sequence1:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if len(self.values) == 0:
+        values = tuple(map(int, self.values))
+        object.__setattr__(self, "values", values)
+        if not values:
             raise ValueError("Sequence1 needs at least one term")
-        for i, v in enumerate(self.values, start=1):
-            if v < 0:
-                raise ValueError(f"Sequence1 values must be >= 0; a_{i} = {v}")
+        if min(values) < 0:
+            i, v = next((i, v) for i, v in enumerate(values, start=1) if v < 0)
+            raise ValueError(f"Sequence1 values must be >= 0; a_{i} = {v}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -259,14 +260,13 @@ def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[
     raises ZeroEntryError at its least index; otherwise any later non-prime
     raises ValueError.
     """
-    primes = sorted(primes)
-    if not primes:
+    distinct = sorted(set(primes))
+    if not distinct:
         return {}
-    _prime(primes[0])
+    _prime(distinct[0])
     if 0 in values:
         raise ZeroEntryError(values.index(0) + 1)
-    distinct = sorted(set(primes))
-    for q in distinct:
+    for q in distinct[1:]:
         _prime(q)
     P = prod(distinct)
     N = len(values)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,9 @@ from seqlab.realizability import (
 )
 from conftest import invoke
 from oracles import mobius_sum
+
+# the loaded profile's example count: 100, or 1000 under --hypothesis-profile=ci
+EXAMPLES = settings.default.max_examples
 
 
 def lucas_values(n):
@@ -47,6 +51,20 @@ def test_sequence_rejects_empty_and_negative():
         Sequence1(())
     with pytest.raises(ValueError):
         Sequence1((1, -2))
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), max_size=12), st.sampled_from([tuple, list, iter]))
+def test_sequence_refusals_name_the_least_negative_index(values, container):
+    negative = [(i, v) for i, v in enumerate(values, start=1) if v < 0]
+    if not values:
+        message = "Sequence1 needs at least one term"
+    elif negative:
+        message = "Sequence1 values must be >= 0; a_{} = {}".format(*negative[0])
+    else:
+        assert Sequence1(container(values)).values == tuple(values)
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Sequence1(container(values))
 
 
 def test_one_based_indexing():
@@ -276,7 +294,7 @@ def test_magical_first_failure_is_the_least_witness(derived300):
     assert entry["witness"] == {"check": name, "n": v.n, "value": v.value}
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=30))
 def test_first_failure_has_the_least_index(values):
     rep = check_realizable(Sequence1(tuple(values)))
@@ -341,7 +359,7 @@ def test_localization_is_multiplicative(xs, ys, q):
     assert lhs.values == rhs.values
 
 
-@settings(max_examples=50)
+@settings(max_examples=EXAMPLES // 2)
 @given(st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=48))
 def test_global_from_local(values):
     a = Sequence1(tuple(values))

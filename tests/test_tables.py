@@ -7,8 +7,8 @@ check that callers cannot reach the shared state, and that an extension that
 dies part-way leaves the previous table in place.  The Bernoulli numbers
 assembled over their von Staudt-Clausen denominators are compared with the
 gcd-reduced reference (``oracles.bernoulli_from_tangent_ref``) to depth 1000,
-and the kept Clausen table and derived t/b/d columns are checked as the
-tables are.
+with the t and b columns the tangent table keeps beside them; the Clausen
+table is emptied and rebuilt with the others.
 """
 
 import inspect
@@ -56,8 +56,9 @@ B_REF = [
 def fresh_tables():
     """Run with empty tables in place of the process-wide ones."""
     tangent, secant = classical._TANGENT, classical._SECANT
-    with patch.object(classical, "_TANGENT", classical._Recurrence(tangent._c, tangent._output)), \
-            patch.object(classical, "_SECANT", classical._Recurrence(secant._c, secant._output)):
+    with patch.object(classical, "_TANGENT", classical._Recurrence(tangent._c, tangent._output, 3)), \
+            patch.object(classical, "_SECANT", classical._Recurrence(secant._c, secant._output, 1)), \
+            patch.object(classical, "_CLAUSEN", ()):
         yield
 
 
@@ -139,29 +140,41 @@ def test_returned_values_cannot_reach_the_tables():
 
 
 def test_shallower_requests_slice_and_deeper_ones_build_only_new_columns():
+    # t and b are reduced once per column, by gcd(a, 2n), whichever reader
+    # extends the table: 60 gcds, where reducing on every derived read would
+    # take 25 + 45 + 20 + 60 + 40
     with fresh_tables():
-        built = []
+        built, reduced = [], []
         output = classical._TANGENT._output
 
         def counting(j, x):
             built.append(j)
             return output(j, x)
 
-        with patch.object(classical._TANGENT, "_output", counting):
+        with patch.object(classical._TANGENT, "_output", counting), \
+                patch.object(classical, "gcd", lambda a, b: reduced.append(b) or gcd(a, b)):
             bernoulli_upto(30)
             assert built == list(range(30))
             tangent_numbers(20), derived_bernoulli(25), bernoulli_upto(30)
             assert len(built) == 30
-            bernoulli_upto(45)
+            assert derived_bernoulli(45) == expected("derived_bernoulli", 45)
             assert built == list(range(45))
+            for N in (20, 60, 40):
+                assert derived_bernoulli(N) == expected("derived_bernoulli", N)
+            assert built == list(range(60))
+        assert reduced == [2 * n for n in range(1, 61)]
         assert bernoulli_upto(45).values == tuple(B_REF[:45])
+        assert classical._CLAUSEN == tuple(map(clausen_denominator, range(1, 61)))
 
 
 @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
-@pytest.mark.parametrize("engine, deep", [("_TANGENT", bernoulli_upto), ("_SECANT", secant_numbers)])
+@pytest.mark.parametrize(
+    "engine, deep",
+    [("_TANGENT", bernoulli_upto), ("_TANGENT", derived_bernoulli), ("_SECANT", secant_numbers)],
+)
 def test_interrupted_extension_keeps_the_previous_table(engine, deep, interrupt):
     with fresh_tables():
-        bernoulli_upto(10), secant_numbers(10)
+        derived_bernoulli(10), secant_numbers(10)
         table = getattr(classical, engine)
         before = table._state
         output = table._output
@@ -177,6 +190,8 @@ def test_interrupted_extension_keeps_the_previous_table(engine, deep, interrupt)
         for name in ENGINES:
             for N in (5, 10, 40, DEPTH):
                 assert actual(name, N) == expected(name, N), (name, N)
+        with pytest.raises(ValueError, match="^depth must be >= 1, got 0$"):
+            derived_bernoulli(0)
 
 
 def test_threads_extending_at_once_get_correct_tables():
@@ -220,11 +235,14 @@ def test_shared_tables_match_the_bundled_fixtures(euler_first):
 
 
 def test_bernoulli_numbers_from_their_clausen_denominators_match_the_gcd():
-    # every column to depth 1000 from a fresh recurrence that keeps T_n itself
-    tangents = classical._Recurrence(2, lambda j, x: x).columns(999)
+    # every column to depth 1000 from a fresh recurrence that keeps T_n
+    # itself, with t and b read off the reference B_2n as |B_2n| / (2n)
+    (tangents,) = classical._Recurrence(2, lambda j, x: (x,), 1).columns(999)
     assert len(tangents) == 1000 and tangents[:DEPTH] == tuple(T_REF)
     for k, t in enumerate(tangents):
-        assert classical._bernoulli_from_tangent(k, t) == bernoulli_from_tangent_ref(k, t), k + 1
+        B = bernoulli_from_tangent_ref(k, t)
+        quotient = abs(B) / (2 * k + 2)
+        assert classical._bernoulli_from_tangent(k, t) == (B, quotient.numerator, quotient.denominator), k + 1
 
 
 @pytest.mark.parametrize("n", [2, 5, 50])
@@ -239,44 +257,13 @@ def test_clausen_table_extends_by_its_missing_entries(monkeypatch):
         assert classical._clausen_table(N)[:N] == tuple(map(clausen_denominator, range(1, N + 1))), N
 
 
-def test_kept_derived_columns_serve_every_depth(monkeypatch):
-    # columns per call would take 40 + 20 + 60 = 120 gcds
-    calls = []
-    monkeypatch.setattr(classical, "_DERIVED", ((), (), ()))
-    monkeypatch.setattr(classical, "gcd", lambda a, b: calls.append(b) or gcd(a, b))
-    for N in (40, 20, 60):
-        assert derived_bernoulli(N) == expected("derived_bernoulli", N)
-    assert calls == [2 * n for n in range(1, 61)]
-
-
-def test_an_interrupted_derived_extension_keeps_the_previous_columns(monkeypatch):
-    monkeypatch.setattr(classical, "_DERIVED", ((), (), ()))
-    derived_bernoulli(20)
-    before = classical._DERIVED
-
-    def failing(a, b):
-        if b == 2 * 35:
-            raise KeyboardInterrupt("interrupted part-way")
-        return gcd(a, b)
-
-    monkeypatch.setattr(classical, "gcd", failing)
-    with pytest.raises(KeyboardInterrupt):
-        derived_bernoulli(50)
-    assert classical._DERIVED is before
-    monkeypatch.setattr(classical, "gcd", gcd)
-    for N in (50, 20, DEPTH):
-        assert derived_bernoulli(N) == expected("derived_bernoulli", N)
-    with pytest.raises(ValueError, match="^depth must be >= 1, got 0$"):
-        derived_bernoulli(0)
-
-
 def test_import_builds_no_table():
     code = (
         "import seqlab, seqlab.cli\n"
         "from seqlab import classical\n"
-        "assert classical._TANGENT._state == ((), []), classical._TANGENT._state\n"
-        "assert classical._SECANT._state == ((), []), classical._SECANT._state\n"
-        "assert classical._CLAUSEN == () and classical._DERIVED == ((), (), ())\n"
+        "assert classical._TANGENT._state == (((), (), ()), []), classical._TANGENT._state\n"
+        "assert classical._SECANT._state == (((),), []), classical._SECANT._state\n"
+        "assert classical._CLAUSEN == (), classical._CLAUSEN\n"
     )
     src = str(Path(classical.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
