@@ -140,30 +140,33 @@ def test_returned_values_cannot_reach_the_tables():
 
 
 def test_shallower_requests_slice_and_deeper_ones_build_only_new_columns():
-    # t and b are reduced once per column, by gcd(a, 2n), whichever reader
-    # extends the table: 60 gcds, where reducing on every derived read would
-    # take 25 + 45 + 20 + 60 + 40
     with fresh_tables():
-        built, reduced = [], []
+        built = []
         output = classical._TANGENT._output
 
         def counting(j, x):
             built.append(j)
             return output(j, x)
 
-        with patch.object(classical._TANGENT, "_output", counting), \
-                patch.object(classical, "gcd", lambda a, b: reduced.append(b) or gcd(a, b)):
+        with patch.object(classical._TANGENT, "_output", counting):
             bernoulli_upto(30)
             assert built == list(range(30))
             tangent_numbers(20), derived_bernoulli(25), bernoulli_upto(30)
             assert len(built) == 30
             assert derived_bernoulli(45) == expected("derived_bernoulli", 45)
             assert built == list(range(45))
-            for N in (20, 60, 40):
-                assert derived_bernoulli(N) == expected("derived_bernoulli", N)
-            assert built == list(range(60))
-        assert reduced == [2 * n for n in range(1, 61)]
         assert bernoulli_upto(45).values == tuple(B_REF[:45])
+
+
+def test_kept_derived_columns_serve_every_depth():
+    # t and b are reduced once per column, by gcd(a, 2n), when the tangent
+    # table extends: 60 gcds, where reducing per call would take 40 + 20 + 60
+    with fresh_tables():
+        calls = []
+        with patch.object(classical, "gcd", lambda a, b: calls.append(b) or gcd(a, b)):
+            for N in (40, 20, 60):
+                assert derived_bernoulli(N) == expected("derived_bernoulli", N)
+        assert calls == [2 * n for n in range(1, 61)]
         assert classical._CLAUSEN == tuple(map(clausen_denominator, range(1, 61)))
 
 
