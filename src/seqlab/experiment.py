@@ -23,9 +23,9 @@ from .realizability import (
     CHECKS,
     Sequence1,
     Verdict,
+    _dold_sign,
     _magical_report,
     check_realizable,
-    dold_sign,
     least_failure,
     localize,
     shift as shift_sequence,
@@ -36,7 +36,7 @@ DEFAULT_PRIME_LIMIT = 200
 
 BUILTIN_DEPTH = 200
 
-LOCAL_CHECKS = CHECKS[:2]  # the Dold and sign checks, as dold_sign returns them
+LOCAL_CHECKS = CHECKS[:2]  # the Dold and sign checks, as _dold_sign returns them
 
 TABLE = "table"
 JSON = "json"
@@ -217,6 +217,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     primes = spec.primes
     if primes is None:
         primes = primes_in_range(2, spec.prime_limit or DEFAULT_PRIME_LIMIT)
+    N = len(seq)
     parts = localize(seq.values, primes)
     for q in primes:
         # a prime missing from ``parts`` divides no term, so its q-part is
@@ -224,7 +225,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         # both Dold and sign pass with no inversion
         witness = None
         if q in parts:
-            verdicts = zip(LOCAL_CHECKS, dold_sign(parts[q]))
+            verdicts = zip(LOCAL_CHECKS, _dold_sign(parts[q], N))
             witness = _witness_json((name, v) for name, v in verdicts
                                     if name in spec.local_checks)
         status = "realizable*" if witness is None else "not-realizable"

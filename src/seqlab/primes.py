@@ -7,9 +7,10 @@ primes split further: "strong" primes never divide any e_n up to the searched
 depth (a semidecidable property, so the verdict always carries its bound),
 "weak" ones divide some later term.  These classifications are exactly the
 local realizability behaviour of the numerator and Euler sequences, which the
-consistency tests exercise both ways, and they are computed that way: each
-reads the least index at which q divides a term off one ``localize`` call,
-which serves a whole scan.
+consistency tests exercise both ways, and they are computed that way: one
+``localize`` call serves a whole scan, and returns for each prime only the
+support of its q-parts, the (n, q-part) pairs with q-part > 1 in ascending n,
+so the least index at which q divides a term is the first n of its support.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .arith import _at_least, _odd_prime, p_adic, primes_in_range
 from .classical import derived_bernoulli, sequence_e
 from .errors import DepthError
-from .realizability import Sequence1, Verdict, check_realizable, localize
+from .realizability import Sequence1, Verdict, _dense, check_realizable, localize
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -66,15 +67,15 @@ class PrimeClassification:
     euler_strength: EulerStrength | None = None
 
 
-def _least_index(parts: tuple[int, ...]) -> int | None:
-    """The least n whose q-part exceeds 1, from one column of ``localize``."""
-    return next((n for n, part in enumerate(parts, start=1) if part > 1), None)
+def _least_index(support: list[tuple[int, int]]) -> int | None:
+    """The least n whose q-part exceeds 1: the first n of a ``localize`` support."""
+    return support[0][0] if support else None
 
 
 def _least_dividing(values: tuple[int, ...], primes: list[int]) -> list[int | None]:
     """Each prime's least n with q | a_n in the prefix, from one localization."""
     parts = localize(values, primes)
-    return [_least_index(parts.get(q, ())) for q in primes]
+    return [_least_index(parts.get(q, [])) for q in primes]
 
 
 def _regularity(q: int, least: int | None) -> Regularity:
@@ -158,22 +159,34 @@ def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
     """Conjectured q-part profile of e at a weak Euler regular prime.
 
     Checks that the q-part of e_n is q^(1+ord_q(n)) when (q-1)/2 | n and 1
-    otherwise, over the whole prefix.  A prime dividing no term of the prefix
-    (strong regular as far as this depth shows) has the all-ones profile and
-    passes vacuously.  This is evidence gathering for an observed pattern,
+    otherwise, over the whole prefix: the profile's support is the multiples
+    of (q-1)/2, and it is compared with the support ``localize`` returns, so
+    the least n whose q-part differs fails, with the part the profile
+    expected.  A prime dividing no term of the prefix (strong regular as far
+    as this depth shows) has the all-ones profile and passes vacuously.  This is evidence gathering for an observed pattern,
     not a theorem check; callers must not promote a PASS into a property of
     the infinite sequence.
     """
     _odd_prime(q)
     half = (q - 1) // 2
     N = len(e)
-    parts = localize(e.values, (q,)).get(q)
-    if parts is None:
+    support = localize(e.values, (q,)).get(q)
+    if support is None:
         return Verdict.pass_up_to(N)
-    for n, actual in enumerate(parts, start=1):
-        expected = q ** (1 + p_adic(n, q).ord) if n % half == 0 else 1
+    # the profile's support is the multiples of half; the least n where the
+    # two supports differ, or where they meet with different parts, fails
+    m = half  # the least multiple of half not yet met
+    for n, actual in support:
+        if m < n:
+            break
+        if n < m:
+            return Verdict.fail_at(n, actual, N, expected=1)
+        expected = q ** (1 + p_adic(n, q).ord)
         if actual != expected:
             return Verdict.fail_at(n, actual, N, expected=expected)
+        m += half
+    if m <= N:
+        return Verdict.fail_at(m, 1, N, expected=q ** (1 + p_adic(m, q).ord))
     return Verdict.pass_up_to(N)
 
 
@@ -186,13 +199,13 @@ def numerator_local_status(q: int, N: int) -> Verdict:
     _odd_prime(q)
     _at_least("depth", N, 1)
     t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
-    parts = localize(t.values, (q,)).get(q, ())
-    least = _least_index(parts)
+    support = localize(t.values, (q,)).get(q, [])
+    least = _least_index(support)
     if _regularity(q, least).status == REGULAR:
         if least is not None and least <= N:
             raise RuntimeError(f"regular prime {q} divides numerator at {least}: engine defect")
         return Verdict.pass_up_to(N)
-    monotone = check_realizable(Sequence1(parts[:N])).monotone
+    monotone = check_realizable(Sequence1(_dense(support, N))).monotone
     if monotone.passed:
         raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")
     return monotone

@@ -151,22 +151,26 @@ def _mobius_table(N: int) -> tuple[int, ...]:
     return _MU
 
 
-def _orbit_values(a: tuple[int, ...]) -> list[int]:
-    # o_n = [n = 1] + sum_{d|n, a_d != 1} mu(n/d) (a_d - 1), because
-    # sum_{d|n} mu(n/d) = [n = 1]: only terms other than 1 push into
-    # multiples, and each push adds or subtracts a_d - 1, as mu(n/d) = +-1
-    N = len(a)
+def _support(a: tuple[int, ...]) -> list[tuple[int, int]]:
+    # the (n, a_n) with a_n != 1, ascending: all an inversion needs of a prefix
+    return [(n, v) for n, v in enumerate(a, start=1) if v != 1]
+
+
+def _orbit_values(support: Iterable[tuple[int, int]], N: int) -> list[int]:
+    # [0, o_1, ..., o_N] of the prefix of length N whose terms other than 1
+    # are the (d, a_d) of ``support``: o_n = [n = 1] + sum_{d|n, a_d != 1}
+    # mu(n/d) (a_d - 1), because sum_{d|n} mu(n/d) = [n = 1]; each push adds
+    # or subtracts a_d - 1, as mu(n/d) = +-1
     mu = _mobius_table(N)
-    o = [1] + [0] * (N - 1)
-    for d, ad in enumerate(a, start=1):
-        if ad != 1:
-            x = ad - 1
-            for i, u in zip(range(d - 1, N, d), mu):
-                if u:
-                    if u > 0:
-                        o[i] += x
-                    else:
-                        o[i] -= x
+    o = [0, 1] + [0] * (N - 1)  # o[0] = 0 pads the 1-based indices
+    for d, ad in support:
+        x = ad - 1
+        for i, u in zip(range(d, N + 1, d), mu):
+            if u:
+                if u > 0:
+                    o[i] += x
+                else:
+                    o[i] -= x
     return o
 
 
@@ -176,17 +180,22 @@ def orbit_counts(a: Sequence1) -> OrbitCounts:
     When a is realizable, o_n/n counts the closed orbits of length n of any
     realizing map; inverting back always recovers a (sum_{d|n} o_d = a_n).
     """
-    return OrbitCounts(tuple(_orbit_values(a.values)))
+    return OrbitCounts(tuple(_orbit_values(_support(a.values), len(a))[1:]))
 
 
 def dold_sign(a: tuple[int, ...]) -> tuple[Verdict, Verdict]:
     """Dold and sign verdicts, each with its least witness, of (a_1, ..., a_N)."""
-    N = len(a)
-    o = _orbit_values(a)
+    return _dold_sign(_support(a), len(a))
+
+
+def _dold_sign(support: Iterable[tuple[int, int]], N: int) -> tuple[Verdict, Verdict]:
+    # ``dold_sign`` of the prefix of length N whose terms other than 1 are
+    # the (n, a_n) of ``support``, such as a column of ``localize``
+    o = _orbit_values(support, N)
     dold = sign = None
     # one pass over the nonzero orbit counts: o_n = 0 passes both checks
-    for n in compress(range(1, N + 1), o):
-        v = o[n - 1]
+    for n in compress(range(N + 1), o):
+        v = o[n]
         if dold is None and v % n:
             dold = Verdict.fail_at(n, v, N)
         if sign is None and v < 0:
@@ -208,9 +217,12 @@ def check_realizable(a: Sequence1) -> RealizabilityReport:
     N = len(values)
     dold, sign = dold_sign(values)
     # one pass over multiples: d ascends, so the first d recorded for m is
-    # the least proper divisor of m with a_d > a_m
+    # the least proper divisor of m with a_d > a_m; a d no larger than the
+    # least of its proper multiples' terms records nothing and is skipped
     bad: dict[int, int] = {}
     for d, ad in enumerate(values[: N // 2], start=1):
+        if ad <= min(values[2 * d - 1 :: d]):
+            continue
         for m, am in zip(range(2 * d, N + 1, d), values[2 * d - 1 :: d]):
             if ad > am and m not in bad:
                 bad[m] = d
@@ -245,9 +257,12 @@ def arias_criterion(a: Sequence1) -> Verdict:
 _BLOCK = 16
 
 
-def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Entrywise q-parts of a strictly positive prefix, for each q in ``primes``
-    that divides some term; a prime dividing no term has no entry.
+def localize(values: tuple[int, ...],
+             primes: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+    """The support of the entrywise q-parts of a strictly positive prefix, for
+    each q in ``primes`` that divides some term: the pairs (n, q-part of a_n)
+    with q-part > 1, in ascending n.  A prime dividing no term has no entry,
+    and every term missing from a support has q-part 1.
 
     Each term v is reduced once modulo P, the product of the distinct primes
     (the batch step of D. J. Bernstein, "How to find smooth parts of
@@ -271,7 +286,7 @@ def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[
     P = prod(distinct)
     N = len(values)
     residues = [v % P for v in values]
-    parts: dict[int, list[int]] = {}
+    parts: dict[int, list[tuple[int, int]]] = {}
     for start in range(0, N, _BLOCK):
         x = 1
         for r in residues[start : start + _BLOCK]:
@@ -286,8 +301,19 @@ def localize(values: tuple[int, ...], primes: Iterable[int]) -> dict[int, tuple[
                     break
                 if g % q == 0:
                     g //= q
-                    parts.setdefault(q, [1] * N)[i] = _q_part(values[i], q)
-    return {q: tuple(column) for q, column in parts.items()}
+                    parts.setdefault(q, []).append((i + 1, _q_part(values[i], q)))
+    return parts
+
+
+def _dense(support: Iterable[tuple[int, int]], N: int) -> list[int]:
+    # a_1..a_N from the (n, a_n) of a support, every other term 1; pairs past
+    # N, from the support of a longer prefix, are left out
+    a = [1] * N
+    for n, v in support:
+        if n > N:
+            break
+        a[n - 1] = v
+    return a
 
 
 def _q_part(v: int, q: int) -> int:
@@ -309,7 +335,7 @@ def _q_part(v: int, q: int) -> int:
 
 def p_part_sequence(a: Sequence1, q: int) -> Sequence1:
     """Entrywise q-part of a strictly positive prefix (localization at q)."""
-    parts = localize(a.values, (q,)).get(q, (1,) * len(a))
+    parts = _dense(localize(a.values, (q,)).get(q, ()), len(a))
     label = f"{a.label}@{q}" if a.label else f"@{q}"
     return Sequence1(parts, label)
 

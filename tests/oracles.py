@@ -541,6 +541,25 @@ def numerator_local_status_ref(q, N):
     raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")
 
 
+def weak_euler_profile_check_ref(q, e):
+    """The first n where the q-part of e_n is not q^(1+ord_q(n)) at a multiple
+    of (q-1)/2, or not 1 elsewhere, comparing every term; a prefix that q
+    divides nowhere passes."""
+    from seqlab.realizability import Verdict
+
+    _odd_prime_ref(q)
+    parts = p_part_sequence_ref(e.values, q)
+    N = len(parts)
+    if all(part == 1 for part in parts):
+        return Verdict.pass_up_to(N)
+    half = (q - 1) // 2
+    for n, actual in enumerate(parts, start=1):
+        expected = q * p_part_sequence_ref((n,), q)[0] if n % half == 0 else 1
+        if actual != expected:
+            return Verdict.fail_at(n, actual, N, expected=expected)
+    return Verdict.pass_up_to(N)
+
+
 # --- reference congruence grids: one full check per grid point, no cut-off --
 
 

@@ -2,12 +2,13 @@
 localization against the references.
 
 The reference (``oracles``) rebuilds divisors and Mobius values for every
-index; the package inverts once over a Mobius table and skips indices whose
-term is 1, and finds its monotone witness in one pass over multiples.  The
-p-part reference strips each prime from each term; the package reduces each
-term once modulo the product of the primes, clears each block of terms prime
-to it with one gcd, and finds each valuation by a squaring ladder.
-Verdicts, witnesses, q-parts, errors and whole reports must agree.
+index; the package inverts once over a Mobius table, pushing only from the
+terms other than 1 (the support), and finds its monotone witness in one pass
+over multiples.  The p-part reference strips each prime from each term; the
+package reduces each term once modulo the product of the primes, clears each
+block of terms prime to it with one gcd, finds each valuation by a squaring
+ladder, and returns only the support of each q-part.  Verdicts, witnesses,
+q-parts, errors and whole reports must agree.
 """
 
 from math import gcd, prod
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqlab.experiment as experiment
+import seqlab.primes as primes_module
 import seqlab.realizability as realizability
 from seqlab.experiment import OBSERVATION_CATALOG, ExperimentSpec, catalog_spec, run_experiment
+from seqlab.primes import weak_euler_profile_check
 from seqlab.realizability import (
     Sequence1,
     arias_criterion,
@@ -134,6 +137,19 @@ def localize_ref(values, primes):
     return out
 
 
+def expand(support, N):
+    """The N terms whose (n, a_n) other than 1 are ``support``."""
+    a = [1] * N
+    for n, v in support:
+        a[n - 1] = v
+    return tuple(a)
+
+
+def localize_dense(values, primes):
+    """``localize`` with each support expanded with ones to the prefix length."""
+    return {q: expand(support, len(values)) for q, support in localize(tuple(values), primes).items()}
+
+
 BLOCK = realizability._BLOCK
 
 
@@ -169,7 +185,45 @@ def localization_inputs(draw):
 @given(localization_inputs())
 def test_localize_matches_reference(args):
     values, primes = args
-    assert localize(tuple(values), primes) == localize_ref(values, primes)
+    assert localize_dense(values, primes) == localize_ref(values, primes)
+
+
+@settings(max_examples=3 * EXAMPLES)
+@given(localization_inputs())
+def test_localize_supports_ascend_and_start_at_the_least_dividing_index(args):
+    values, primes = args
+    parts = localize(tuple(values), primes)
+    for support in parts.values():
+        assert support
+        ns = [n for n, _ in support]
+        assert ns == sorted(set(ns)) and 1 <= ns[0] and ns[-1] <= len(values)
+        assert all(part > 1 for _, part in support)
+    for q in set(primes):
+        ref = oracles.p_part_sequence_ref(values, q)
+        least = next((n for n, part in enumerate(ref, start=1) if part > 1), None)
+        assert primes_module._least_index(parts.get(q, [])) == least
+
+
+@settings(max_examples=2 * EXAMPLES)
+@given(localization_inputs())
+def test_support_inversion_matches_reference_on_localized_parts(args):
+    values, primes = args
+    N = len(values)
+    parts = localize(tuple(values), primes)
+    for q in set(primes):
+        ref = oracles.check_realizable_ref(oracles.p_part_sequence_ref(values, q))
+        assert realizability._dold_sign(parts.get(q, []), N) == (ref.dold, ref.sign)
+
+
+@settings(max_examples=2 * EXAMPLES)
+@given(p_part_like(), st.integers(min_value=0, max_value=8))
+def test_support_inversion_matches_reference_on_q_part_shapes(values, ones):
+    # trailing ones: the prefix runs past the last term of its support
+    values = values + [1] * ones
+    support = [(n, v) for n, v in enumerate(values, start=1) if v > 1]
+    ref = oracles.check_realizable_ref(values)
+    assert realizability._dold_sign(support, len(values)) == (ref.dold, ref.sign)
+    assert realizability._orbit_values(support, len(values))[1:] == list(oracles.orbit_counts_ref(values))
 
 
 @settings(max_examples=3 * EXAMPLES)
@@ -184,7 +238,7 @@ def test_localize_errors_match_reference(args, non_primes, zeros):
         if i < len(values):
             values[i] = 0
     primes = list(primes) + non_primes
-    got = outcome(localize, tuple(values), primes)
+    got = outcome(localize_dense, values, primes)
     assert got == outcome(localize_ref, values, primes)
     for q in primes:
         want = outcome(oracles.p_part_sequence_ref, values, q)
@@ -203,7 +257,7 @@ def test_skipped_and_stripped_blocks_meet_at_every_boundary():
             for b in range(6):
                 if pattern >> b & 1:
                     values[min(b * BLOCK + place, N - 1)] *= window[b % 3] ** (b + 1)
-            assert localize(tuple(values), window) == localize_ref(values, window)
+            assert localize_dense(values, window) == localize_ref(values, window)
 
 
 @pytest.mark.parametrize("q", [2, 3, 61, 251])
@@ -214,13 +268,58 @@ def test_q_part_finds_every_valuation_up_to_a_few_hundred(q):
 
 
 def test_localize_strips_each_duplicate_prime_once():
-    assert localize((61, 1, 61**3), [61, 61, 7]) == {61: (61, 1, 61**3)}
+    assert localize((61, 1, 61**3), [61, 61, 7]) == {61: [(1, 61), (3, 61**3)]}
 
 
 def test_all_ones_prefix_passes_everything():
     ref = oracles.check_realizable_ref([1] * 300)
     assert dold_sign((1,) * 300) == (ref.dold, ref.sign)
     assert ref.dold.passed and ref.sign.passed
+
+
+# --- the weak Euler profile, compared support to support -----------------------
+
+
+def test_weak_euler_profile_matches_reference_at_every_odd_prime(e200):
+    for q in oracles.primes_by_trial(3, 400):
+        assert weak_euler_profile_check(q, e200) == oracles.weak_euler_profile_check_ref(q, e200)
+
+
+@st.composite
+def perturbed_profiles(draw):
+    # a prefix with the conjectured q-part profile, q^(1 + ord_q(n)) at the
+    # multiples of (q-1)/2 and 1 elsewhere, times units prime to q, with at
+    # most one term perturbed: a profile part times q, a factor q at a
+    # non-multiple, or a profile part dropped to 1, often the last one of a
+    # prefix that ends at a multiple
+    q = draw(st.sampled_from(oracles.primes_by_trial(3, 80)))
+    half = (q - 1) // 2
+    N = draw(st.integers(min_value=1, max_value=120) | st.integers(1, 120 // half).map(half.__mul__))
+    units = draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=N, max_size=N))
+    values = []
+    for n, unit in enumerate(units, start=1):
+        while unit % q == 0:
+            unit //= q
+        values.append(unit * q * oracles.p_part_sequence_ref((n,), q)[0] if n % half == 0 else unit)
+    multiples = list(range(half, N + 1, half))
+    others = [n for n in range(1, N + 1) if n % half]
+    kinds = ["none"] + ["times q", "dropped"] * bool(multiples) + ["off profile"] * bool(others)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "times q":
+        values[draw(st.sampled_from(multiples)) - 1] *= q
+    elif kind == "dropped":
+        n = draw(st.sampled_from(multiples) | st.just(multiples[-1]))
+        values[n - 1] //= oracles.p_part_sequence_ref((values[n - 1],), q)[0]
+    elif kind == "off profile":
+        values[draw(st.sampled_from(others)) - 1] *= q ** draw(st.integers(min_value=1, max_value=3))
+    return q, Sequence1(values, "e")
+
+
+@settings(max_examples=2 * EXAMPLES)
+@given(perturbed_profiles())
+def test_weak_euler_profile_matches_reference_on_perturbed_profiles(case):
+    q, e = case
+    assert weak_euler_profile_check(q, e) == oracles.weak_euler_profile_check_ref(q, e)
 
 
 SPECS = [catalog_spec(a) for a in OBSERVATION_CATALOG] + [
@@ -235,17 +334,22 @@ def test_reports_match_reference_verdicts(spec, monkeypatch):
     doc = run_experiment(spec)
 
     def reference_localize(values, primes):
-        return {q: oracles.p_part_sequence_ref(values, q) for q in sorted(primes)}
+        return {q: [(n, part) for n, part in enumerate(oracles.p_part_sequence_ref(values, q), start=1)
+                    if part > 1]
+                for q in sorted(primes)}
 
     def reference_dold_sign(values):
         ref = oracles.check_realizable_ref(values)
         return ref.dold, ref.sign
 
+    def reference_support_dold_sign(support, N):
+        return reference_dold_sign(expand(support, N))
+
     def reference_check(seq):
         return oracles.check_realizable_ref(seq.values)
 
     monkeypatch.setattr(experiment, "localize", reference_localize)
-    monkeypatch.setattr(experiment, "dold_sign", reference_dold_sign)
+    monkeypatch.setattr(experiment, "_dold_sign", reference_support_dold_sign)
     monkeypatch.setattr(experiment, "check_realizable", reference_check)
     monkeypatch.setattr(realizability, "dold_sign", reference_dold_sign)
     assert run_experiment(spec) == doc
