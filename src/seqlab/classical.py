@@ -120,27 +120,35 @@ _TANGENT = _Recurrence(2, _bernoulli_from_tangent, 3)  # keeps B_2n, t_n, b_n fo
 _SECANT = _Recurrence(1, lambda j, s: (s,), 1)  # keeps |E_0|, |E_2|, ...
 
 
-def _bernoulli_columns(N: int) -> tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]]:
-    # B_2n, t_n and b_n for n = 1..N at least; the Clausen denominators of
-    # the new columns come first, in one pass
-    _clausen_table(N)
-    return _TANGENT.columns(N - 1)
+def _bernoulli_columns(N: int) -> tuple[tuple, tuple, tuple, tuple]:
+    # B_2n, t_n, b_n and d_n = D_n for n = 1..N at least; the Clausen
+    # denominators of the new columns come first, in one pass
+    d = _clausen_table(N)
+    return (*_TANGENT.columns(N - 1), d)
+
+
+def _builtin(name: str, N: int) -> tuple[int, ...]:
+    # t_1..t_N, b_1..b_N, d_1..d_N or e_1..e_N: a slice of the kept table,
+    # extended first if it is shorter; every caller has refused N < 0
+    if name == "e":
+        return _SECANT.columns(N)[0][1 : N + 1]
+    return _bernoulli_columns(N)["Btbd".index(name)][:N]
 
 
 def tangent_numbers(N: int) -> list[int]:
     """Tangent numbers T_1..T_N (1, 2, 16, 272, ...), exact integers."""
     _at_least("depth", N, 1)
-    out = []  # from the kept B_{2n}: T_n = |B_{2n}| 4^n (4^n - 1) / (2n)
+    out = []  # from the kept B_2n = a / D_n: T_n = |a| 4^n (4^n - 1) / (2n D_n), by shifts
     for n, b in enumerate(_bernoulli_columns(N)[0][:N], start=1):
-        four_n = 1 << (2 * n)
-        out.append(abs(b.numerator) * four_n * (four_n - 1) // (2 * n * b.denominator))
+        x = abs(b.numerator) << (2 * n)
+        out.append(((x << (2 * n)) - x) // (2 * n * b.denominator))
     return out
 
 
 def secant_numbers(N: int) -> list[int]:
     """Secant numbers S_1..S_N = |E_2|, ..., |E_{2N}| (1, 5, 61, 1385, ...)."""
     _at_least("depth", N, 0)
-    return list(_SECANT.columns(N)[0][1 : N + 1])
+    return list(_builtin("e", N))
 
 
 @dataclass(frozen=True)
@@ -192,14 +200,14 @@ def bernoulli_upto(N: int) -> BernoulliTable:
 def euler_upto(N: int) -> EulerTable:
     """Exact E_2, E_4, ..., E_{2N} from the secant numbers."""
     _at_least("depth", N, 1)
-    values = tuple((-1) ** n * s for n, s in enumerate(secant_numbers(N), start=1))
+    values = tuple((-1) ** n * s for n, s in enumerate(_builtin("e", N), start=1))
     return EulerTable(N, values)
 
 
 def sequence_e(N: int) -> Sequence1:
     """The positive Euler sequence e_n = (-1)^n E_{2n} = (1, 5, 61, 1385, ...)."""
     _at_least("depth", N, 1)
-    return Sequence1(tuple(secant_numbers(N)), "e")
+    return Sequence1(_builtin("e", N), "e")
 
 
 def clausen_denominator(n: int) -> int:
@@ -234,9 +242,7 @@ def derived_bernoulli(N: int) -> DerivedBernoulli:
     table, so a request slices them (a deeper one extends both tables first).
     """
     _at_least("depth", N, 1)
-    _, t, b = _bernoulli_columns(N)
-    d = _clausen_table(N)
-    return DerivedBernoulli(N, Sequence1(t[:N], "t"), Sequence1(b[:N], "b"), Sequence1(d[:N], "d"))
+    return DerivedBernoulli(N, *(Sequence1(_builtin(name, N), name) for name in "tbd"))
 
 
 def b_product_formula(n: int) -> int:

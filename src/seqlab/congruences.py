@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .arith import _at_least, _odd_prime, _prime, euler_phi, factorize, is_prime, p_adic
-from .classical import bernoulli_upto, euler_upto, secant_numbers
+from .classical import _SECANT, _bernoulli_columns, bernoulli_upto, euler_upto
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def good_primitive_root(p: int) -> int:
 @lru_cache(maxsize=None)
 def _b_over_2n_mod(k: int, modulus: int) -> int:
     """B_{2k}/2k mod modulus, reduced once per (k, modulus) per process."""
-    return _residue(bernoulli_upto(k).b_over_2n(k), modulus)
+    return _residue(_bernoulli_columns(k)[0][k - 1] / (2 * k), modulus)
 
 
 def kummer_check(p: int, r: int, m: int, n: int) -> CongruenceCheck:
@@ -109,13 +109,9 @@ def kummer_check(p: int, r: int, m: int, n: int) -> CongruenceCheck:
 
 def _young_type(description: str, u: int, modulus: int, n: int, k: int) -> CongruenceCheck:
     """(u^n - 1) B_{2n}/2n = (u^k - 1) B_{2k}/2k (mod modulus)."""
-    table = bernoulli_upto(n)
-    return _compare(
-        description,
-        modulus,
-        (u**n - 1) * table.b_over_2n(n),
-        (u**k - 1) * table.b_over_2n(k),
-    )
+    B = _bernoulli_columns(n)[0]  # B_2, B_4, ..., read in place; 1 <= k < n
+    return _compare(description, modulus, (u**n - 1) * B[n - 1] / (2 * n),
+                    (u**k - 1) * B[k - 1] / (2 * k))
 
 
 def young_check(p: int, n: int) -> CongruenceCheck:
@@ -305,10 +301,11 @@ def euler_additive_check(p: int, r: int, b: int) -> CongruenceCheck:
         raise ValueError(f"b = {b} must be coprime to p = {p}")
     hi = p**r * b
     lo = p ** (r - 1) * b
-    s = secant_numbers(hi)  # E_{2k} = (-1)^k S_k
+    _at_least("depth", hi, 0)  # a negative b, in the words of secant_numbers(hi)
+    s = _SECANT.columns(hi)[0]  # |E_0|, |E_2|, ...; E_{2k} = (-1)^k |E_{2k}|
     mod = p**r
-    lhs = (-1) ** hi * s[hi - 1] % mod
-    rhs = (-1) ** lo * s[lo - 1] % mod
+    lhs = (-1) ** hi * s[hi] % mod
+    rhs = (-1) ** lo * s[lo] % mod
     return CongruenceCheck(
         f"E_{2 * hi} = E_{2 * lo} mod {p}^{r}", mod, lhs, rhs, lhs == rhs
     )

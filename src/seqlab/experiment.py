@@ -123,16 +123,11 @@ def load_sequence(spec: ExperimentSpec) -> Sequence1:
     """
     name = spec.source.strip()
     if name in ("t", "b", "d", "e"):
-        from .classical import derived_bernoulli, sequence_e
+        from .classical import _builtin
 
         # a builtin is computed to depth terms, so a shift needs that many more
         N = BUILTIN_DEPTH if spec.depth is None else spec.depth + spec.shift
-        if name == "e":
-            seq = sequence_e(N)
-        else:
-            der = derived_bernoulli(N)
-            seq = {"t": der.numerators, "b": der.denominators,
-                   "d": der.clausen_denominators}[name]
+        values, label = _builtin(name, N), name
     else:
         if "/" in name or "\\" in name or name.endswith(".txt"):
             with open(name, "r", encoding="utf-8") as fh:
@@ -141,16 +136,18 @@ def load_sequence(spec: ExperimentSpec) -> Sequence1:
             bf = fetch_oeis(name, online=spec.online, fixtures_dir=spec.fixtures_dir,
                             cache_dir=spec.cache_dir)
         seq = to_sequence(bf, policy=spec.offset_policy, absolute=spec.absolute)
+        values, label = seq.values, seq.label
     if spec.scale != 1:
-        seq = Sequence1(tuple(spec.scale * v for v in seq.values), f"{spec.scale}x{seq.label}")
+        values, label = tuple(spec.scale * v for v in values), f"{spec.scale}x{label}"
     if spec.label is not None:
-        seq = seq.relabel(spec.label)
+        label = spec.label
     if spec.shift:
-        seq = shift_sequence(seq, spec.shift)
-    depth = spec.depth if spec.depth is not None else min(len(seq), DEFAULT_DEPTH_CAP)
-    if depth > len(seq):
-        raise DepthError(f"depth {depth} requested, only {len(seq)} terms available")
-    return Sequence1(seq.values[:depth], seq.label or spec.source)
+        seq = shift_sequence(Sequence1(values, label), spec.shift)
+        values, label = seq.values, seq.label
+    depth = spec.depth if spec.depth is not None else min(len(values), DEFAULT_DEPTH_CAP)
+    if depth > len(values):
+        raise DepthError(f"depth {depth} requested, only {len(values)} terms available")
+    return Sequence1(values[:depth], label or spec.source)
 
 
 # Catalogued local-realizability surveys over the bundled fixtures.  Depth is

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import _at_least, _odd_prime, p_adic, primes_in_range
-from .classical import derived_bernoulli, sequence_e
+from .classical import _builtin
 from .errors import DepthError
-from .realizability import Sequence1, Verdict, _dense, check_realizable, localize
+from .realizability import Sequence1, Verdict, _dense, _monotone, localize
 
 BERNOULLI = "bernoulli"
 EULER = "euler"
@@ -84,25 +84,25 @@ def _regularity(q: int, least: int | None) -> Regularity:
     return Regularity(REGULAR)
 
 
-def _classify(kind: str, primes: list[int], a: Sequence1) -> list[PrimeClassification]:
-    """Classify ascending primes from one localization of the prefix a of t or
-    e; the least prime the prefix is too short for is the one refused.
+def _classify(kind: str, primes: list[int], values: tuple[int, ...]) -> list[PrimeClassification]:
+    """Classify ascending primes from one localization of a prefix of t or e;
+    the least prime the prefix is too short for is the one refused.
 
     Bernoulli regularity reads t_1..t_{(q-3)/2}.  The Euler strength of a
     regular prime reads all of e, so the Euler prefix must reach (q-1)/2.
     """
-    depth = len(a)
+    depth = len(values)
     if kind == BERNOULLI:
         late = next((q for q in primes if (q - 3) // 2 > depth), None)
         if late is not None:
             raise DepthError(f"need numerators up to {(late - 3) // 2}, table has {depth}")
-        least = _least_dividing(a.values[: max(0, (primes[-1] - 3) // 2)], primes)
+        least = _least_dividing(values[: max(0, (primes[-1] - 3) // 2)], primes)
         return [PrimeClassification(q, depth, _regularity(q, n)) for q, n in zip(primes, least)]
     late = next((q for q in primes if (q - 1) // 2 > depth), None)
     if late is not None:
         raise DepthError(f"depth {depth} < (q-1)/2 = {(late - 1) // 2}")
     out = []
-    for q, n in zip(primes, _least_dividing(a.values, primes)):
+    for q, n in zip(primes, _least_dividing(values, primes)):
         status = _regularity(q, n)
         if status.status == IRREGULAR:
             strength = EulerStrength(NOT_APPLICABLE)
@@ -118,7 +118,7 @@ def classify_bernoulli(q: int, t: Sequence1) -> Regularity:
     """Bernoulli regularity of an odd prime q >= 3 from a prefix of the
     numerator sequence t, which must reach index (q-3)/2."""
     _odd_prime(q)
-    return _classify(BERNOULLI, [q], t)[0].bernoulli_status
+    return _classify(BERNOULLI, [q], t.values)[0].bernoulli_status
 
 
 def classify_euler(q: int, e: Sequence1) -> tuple[Regularity, EulerStrength]:
@@ -130,7 +130,7 @@ def classify_euler(q: int, e: Sequence1) -> tuple[Regularity, EulerStrength]:
     dividing index, which necessarily sits at or beyond (q-1)/2.
     """
     _odd_prime(q)
-    c = _classify(EULER, [q], e)[0]
+    c = _classify(EULER, [q], e.values)[0]
     return c.euler_status, c.euler_strength
 
 
@@ -151,8 +151,7 @@ def scan_primes(kind: str, q_max: int, depth: int | None = None) -> list[PrimeCl
     if depth is None:
         q = primes[-1]
         depth = max(300, (q - 3) // 2) if kind == BERNOULLI else max(200, (q - 1) // 2)
-    prefix = derived_bernoulli(depth).numerators if kind == BERNOULLI else sequence_e(depth)
-    return _classify(kind, primes, prefix)
+    return _classify(kind, primes, _builtin("t" if kind == BERNOULLI else "e", depth))
 
 
 def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
@@ -162,27 +161,22 @@ def weak_euler_profile_check(q: int, e: Sequence1) -> Verdict:
     otherwise, over the whole prefix: the profile's support is the multiples
     of (q-1)/2, and it is compared with the support ``localize`` returns, so
     the least n whose q-part differs fails, with the part the profile
-    expected.  A prime dividing no term of the prefix (strong regular as far
-    as this depth shows) has the all-ones profile and passes vacuously.  This is evidence gathering for an observed pattern,
-    not a theorem check; callers must not promote a PASS into a property of
-    the infinite sequence.
+    expected: a prefix reaching (q-1)/2 that q divides nowhere fails there.
+    This is evidence gathering for an observed pattern, not a theorem check;
+    callers must not promote a PASS into a property of the infinite sequence.
     """
     _odd_prime(q)
     half = (q - 1) // 2
     N = len(e)
-    support = localize(e.values, (q,)).get(q)
-    if support is None:
-        return Verdict.pass_up_to(N)
+    support = localize(e.values, (q,)).get(q, [])
     # the profile's support is the multiples of half; the least n where the
     # two supports differ, or where they meet with different parts, fails
     m = half  # the least multiple of half not yet met
     for n, actual in support:
         if m < n:
             break
-        if n < m:
-            return Verdict.fail_at(n, actual, N, expected=1)
-        expected = q ** (1 + p_adic(n, q).ord)
-        if actual != expected:
+        expected = 1 if n < m else q ** (1 + p_adic(n, q).ord)
+        if actual != expected:  # always so off the multiples, where actual > 1
             return Verdict.fail_at(n, actual, N, expected=expected)
         m += half
     if m <= N:
@@ -198,14 +192,13 @@ def numerator_local_status(q: int, N: int) -> Verdict:
     """
     _odd_prime(q)
     _at_least("depth", N, 1)
-    t = derived_bernoulli(max(N, (q - 3) // 2)).numerators
-    support = localize(t.values, (q,)).get(q, [])
+    support = localize(_builtin("t", max(N, (q - 3) // 2)), (q,)).get(q, [])
     least = _least_index(support)
     if _regularity(q, least).status == REGULAR:
         if least is not None and least <= N:
             raise RuntimeError(f"regular prime {q} divides numerator at {least}: engine defect")
         return Verdict.pass_up_to(N)
-    monotone = check_realizable(Sequence1(_dense(support, N))).monotone
+    monotone = _monotone(_dense(support, N))
     if monotone.passed:
         raise DepthError(f"no monotonicity witness for irregular prime {q} within N={N}")
     return monotone

@@ -213,12 +213,15 @@ def check_realizable(a: Sequence1) -> RealizabilityReport:
     under divisibility, and it often witnesses local failures more cheaply
     than full inversion.
     """
-    values = a.values
-    N = len(values)
-    dold, sign = dold_sign(values)
+    dold, sign = dold_sign(a.values)
+    return RealizabilityReport(len(a), dold, sign, _monotone(a.values))
+
+
+def _monotone(values) -> Verdict:
     # one pass over multiples: d ascends, so the first d recorded for m is
     # the least proper divisor of m with a_d > a_m; a d no larger than the
     # least of its proper multiples' terms records nothing and is skipped
+    N = len(values)
     bad: dict[int, int] = {}
     for d, ad in enumerate(values[: N // 2], start=1):
         if ad <= min(values[2 * d - 1 :: d]):
@@ -226,12 +229,11 @@ def check_realizable(a: Sequence1) -> RealizabilityReport:
         for m, am in zip(range(2 * d, N + 1, d), values[2 * d - 1 :: d]):
             if ad > am and m not in bad:
                 bad[m] = d
-    monotone = Verdict.pass_up_to(N)
-    if bad:
-        n = min(bad)
-        d = bad[n]
-        monotone = Verdict.fail_at(n, values[n - 1], N, divisor=d, divisor_value=values[d - 1])
-    return RealizabilityReport(N, dold, sign, monotone)
+    if not bad:
+        return Verdict.pass_up_to(N)
+    n = min(bad)
+    d = bad[n]
+    return Verdict.fail_at(n, values[n - 1], N, divisor=d, divisor_value=values[d - 1])
 
 
 def arias_criterion(a: Sequence1) -> Verdict:

@@ -543,21 +543,47 @@ def numerator_local_status_ref(q, N):
 
 def weak_euler_profile_check_ref(q, e):
     """The first n where the q-part of e_n is not q^(1+ord_q(n)) at a multiple
-    of (q-1)/2, or not 1 elsewhere, comparing every term; a prefix that q
-    divides nowhere passes."""
+    of (q-1)/2, or not 1 elsewhere, comparing every term."""
     from seqlab.realizability import Verdict
 
     _odd_prime_ref(q)
     parts = p_part_sequence_ref(e.values, q)
     N = len(parts)
-    if all(part == 1 for part in parts):
-        return Verdict.pass_up_to(N)
     half = (q - 1) // 2
     for n, actual in enumerate(parts, start=1):
         expected = q * p_part_sequence_ref((n,), q)[0] if n % half == 0 else 1
         if actual != expected:
             return Verdict.fail_at(n, actual, N, expected=expected)
     return Verdict.pass_up_to(N)
+
+
+# --- reference builtin loads: the public readers, composed step by step ----
+
+
+def load_builtin_ref(name, depth, shift, scale, label):
+    """(values, label) of a builtin survey prefix, or (ValueError, message):
+    the public reader's result to depth + shift terms (200 without a depth),
+    scaled, relabelled, shifted by ``realizability.shift`` and cut to the
+    depth (at most 400 terms without one)."""
+    from seqlab.classical import derived_bernoulli, sequence_e
+    from seqlab.realizability import Sequence1, shift as shift_sequence
+
+    N = 200 if depth is None else depth + shift
+    if name == "e":
+        seq = sequence_e(N)
+    else:
+        der = derived_bernoulli(N)
+        seq = {"t": der.numerators, "b": der.denominators, "d": der.clausen_denominators}[name]
+    if scale != 1:
+        seq = Sequence1(tuple(scale * v for v in seq.values), f"{scale}x{seq.label}")
+    if label is not None:
+        seq = seq.relabel(label)
+    try:
+        seq = shift_sequence(seq, shift)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    cut = seq.values[: min(len(seq), 400) if depth is None else depth]
+    return cut, seq.label or name
 
 
 # --- reference congruence grids: one full check per grid point, no cut-off --

@@ -121,6 +121,66 @@ def test_shifted_builtin_checks_the_terms_after_the_shift(tmp_path, source, k):
     assert doc == dict(expected, sequence_id=doc["sequence_id"])
 
 
+def count_validations(monkeypatch):
+    """A list that grows by one for each Sequence1 validated from here on."""
+    calls = []
+    post_init = Sequence1.__post_init__
+    monkeypatch.setattr(Sequence1, "__post_init__",
+                        lambda self: calls.append(len(self.values)) or post_init(self))
+    return calls
+
+
+@pytest.mark.parametrize("source", ["t", "b", "d", "e"])
+def test_an_unshifted_builtin_load_validates_one_prefix(monkeypatch, source):
+    # the builtin is a slice of its kept table, and the prefix returned is
+    # the one Sequence1 built
+    spec = ExperimentSpec(source, depth=400)
+    load_sequence(spec)  # warm: the table reaches depth 400
+    calls = count_validations(monkeypatch)
+    seq = load_sequence(spec)
+    assert calls == [400]
+    assert (seq.values, seq.label) == oracles.load_builtin_ref(source, 400, 0, 1, None)
+
+
+@pytest.mark.parametrize("a_number", sorted(OBSERVATION_CATALOG))
+def test_a_catalog_preset_load_validates_at_most_two_prefixes(monkeypatch, a_number):
+    # the b-file's terms, then the prefix returned; scale and label build none
+    load_sequence(OBSERVATION_CATALOG[a_number])
+    calls = count_validations(monkeypatch)
+    load_sequence(OBSERVATION_CATALOG[a_number])
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "euler"])
+def test_a_prime_scan_validates_no_prefix(monkeypatch, kind):
+    from seqlab.primes import scan_primes
+
+    scan_primes(kind, 400)
+    calls = count_validations(monkeypatch)
+    scan_primes(kind, 400)
+    assert calls == []
+
+
+def test_builtin_loads_match_the_public_readers():
+    # values, labels and refusals, against derived_bernoulli / sequence_e
+    # scaled, relabelled and shifted by realizability.shift
+    for source in ("t", "b", "d", "e"):
+        for depth in (1, 17, 200, None):
+            for k in (0, 1, 5, 250):
+                for scale in (1, 3):
+                    for label in (None, "x"):
+                        spec = ExperimentSpec(source, depth=depth, shift=k, scale=scale, label=label)
+                        try:
+                            seq = load_sequence(spec)
+                            got = seq.values, seq.label
+                        except ValueError as exc:
+                            got = ValueError, str(exc)
+                        assert got == oracles.load_builtin_ref(source, depth, k, scale, label), \
+                            (source, depth, k, scale, label)
+    with pytest.raises(ValueError, match="^shift must be <= 199, got 250$"):
+        load_sequence(ExperimentSpec("t", shift=250))
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("scale", 0, "scale must be >= 1"),
     ("scale", -2, "scale must be >= 1"),

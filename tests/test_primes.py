@@ -2,8 +2,9 @@ import pytest
 
 import seqlab.classical
 import seqlab.primes
+import seqlab.realizability
 from seqlab.arith import p_adic, primes_in_range
-from seqlab.classical import DerivedBernoulli, derived_bernoulli, sequence_e
+from seqlab.classical import derived_bernoulli, sequence_e
 from seqlab.errors import DepthError, SeqLabError
 from seqlab.primes import (
     BERNOULLI,
@@ -101,10 +102,13 @@ def test_weak_profile_examples(e200):
 
 
 def test_weak_profile_vacuous_for_strong_prime(e200):
-    # 3 divides no e_n: both sides of the profile are identically 1
+    # 3 and 7 divide no e_n here, but the profile expects q at n = (q-1)/2: a
+    # prefix reaching that index fails there, and a shorter one passes
     e50 = Sequence1(e200.values[:50], "e")
-    assert weak_euler_profile_check(3, e50).passed
-    assert all(p_adic(v, 3).part == 1 for v in e50.values)
+    assert all(p_adic(v, q).part == 1 for v in e50.values for q in (3, 7))
+    assert weak_euler_profile_check(3, e50) == Verdict.fail_at(1, 1, 50, expected=3)
+    assert weak_euler_profile_check(7, e50) == Verdict.fail_at(3, 1, 50, expected=7)
+    assert weak_euler_profile_check(7, Sequence1(e50.values[:2])) == Verdict.pass_up_to(2)
 
 
 def test_numerator_local_status_regular(derived300):
@@ -135,6 +139,18 @@ def test_numerator_local_status_is_the_monotone_verdict_of_the_q_part(N):
             assert numerator_local_status(q, N) == monotone, q
         except DepthError:
             assert monotone.passed, q
+
+
+@pytest.mark.parametrize("q,N", [(37, 32), (59, 150), (691, 400)])
+def test_numerator_local_status_runs_no_inversion(monkeypatch, q, N):
+    # the verdict is the monotone check of the q-part alone, so no Dold/sign
+    # inversion of it is run and discarded
+    calls = []
+    orbit_values = seqlab.realizability._orbit_values
+    monkeypatch.setattr(seqlab.realizability, "_orbit_values",
+                        lambda support, N: calls.append(N) or orbit_values(support, N))
+    assert not numerator_local_status(q, N).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("N", [0, -3])
@@ -269,10 +285,15 @@ def placed(bound, primes, offset, length):
     return tuple(terms)
 
 
-def placed_numerators(primes, offset, length):
-    ones = Sequence1((1,) * length)
-    t = Sequence1(placed(lambda q: (q - 3) // 2, primes, offset, length), "t")
-    return DerivedBernoulli(length, t, ones, ones)
+def plant(monkeypatch, primes, offset, length):
+    """Make the one reader of the builtins, and so every public reader, return
+    t and e with each q dividing first at index bound(q) + offset, where the
+    bound is (q-3)/2 for t and (q-1)/2 for e; b and d are all ones."""
+    tables = {"t": placed(lambda q: (q - 3) // 2, primes, offset, length),
+              "e": placed(lambda q: (q - 1) // 2, primes, offset, length)}
+    for module in (seqlab.classical, seqlab.primes):
+        monkeypatch.setattr(module, "_builtin", lambda name, N: tables.get(name, (1,) * length))
+    return Sequence1(tables["t"], "t"), Sequence1(tables["e"], "e")
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -280,11 +301,7 @@ def test_scan_of_placed_divisors_matches_reference(monkeypatch, offset):
     for q_max in range(2, 90):
         odd = primes_in_range(2, q_max)[1:]
         depth = (q_max - 1) // 2 + 2
-        table = placed_numerators(odd, offset, depth)
-        e = Sequence1(placed(lambda q: (q - 1) // 2, odd, offset, depth), "e")
-        for module in (seqlab.classical, seqlab.primes):
-            monkeypatch.setattr(module, "derived_bernoulli", lambda N: table)
-            monkeypatch.setattr(module, "sequence_e", lambda N: e)
+        plant(monkeypatch, odd, offset, depth)
         for kind in (BERNOULLI, EULER):
             assert scan_primes(kind, q_max, depth) == scan_primes_ref(kind, q_max, depth), \
                 (kind, q_max)
@@ -293,12 +310,8 @@ def test_scan_of_placed_divisors_matches_reference(monkeypatch, offset):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_one_prime_on_placed_divisors_matches_reference(monkeypatch, offset):
     odd = primes_in_range(3, 90)
-    table = placed_numerators(odd, offset, 48)
-    e = Sequence1(placed(lambda q: (q - 1) // 2, odd, offset, 48), "e")
-    for module in (seqlab.classical, seqlab.primes):
-        monkeypatch.setattr(module, "derived_bernoulli", lambda N: table)
+    t, e = plant(monkeypatch, odd, offset, 48)
     for q in odd:
-        t = table.numerators
         assert outcome(classify_bernoulli, q, t) == outcome(classify_bernoulli_ref, q, t), q
         assert outcome(classify_euler, q, e) == outcome(classify_euler_ref, q, e), q
         for N in range(0, 48):
@@ -316,10 +329,10 @@ def test_numerator_local_status_matches_reference():
 @pytest.mark.parametrize("q,N", [(4000, 1), (4001 * 3, 1), (91, 300), (1, 5), (2, 5)])
 def test_numerator_local_status_checks_the_prime_before_building(monkeypatch, q, N):
     # a non-prime q is refused without a Bernoulli table of depth (q-3)/2
-    def unbuilt(N):
-        raise AssertionError("derived_bernoulli called")
+    def unbuilt(name, N):
+        raise AssertionError("_builtin called")
 
-    monkeypatch.setattr(seqlab.primes, "derived_bernoulli", unbuilt)
+    monkeypatch.setattr(seqlab.primes, "_builtin", unbuilt)
     with pytest.raises(ValueError, match=rf"^odd prime expected, got {q}$"):
         numerator_local_status(q, N)
 

@@ -125,6 +125,11 @@ def test_reference_tables_are_the_classical_numbers():
     assert B_REF[:3] == [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42)]
 
 
+def test_tangent_numbers_match_the_one_shot_recurrence_at_depth_1000():
+    # each T_n is rebuilt from the kept B_2n by shifts and one exact division
+    assert tangent_numbers(1000) == tangent_secant_ref(999, 2)
+
+
 def test_returned_values_cannot_reach_the_tables():
     with fresh_tables():
         t, s = tangent_numbers(12), secant_numbers(12)
