@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .arith import _at_least, _odd_prime, _prime, euler_phi, factorize, is_prime, p_adic
-from .classical import _SECANT, _bernoulli_columns, bernoulli_upto, euler_upto
+from .classical import _SECANT, _bernoulli_columns, euler_upto
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def run_oracle_grids(
     if family != "all" and family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     wanted = FAMILIES if family == "all" else (family,)
-    bernoulli_upto(upto)  # refuses upto < 1, whichever families are wanted
+    _at_least("depth", upto, 1)  # whichever families are wanted
     prime_bound = min(max_prime, max(2 * upto - 1, 13))
     odd_primes = [p for p in range(3, prime_bound + 1) if is_prime(p)]
     out: dict[str, list[CongruenceCheck]] = {}
@@ -297,11 +297,11 @@ def euler_additive_check(p: int, r: int, b: int) -> CongruenceCheck:
     """
     _prime(p)
     _at_least("r", r, 1)
+    _at_least("b", b, 1)
     if b % p == 0:
         raise ValueError(f"b = {b} must be coprime to p = {p}")
     hi = p**r * b
     lo = p ** (r - 1) * b
-    _at_least("depth", hi, 0)  # a negative b, in the words of secant_numbers(hi)
     s = _SECANT.columns(hi)[0]  # |E_0|, |E_2|, ...; E_{2k} = (-1)^k |E_{2k}|
     mod = p**r
     lhs = (-1) ** hi * s[hi] % mod

@@ -104,7 +104,7 @@ class ExperimentSpec:
         if self.prime_limit is not None and self.primes is not None:
             # the explicit list would silently drop the limit
             raise ValueError("prime_limit and primes exclude each other; give one of them")
-        for q in self.primes or ():  # before the source is read, as localize
+        for q in self.primes or ():  # before the source is read; localize trusts them
             _prime(q)
 
 

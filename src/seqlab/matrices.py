@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class IntMatrix:
     """Immutable square matrix over the integers.
@@ -14,7 +16,7 @@ class IntMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("IntMatrix must be square and non-empty")

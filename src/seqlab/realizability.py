@@ -12,6 +12,7 @@ check winning a tie.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, prod
@@ -37,7 +38,7 @@ class Sequence1:
     label: str = ""
 
     def __post_init__(self):
-        values = tuple(map(int, self.values))
+        values = tuple(map(operator.index, self.values))
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("Sequence1 needs at least one term")
@@ -272,19 +273,15 @@ def localize(values: tuple[int, ...],
     term some q divides exactly when G = gcd(product of their residues mod P,
     P) exceeds 1; only the terms of such a block get a gcd of their own,
     g = gcd(v mod P, G) = gcd(v, P), and only the q dividing g are stripped
-    from v, by ``_q_part``.  Errors follow the primes in ascending order: a
-    first prime that is not prime raises ValueError; otherwise a zero term
-    raises ZeroEntryError at its least index; otherwise any later non-prime
-    raises ValueError.
+    from v, by ``_q_part``.  The caller proves the primes, which may come
+    repeated and in any order; a zero term raises ZeroEntryError at its least
+    index.
     """
     distinct = sorted(set(primes))
     if not distinct:
         return {}
-    _prime(distinct[0])
     if 0 in values:
         raise ZeroEntryError(values.index(0) + 1)
-    for q in distinct[1:]:
-        _prime(q)
     P = prod(distinct)
     N = len(values)
     residues = [v % P for v in values]
@@ -337,6 +334,7 @@ def _q_part(v: int, q: int) -> int:
 
 def p_part_sequence(a: Sequence1, q: int) -> Sequence1:
     """Entrywise q-part of a strictly positive prefix (localization at q)."""
+    _prime(q)
     parts = _dense(localize(a.values, (q,)).get(q, ()), len(a))
     label = f"{a.label}@{q}" if a.label else f"@{q}"
     return Sequence1(parts, label)

@@ -22,7 +22,7 @@ from seqlab.arith import (
 )
 from seqlab.bfile import normalize_a_number
 from seqlab.congruences import euler_additive_check
-from seqlab.experiment import ExperimentSpec
+from seqlab.experiment import ExperimentSpec, run_experiment
 from seqlab.matrices import IntMatrix
 from oracles import phi_by_count, primes_by_trial
 
@@ -133,8 +133,10 @@ def test_rational_normalization_round_trip(a, b):
     lambda p: torsion_fix_counts(IntMatrix([[2]]), 1, p, 3),
     lambda p: euler_additive_check(p, 1, 1),
     lambda p: p_adic(8, p),
+    # before its zero term: p_part_sequence proves q, as localize takes it proven
+    lambda p: realizability.p_part_sequence(realizability.Sequence1((0, 3)), p),
 ], ids=["smallest_irreducible", "field_generator", "ConstructionParams.create",
-        "torsion_fix_counts", "euler_additive_check", "p_adic"])
+        "torsion_fix_counts", "euler_additive_check", "p_adic", "p_part_sequence"])
 @pytest.mark.parametrize("p", [4, 1])
 def test_every_prime_parameter_refuses_a_non_prime_alike(refuse, p):
     with pytest.raises(ValueError, match=f"^prime expected, got {p}$"):
@@ -182,6 +184,7 @@ BOUNDS = {
     "wagstaff_A(m)": (lambda v: congruences.wagstaff_A(2, v), "m", 1),
     "wagstaff_identity_check": (lambda v: congruences.wagstaff_identity_check(v, 5), "n", 1),
     "euler_additive_check": (lambda v: euler_additive_check(5, v, 1), "r", 1),
+    "euler_additive_check(b)": (lambda v: euler_additive_check(5, 1, v), "b", 1),
     "run_oracle_grids": (lambda v: congruences.run_oracle_grids(upto=v), "depth", 1),
     "ExperimentSpec.depth": (lambda v: ExperimentSpec("e", depth=v), "depth", 1),
     "ExperimentSpec.max_shift": (lambda v: ExperimentSpec("e", max_shift=v), "max_shift", 0),
@@ -250,6 +253,31 @@ def test_every_ceiling_is_refused_in_one_wording(guarded, far):
     value = 10 * most + 7 if far else most + 1
     with pytest.raises(ValueError, match=rf"^{name} must be <= {most}, got {value}$"):
         call(value)
+
+
+# entries that are not ints: each is refused where it enters, never truncated
+NOT_INTEGERS = {
+    "Sequence1(float)": lambda: realizability.Sequence1((1.5, 3.7, 1.2)),
+    "Sequence1(str)": lambda: realizability.Sequence1(("7",)),
+    "Sequence1(Fraction)": lambda: realizability.Sequence1((Fraction(5, 2),)),
+    "IntMatrix(float)": lambda: IntMatrix([[1.9]]),
+    "ExperimentSpec.scale": lambda: run_experiment(
+        ExperimentSpec("e", depth=6, scale=1.5, primes=(61,))),
+}
+
+
+@pytest.mark.parametrize("entered", NOT_INTEGERS)
+def test_entries_that_are_not_integers_are_refused(entered):
+    with pytest.raises(TypeError):
+        NOT_INTEGERS[entered]()
+
+
+def test_integer_entries_are_taken_exactly():
+    big = 10**40 + 1
+    values = realizability.Sequence1((True, False, big)).values
+    assert values == (1, 0, big) and {type(v) for v in values} == {int}
+    rows = IntMatrix([[True, big], [-3, 0]]).rows
+    assert rows == ((1, big), (-3, 0)) and {type(x) for row in rows for x in row} == {int}
 
 
 def test_the_bounds_themselves_are_accepted():

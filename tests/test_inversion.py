@@ -233,14 +233,14 @@ def test_support_inversion_matches_reference_on_q_part_shapes(values, ones):
     st.lists(st.integers(min_value=0, max_value=12 * BLOCK - 1), max_size=2),
 )
 def test_localize_errors_match_reference(args, non_primes, zeros):
+    # localize takes proven primes, so only p_part_sequence meets the non-primes
     values, primes = args
     for i in zeros:
         if i < len(values):
             values[i] = 0
-    primes = list(primes) + non_primes
     got = outcome(localize_dense, values, primes)
     assert got == outcome(localize_ref, values, primes)
-    for q in primes:
+    for q in list(primes) + non_primes:
         want = outcome(oracles.p_part_sequence_ref, values, q)
         got = outcome(lambda: p_part_sequence(Sequence1(values), q).values)
         assert got == want
@@ -269,6 +269,30 @@ def test_q_part_finds_every_valuation_up_to_a_few_hundred(q):
 
 def test_localize_strips_each_duplicate_prime_once():
     assert localize((61, 1, 61**3), [61, 61, 7]) == {61: [(1, 61), (3, 61**3)]}
+
+
+def test_localize_takes_the_primes_its_callers_proved(monkeypatch, derived300, e200):
+    # every caller proves its primes where they enter (the spec, primes_in_range,
+    # _odd_prime), so localize proves none again: with realizability._prime
+    # refusing everything, each result is the one it gives unpatched
+    calls = [
+        lambda: run_experiment(ExperimentSpec("e", depth=40, primes=(2, 5, 61))),
+        lambda: run_experiment(ExperimentSpec("e", depth=40, prime_limit=100)),
+        lambda: primes_module.scan_primes(primes_module.BERNOULLI, 80),
+        lambda: primes_module.scan_primes(primes_module.EULER, 80),
+        lambda: primes_module.classify_bernoulli(37, derived300.numerators),
+        lambda: primes_module.classify_euler(61, e200),
+        lambda: weak_euler_profile_check(5, e200),
+        lambda: primes_module.numerator_local_status(37, 32),
+        lambda: primes_module.numerator_local_status(7, 30),
+    ]
+    want = [call() for call in calls]
+
+    def refuse(q):
+        raise AssertionError(f"prime {q} proved again")
+
+    monkeypatch.setattr(realizability, "_prime", refuse)
+    assert [call() for call in calls] == want
 
 
 def test_all_ones_prefix_passes_everything():

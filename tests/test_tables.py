@@ -119,6 +119,13 @@ def test_any_request_order_matches_the_one_shot_recurrence(order):
             assert actual(name, N) == expected(name, N), (name, N)
 
 
+def test_a_family_that_reads_no_bernoulli_number_builds_no_tangent_table():
+    # staying-alive reads powers of 5 only; run_oracle_grids refuses upto < 1 itself
+    with fresh_tables():
+        congruences.run_oracle_grids(family="staying-alive", upto=200)
+        assert classical._TANGENT._state == (((), (), ()), [])
+
+
 def test_reference_tables_are_the_classical_numbers():
     assert T_REF[:5] == [1, 2, 16, 272, 7936]
     assert S_REF[:5] == [1, 1, 5, 61, 1385]
