@@ -15,11 +15,10 @@ failure is an implementation bug and raises, it is never a data outcome.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Callable, Iterator
 
-from .arith import _at_least, _at_most, _odd_prime, _prime, factorize, p_adic
+from .arith import _at_least, _at_most, _odd_prime, _prime, _record, factorize, p_adic
 from .matrices import IntMatrix
 from .realizability import Sequence1
 
@@ -151,7 +150,7 @@ def field_generator(p: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     raise RuntimeError(f"no generator found for GF({p}^{m})")  # unreachable
 
 
-@dataclass(frozen=True)
+@_record
 class ConstructionParams:
     """Parameters (p, m, k) of an ell-sequence, with q = p^m and c = (q-1)/k."""
 
@@ -288,7 +287,7 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
 # finite groups from Cayley tables
 
 
-@dataclass(frozen=True)
+@_record
 class FiniteGroup:
     """Finite group presented by its full multiplication table.
 
@@ -359,7 +358,7 @@ class FiniteGroup:
         return gens
 
 
-@dataclass(frozen=True)
+@_record
 class Endomorphism:
     """A group self-map respecting multiplication, as the image of each element."""
 

@@ -6,7 +6,7 @@ Primality is deterministic trial division; intended scale is n <= ~10**9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 def is_prime(n: int) -> bool:
@@ -69,7 +69,43 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, as a frozen
+    dataclass does, without the dataclass module and its import of ``inspect``;
+    the generated ``__init__`` ends with ``self.__post_init__()`` if there is one."""
+    names = cls.__match_args__ = tuple(cls.__annotations__)
+    defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
+    env = {"_set": object.__setattr__, **{f"_d_{n}": d for n, d in defaults.items()}}
+    # a mutable default (a dict) is copied for each instance, never shared
+    values = {n: f"{n}.copy() if {n} is _d_{n} else {n}" for n, d in defaults.items() if d.__hash__ is None}
+    params = ", ".join(f"{n}=_d_{n}" if n in defaults else n for n in names)
+    body = "".join(f"\n    _set(self, {n!r}, {values.get(n, n)})" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self, {params}):{body}{post}", env)
+    key = attrgetter(*names) if len(names) > 1 else lambda self, get=attrgetter(*names): (get(self),)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (env["__init__"], __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@_record
 class PAdicPart:
     """p-adic valuation data of an integer: part == p**ord exactly."""
 

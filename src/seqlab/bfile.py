@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import _at_least, _at_most
+from .arith import _at_least, _at_most, _record
 from .errors import (
     BFileError,
     FetchHTTPError,
@@ -34,7 +33,7 @@ DEFAULT_BASE_URL = "https://oeis.org"
 FETCH_TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
+@_record
 class BFile:
     """Parsed b-file: the values at contiguous indices offset, offset + 1, ..."""
 

@@ -22,11 +22,10 @@ Derived sequences, all indexed from 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import _at_least, divisors, is_prime, p_adic, primes_in_range
+from .arith import _at_least, _record, divisors, is_prime, p_adic, primes_in_range
 from .realizability import Sequence1
 
 
@@ -151,7 +150,7 @@ def secant_numbers(N: int) -> list[int]:
     return list(_builtin("e", N))
 
 
-@dataclass(frozen=True)
+@_record
 class BernoulliTable:
     """Even-index Bernoulli numbers B_2, B_4, ..., B_{2*max_index} as Fractions."""
 
@@ -169,7 +168,7 @@ class BernoulliTable:
         return self.B(2 * n) / (2 * n)
 
 
-@dataclass(frozen=True)
+@_record
 class EulerTable:
     """Even-index Euler numbers E_2, E_4, ..., E_{2*max_index}, exact integers."""
 
@@ -220,7 +219,7 @@ def clausen_denominator(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class DerivedBernoulli:
     """Integer sequences derived from |B_{2n}/(2n)| = numerators_n / denominators_n.
 

@@ -12,16 +12,15 @@ are rejected loudly rather than coerced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .arith import _at_least, _odd_prime, _prime, euler_phi, factorize, is_prime, p_adic
+from .arith import _at_least, _odd_prime, _prime, _record, euler_phi, factorize, is_prime, p_adic
 from .classical import _SECANT, _bernoulli_columns, euler_upto
 
 
-@dataclass(frozen=True)
+@_record
 class CongruenceCheck:
     """Two residues modulo ``modulus`` and whether they agree.
 
@@ -236,6 +235,8 @@ def run_oracle_grids(
         raise ValueError(f"unknown family {family!r}")
     wanted = FAMILIES if family == "all" else (family,)
     _at_least("depth", upto, 1)  # whichever families are wanted
+    if {"kummer", "young", "five"} & set(wanted):
+        _bernoulli_columns(upto)  # one extension, not one per index read
     prime_bound = min(max_prime, max(2 * upto - 1, 13))
     odd_primes = [p for p in range(3, prime_bound + 1) if is_prime(p)]
     out: dict[str, list[CongruenceCheck]] = {}

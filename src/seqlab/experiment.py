@@ -14,9 +14,9 @@ human-readable table, all carrying the same information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
 
-from .arith import _at_least, _at_most, _prime, primes_in_range
+from .arith import _at_least, _at_most, _prime, _record, primes_in_range
 from .bfile import SHIFT_TO_1, STRICT, fetch_oeis, parse_bfile, to_sequence
 from .errors import DepthError
 from .realizability import (
@@ -43,7 +43,7 @@ JSON = "json"
 CSV = "csv"
 
 
-@dataclass(frozen=True)
+@_record
 class ExperimentSpec:
     """What to run: the sequence, the depth, the primes, and optional extras.
 
@@ -77,13 +77,20 @@ class ExperimentSpec:
     online: bool = False
 
     def __post_init__(self):
+        primes = None if self.primes is None else tuple(self.primes)  # an iterator is read once
+        numbers = [(n, getattr(self, n)) for n in ("depth", "prime_limit", "max_shift", "shift", "scale")]
+        for name, value in numbers + [("primes", q) for q in primes or ()]:  # before the sort
+            try:
+                operator.index(0 if value is None else value)  # None: no value given
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
             raise ValueError(f"local_checks must be a non-empty subset of "
                              f"{LOCAL_CHECKS}, got {tuple(self.local_checks)}")
         object.__setattr__(self, "local_checks",
                            tuple(name for name in CHECKS if name in self.local_checks))
-        if self.primes is not None:
-            object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
+        if primes is not None:
+            object.__setattr__(self, "primes", tuple(sorted(set(primes))))
         if self.depth is not None:
             # a depth below 1 checks no term, so "pass-up-to" would claim too much
             _at_least("depth", self.depth, 1)
@@ -179,7 +186,7 @@ def catalog_spec(a_number: str, **overrides) -> ExperimentSpec:
     a = normalize_a_number(a_number)
     if a not in OBSERVATION_CATALOG:
         raise ValueError(f"{a} is not in the observation catalog")
-    return replace(OBSERVATION_CATALOG[a], **overrides)
+    return ExperimentSpec(**{**vars(OBSERVATION_CATALOG[a]), **overrides})
 
 
 def _verdict_json(name: str, v: Verdict) -> dict:

@@ -15,9 +15,7 @@ so the least index at which q divides a term is the first n of its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import _at_least, _odd_prime, p_adic, primes_in_range
+from .arith import _at_least, _odd_prime, _record, p_adic, primes_in_range
 from .classical import _builtin
 from .errors import DepthError
 from .realizability import Sequence1, Verdict, _dense, _monotone, localize
@@ -32,7 +30,7 @@ WEAK = "weak"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
+@_record
 class Regularity:
     """Bernoulli or Euler regularity of a prime q: irregular exactly when q
     divides a term a_n with 2n <= q-3, the least such n being the witness."""
@@ -44,7 +42,7 @@ class Regularity:
         return REGULAR if self.status == REGULAR else f"{IRREGULAR}({self.witness})"
 
 
-@dataclass(frozen=True)
+@_record
 class EulerStrength:
     kind: str  # STRONG_UP_TO | WEAK | NOT_APPLICABLE
     bound: int | None = None  # search depth backing a strong verdict
@@ -58,7 +56,7 @@ class EulerStrength:
         return self.kind
 
 
-@dataclass(frozen=True)
+@_record
 class PrimeClassification:
     q: int
     depth: int

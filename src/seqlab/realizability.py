@@ -13,12 +13,11 @@ check winning a tie.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, prod
 from typing import Iterable, Iterator
 
-from .arith import _at_least, _at_most, _prime, factorize, mobius
+from .arith import _at_least, _at_most, _prime, _record, factorize, mobius
 from .errors import ZeroEntryError
 
 PASS = "pass-up-to"
@@ -30,7 +29,7 @@ FAIL = "fail-at"
 CHECKS = ("dold", "sign", "monotone")
 
 
-@dataclass(frozen=True)
+@_record
 class Sequence1:
     """Finite prefix of a non-negative integer sequence, indexed from 1."""
 
@@ -62,7 +61,7 @@ class Sequence1:
         return Sequence1(self.values, label)
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitCounts:
     """Mobius inversion of a sequence prefix; entries may be negative."""
 
@@ -77,7 +76,7 @@ class OrbitCounts:
         return self.values[n - 1]
 
 
-@dataclass(frozen=True)
+@_record
 class Verdict:
     """Outcome of one check over a prefix: pass up to N, or fail at a witness.
 
@@ -90,7 +89,7 @@ class Verdict:
     checked_upto: int
     n: int | None = None
     value: int | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = {}  # _record copies it for each instance
 
     @classmethod
     def pass_up_to(cls, checked_upto: int) -> "Verdict":
@@ -105,7 +104,7 @@ class Verdict:
         return self.status == PASS
 
 
-@dataclass(frozen=True)
+@_record
 class RealizabilityReport:
     """Dold, sign, and divisor-monotonicity verdicts for one prefix."""
 
@@ -273,13 +272,15 @@ def localize(values: tuple[int, ...],
     term some q divides exactly when G = gcd(product of their residues mod P,
     P) exceeds 1; only the terms of such a block get a gcd of their own,
     g = gcd(v mod P, G) = gcd(v, P), and only the q dividing g are stripped
-    from v, by ``_q_part``.  The caller proves the primes, which may come
-    repeated and in any order; a zero term raises ZeroEntryError at its least
-    index.
+    from v, by ``_q_part``.  The caller proves the primes (only one below 2
+    is refused here), which may come repeated and in any order; a zero term
+    raises ZeroEntryError at its least index.
     """
     distinct = sorted(set(primes))
     if not distinct:
         return {}
+    if distinct[0] < 2:  # _q_part(v, 1) would never return
+        raise ValueError(f"prime expected, got {distinct[0]}")
     if 0 in values:
         raise ZeroEntryError(values.index(0) + 1)
     P = prod(distinct)
@@ -353,7 +354,7 @@ def shift(a: Sequence1, k: int) -> Sequence1:
     return Sequence1(a.values[k:], label)
 
 
-@dataclass(frozen=True)
+@_record
 class MagicalReport:
     """Dold and sign verdicts, as (shift, dold, sign), for every shift
     0..max_shift of one prefix."""

@@ -1,11 +1,12 @@
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import seqlab.classical as classical
 import seqlab.congruences
 from seqlab.arith import euler_phi, primes_in_range
 from seqlab.congruences import (
@@ -23,6 +24,7 @@ from seqlab.congruences import (
 )
 from conftest import invoke
 from oracles import run_oracle_grids_ref
+from test_tables import fresh_tables
 
 FAMILIES = ("kummer", "young", "five", "staying-alive", "wagstaff", "euler-additive")
 
@@ -146,7 +148,8 @@ def test_full_grids_hold():
 
 def _rows(grids):
     """Each family's ordered (description, modulus, lhs, rhs, holds) tuples."""
-    return [(family, [astuple(c) for c in checks]) for family, checks in grids.items()]
+    return [(family, [(c.description, c.modulus, c.lhs, c.rhs, c.holds) for c in checks])
+            for family, checks in grids.items()]
 
 
 @pytest.mark.parametrize("grid", [
@@ -164,6 +167,15 @@ def _rows(grids):
 ], ids=repr)
 def test_grids_match_reference(grid):
     assert _rows(run_oracle_grids(**grid)) == _rows(run_oracle_grids_ref(**grid))
+
+
+def test_a_cold_grid_extends_the_bernoulli_table_once():
+    # reading the columns an index at a time re-ran the Clausen pass per index
+    with fresh_tables(), patch.object(classical, "primes_in_range",
+                                      wraps=classical.primes_in_range) as clausen_pass:
+        grid = run_oracle_grids(family="five", upto=200)
+    assert clausen_pass.call_count == 1
+    assert _rows(grid) == _rows(run_oracle_grids_ref(family="five", upto=200))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -60,10 +59,10 @@ def test_load_sequence_returns_the_prefix_the_report_checks(tmp_path):
 def test_catalog_presets_are_frozen_specs():
     before = dict(OBSERVATION_CATALOG)
     preset = OBSERVATION_CATALOG["A000032"]
-    narrowed = dataclasses.replace(preset, depth=10, prime_limit=None, primes=(7,))
+    narrowed = ExperimentSpec(**{**vars(preset), "depth": 10, "prime_limit": None, "primes": (7,)})
     assert catalog_spec("A000032", depth=10, prime_limit=None, primes=(7,)) == narrowed
     assert OBSERVATION_CATALOG == before and preset.depth == 38
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'depth'$"):
         preset.depth = 10
     assert all(spec.local_checks == ("dold",) for spec in OBSERVATION_CATALOG.values())
 
@@ -84,6 +83,7 @@ def test_spec_holds_one_normal_form():
     spec = ExperimentSpec("e", primes=[61, 7, 7], local_checks=["dold"])
     assert (spec.primes, spec.local_checks) == ((7, 61), ("dold",))
     assert ExperimentSpec("e", primes=[7, 7, 61]).primes == (7, 61)
+    assert ExperimentSpec("e", primes=iter([61, 7])).primes == (7, 61)  # an iterator read once
     assert spec == ExperimentSpec("e", primes=(7, 61), local_checks=("dold",))
     assert hash(spec) == hash(ExperimentSpec("e", primes=(7, 61), local_checks=("dold",)))
     # local_checks in CHECKS order without repeats: the same survey is one spec
@@ -204,6 +204,22 @@ def test_spec_refuses_primes_and_max_shift_before_loading(fields, message):
     # only after the source is read
     with pytest.raises(ValueError, match=f"^{message}$"):
         ExperimentSpec(source="A999999", **fields)
+
+
+@pytest.mark.parametrize("fields,name", [
+    (dict(depth=6.0), "depth"),
+    (dict(shift=1.0), "shift"),
+    (dict(scale=1.5), "scale"),
+    (dict(prime_limit=50.0), "prime_limit"),
+    (dict(max_shift=2.0), "max_shift"),
+    (dict(primes=(61.0,)), "primes"),
+    (dict(primes=(7, 61.0)), "primes"),
+], ids=repr)
+def test_spec_refuses_a_non_integer_number_by_name_before_loading(fields, name):
+    # each passed its >= guard or is_prime, and failed only after the source was read
+    value = next(v for v in (*fields.values(), *fields.get("primes", ())) if isinstance(v, float))
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value}$"):
+        run_experiment(ExperimentSpec("no/such/dir/sequence.txt", **fields))
 
 
 def test_local_witness_e61():

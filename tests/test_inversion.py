@@ -11,7 +11,11 @@ ladder, and returns only the support of each q-part.  Verdicts, witnesses,
 q-parts, errors and whole reports must agree.
 """
 
+import os
+import subprocess
+import sys
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +273,19 @@ def test_q_part_finds_every_valuation_up_to_a_few_hundred(q):
 
 def test_localize_strips_each_duplicate_prime_once():
     assert localize((61, 1, 61**3), [61, 61, 7]) == {61: [(1, 61), (3, 61**3)]}
+
+
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_localize_refuses_a_number_below_two_in_bounded_time(q):
+    # _q_part(v, 1) never returns, so the call runs in a child process that
+    # the timeout stops, and a hang fails this test instead of the suite
+    src = str(Path(realizability.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"from seqlab.realizability import localize\nlocalize((5, 10), ({q}, 5))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"ValueError: prime expected, got {q}"
 
 
 def test_localize_takes_the_primes_its_callers_proved(monkeypatch, derived300, e200):

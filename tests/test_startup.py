@@ -5,7 +5,6 @@ long since loaded every module.
 """
 
 import argparse
-import dataclasses
 import inspect
 import json
 import os
@@ -84,14 +83,9 @@ ENGINES = {"seqlab.algebraic", "seqlab.primes", "seqlab.congruences", "seqlab.cl
            "seqlab.matrices"}
 
 
-def loaded_after(code: str) -> set[str]:
-    """The seqlab modules a fresh interpreter holds after running ``code``."""
-    probe = (
-        f"{code}\n"
-        "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'seqlab')),"
-        " file=sys.stderr)\n"
-    )
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
     src = str(Path(seqlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -100,15 +94,24 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-def loaded_after_command(*argv: str) -> set[str]:
-    code = (
+def loaded_after(code: str) -> set[str]:
+    """The seqlab modules a fresh interpreter holds after running ``code``."""
+    return {m for m in modules_after(code) if m.split(".")[0] == "seqlab"}
+
+
+def command(*argv: str) -> str:
+    """Code that runs one seqlab command and requires it to succeed."""
+    return (
         "import seqlab.cli\n"
         "try:\n"
         f"    seqlab.cli.main({list(argv)!r})\n"
         "except SystemExit as exc:\n"
         "    assert not exc.code, exc.code\n"
     )
-    return loaded_after(code)
+
+
+def loaded_after_command(*argv: str) -> set[str]:
+    return loaded_after(command(*argv))
 
 
 def test_import_seqlab_loads_no_submodule():
@@ -127,6 +130,20 @@ def test_a_command_loads_no_click():
         "assert not [m for m in sys.modules if m.split('.')[0] == 'click'], 'click loaded'\n"
     )
     assert "seqlab.experiment" in loaded_after(code)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "A000032", "--upto", "38"),
+    ("regular", "--kind", "bernoulli", "--primes", "30"),
+    ("oracle", "--family", "kummer"),
+    ("groups", "--name", "s3"),
+    ("ell", "--k", "3", "--m", "2", "--p", "2", "--upto", "12"),
+], ids=lambda argv: argv[0])
+def test_a_command_loads_neither_dataclasses_nor_inspect(argv):
+    # against a bare interpreter, since what ``site`` imports differs between machines
+    added = modules_after(command(*argv)) - modules_after("pass")
+    assert "seqlab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_catalog_scan_loads_no_number_or_algebraic_engine():
@@ -201,7 +218,7 @@ def defaulted(qualname: str, func) -> list[str]:
 
 
 def test_the_spec_has_only_the_listed_fields():
-    assert [field.name for field in dataclasses.fields(ExperimentSpec)] == SPEC_FIELDS
+    assert list(ExperimentSpec.__match_args__) == SPEC_FIELDS
 
 
 def test_public_functions_take_only_the_listed_options():
