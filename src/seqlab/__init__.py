@@ -23,7 +23,7 @@ if hasattr(_sys, "set_int_max_str_digits"):
 _EXPORTS = {
     "arith": (
         "PAdicPart", "divisors", "euler_phi", "factorize", "is_prime", "mobius",
-        "p_adic", "p_part", "primes_in_range",
+        "p_adic", "primes_in_range",
     ),
     "bfile": ("BFile", "fetch_oeis", "normalize_a_number", "parse_bfile", "to_sequence"),
     "classical": (

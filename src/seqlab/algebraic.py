@@ -19,6 +19,7 @@ from math import gcd, isqrt
 from typing import Callable, Iterator
 
 from .arith import _at_least, _at_most, _odd_prime, _prime, _record, factorize, p_adic
+from .errors import DegeneratePolynomialError
 from .matrices import IntMatrix
 from .realizability import Sequence1
 
@@ -272,8 +273,6 @@ def torsion_fix_counts(A: IntMatrix, c: int, p: int, N: int) -> Sequence1:
         power = (power * step).mod(mod)
         while (d := (power - I).det() % mod) == 0:
             if mod > (norm ** (c * n) + 1) ** m:
-                from .errors import DegeneratePolynomialError  # loaded only to raise
-
                 raise DegeneratePolynomialError(n)
             K *= 2
             mod = p**K
@@ -336,9 +335,6 @@ class FiniteGroup:
                            if table[table[x][y]][z] != table[x][table[y][z]])
             raise ValueError(f"associativity fails at ({x},{y},{z})")
 
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def generating_set(self) -> list[int]:
         """Small generating set, found greedily: each generator is the least
         element outside the span of the ones before it, and the span grows
@@ -363,9 +359,6 @@ class Endomorphism:
     """A group self-map respecting multiplication, as the image of each element."""
 
     image: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
 
 
 MAX_SEARCH_TUPLES = 2**20

@@ -126,11 +126,6 @@ def p_adic(n: int, p: int) -> PAdicPart:
     return PAdicPart(ord_, part)
 
 
-def p_part(n: int, p: int) -> int:
-    """Shorthand for p_adic(n, p).part."""
-    return p_adic(n, p).part
-
-
 def divisors(n: int) -> list[int]:
     """All divisors of n >= 1, ascending (1 first, n last)."""
     _at_least("n", n, 1)

@@ -163,10 +163,6 @@ class BernoulliTable:
             raise ValueError(f"even index in 2..{2 * self.max_index} expected, got {two_n}")
         return self.values[two_n // 2 - 1]
 
-    def b_over_2n(self, n: int) -> Fraction:
-        """B_{2n} / (2n), the quantity entering the Kummer-type congruences."""
-        return self.B(2 * n) / (2 * n)
-
 
 @_record
 class EulerTable:

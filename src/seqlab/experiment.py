@@ -25,10 +25,10 @@ from .realizability import (
     Verdict,
     _dold_sign,
     _magical_report,
+    _shift_terms,
     check_realizable,
     least_failure,
     localize,
-    shift as shift_sequence,
 )
 
 DEFAULT_DEPTH_CAP = 400
@@ -37,6 +37,8 @@ DEFAULT_PRIME_LIMIT = 200
 BUILTIN_DEPTH = 200
 
 LOCAL_CHECKS = CHECKS[:2]  # the Dold and sign checks, as _dold_sign returns them
+
+_OPTIONAL_NUMBERS = ("depth", "prime_limit", "max_shift")  # the numbers whose default is None
 
 TABLE = "table"
 JSON = "json"
@@ -78,10 +80,10 @@ class ExperimentSpec:
 
     def __post_init__(self):
         primes = None if self.primes is None else tuple(self.primes)  # an iterator is read once
-        numbers = [(n, getattr(self, n)) for n in ("depth", "prime_limit", "max_shift", "shift", "scale")]
+        numbers = [(n, getattr(self, n)) for n in (*_OPTIONAL_NUMBERS, "shift", "scale")]
         for name, value in numbers + [("primes", q) for q in primes or ()]:  # before the sort
             try:
-                operator.index(0 if value is None else value)  # None: no value given
+                operator.index(0 if value is None and name in _OPTIONAL_NUMBERS else value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not self.local_checks or not set(self.local_checks) <= set(LOCAL_CHECKS):
@@ -149,8 +151,7 @@ def load_sequence(spec: ExperimentSpec) -> Sequence1:
     if spec.label is not None:
         label = spec.label
     if spec.shift:
-        seq = shift_sequence(Sequence1(values, label), spec.shift)
-        values, label = seq.values, seq.label
+        values, label = _shift_terms(values, label, spec.shift)
     depth = spec.depth if spec.depth is not None else min(len(values), DEFAULT_DEPTH_CAP)
     if depth > len(values):
         raise DepthError(f"depth {depth} requested, only {len(values)} terms available")

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import operator
 
+from .arith import _at_least, _record
+from .errors import DegeneratePolynomialError
 
+
+@_record
 class IntMatrix:
     """Immutable square matrix over the integers.
 
@@ -13,31 +17,19 @@ class IntMatrix:
     without bound.
     """
 
-    __slots__ = ("n", "rows")
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows):
-        rows = tuple(tuple(map(operator.index, row)) for row in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("IntMatrix must be square and non-empty")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        object.__setattr__(self, "n", n)  # read by every operation, so not a property
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.rows]})"
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check(other)
@@ -74,8 +66,7 @@ class IntMatrix:
     def __pow__(self, k: int, m: int | None = None) -> "IntMatrix":
         """self**k by square and multiply; ``pow(M, k, m)`` reduces every
         product mod m, so its entries stay below m."""
-        if k < 0:  # arith._at_least's words, spelled out: matrices imports no module
-            raise ValueError(f"k must be >= 0, got {k}")
+        _at_least("k", k, 0)
 
         def reduce(M: IntMatrix) -> IntMatrix:
             return M if m is None else M.mod(m)
@@ -161,8 +152,6 @@ def _dets_of_powers_minus_identity(M: IntMatrix, N: int) -> list[int]:
         power = power * M
         d = (power - I).det()
         if d == 0:
-            from .errors import DegeneratePolynomialError  # loaded only to raise
-
             raise DegeneratePolynomialError(n)
         dets.append(d)
     return dets

@@ -57,9 +57,6 @@ class Sequence1:
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
 
-    def relabel(self, label: str) -> "Sequence1":
-        return Sequence1(self.values, label)
-
 
 @_record
 class OrbitCounts:
@@ -112,11 +109,6 @@ class RealizabilityReport:
     dold: Verdict
     sign: Verdict
     monotone: Verdict
-
-    @property
-    def realizable_consistent(self) -> bool:
-        """True when the prefix is consistent with realizability (Dold + sign)."""
-        return self.dold.passed and self.sign.passed
 
     @property
     def verdicts(self) -> tuple[tuple[str, Verdict], ...]:
@@ -348,10 +340,15 @@ def local_report(a: Sequence1, q: int) -> RealizabilityReport:
 
 def shift(a: Sequence1, k: int) -> Sequence1:
     """Drop the first k terms: (a_{1+k}, ..., a_N)."""
+    return Sequence1(*_shift_terms(a.values, a.label, k))
+
+
+def _shift_terms(values, label: str, k: int) -> tuple:
+    """``shift`` on bare terms and a label, as (values, label), for a caller
+    that validates only the prefix it builds from them."""
     _at_least("shift", k, 0)
-    _at_most("shift", k, len(a) - 1)  # a shift must leave a term
-    label = f"{a.label}>>{k}" if k and a.label else a.label
-    return Sequence1(a.values[k:], label)
+    _at_most("shift", k, len(values) - 1)  # a shift must leave a term
+    return values[k:], (f"{label}>>{k}" if k and label else label)
 
 
 @_record

@@ -577,7 +577,7 @@ def load_builtin_ref(name, depth, shift, scale, label):
     if scale != 1:
         seq = Sequence1(tuple(scale * v for v in seq.values), f"{scale}x{seq.label}")
     if label is not None:
-        seq = seq.relabel(label)
+        seq = Sequence1(seq.values, label)
     try:
         seq = shift_sequence(seq, shift)
     except ValueError as exc:
@@ -610,8 +610,8 @@ def kummer_check_ref(p, r, m, n, table=None):
     return _compare(
         f"Kummer: B_{2 * m}/{2 * m} = B_{2 * n}/{2 * n} mod {p}^{r}",
         p**r,
-        table.b_over_2n(m),
-        table.b_over_2n(n),
+        table.B(2 * m) / (2 * m),
+        table.B(2 * n) / (2 * n),
     )
 
 
@@ -632,8 +632,8 @@ def young_check_ref(p, n, table=None):
     g = good_primitive_root(p)
     if table is None:
         table = bernoulli_upto(n)
-    lhs = (Fraction(g) ** (2 * n) - 1) * table.b_over_2n(n)
-    rhs = (Fraction(g) ** (2 * k) - 1) * table.b_over_2n(k)
+    lhs = (Fraction(g) ** (2 * n) - 1) * table.B(2 * n) / (2 * n)
+    rhs = (Fraction(g) ** (2 * k) - 1) * table.B(2 * k) / (2 * k)
     return _compare(
         f"Young: (g^{2 * n}-1)B_{2 * n}/{2 * n} = (g^{2 * k}-1)B_{2 * k}/{2 * k} mod {p}^{r}, g={g}",
         p**r,

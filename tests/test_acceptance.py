@@ -113,14 +113,15 @@ def test_criterion_04_global_realizability(derived300, e200):
 
 def test_criterion_05_local_witnesses(derived300, e200):
     rep = local_report(Sequence1(e200.values[:20], "e"), 61)
-    ok = (rep.dold.n, rep.dold.value) == (9, -60) and not rep.realizable_consistent
+    ok = (rep.dold.n, rep.dold.value) == (9, -60) and not (rep.dold.passed and rep.sign.passed)
     t32 = Sequence1(derived300.numerators.values[:32], "t")
     rep = local_report(t32, 37)
     ok = ok and (rep.sign.n, rep.sign.value) == (32, -36)
     ok = ok and (rep.monotone.detail["divisor"], rep.monotone.n) == (16, 32)
     b150 = Sequence1(derived300.denominators.values[:150], "b")
     for q in primes_in_range(2, 37):
-        ok = ok and local_report(b150, q).realizable_consistent
+        rep = local_report(b150, q)
+        ok = ok and rep.dold.passed and rep.sign.passed
     report(5, ok, "|e|_61 fails at 9 (-60); |t|_37 fails by 32 (sign -36, "
                   "monotone 16|32); |b|_q passes to 150 for q <= 37")
 

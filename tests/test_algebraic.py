@@ -272,8 +272,8 @@ def test_find_realizing_endomorphism_dihedral():
     assert sorted(theta.image) == list(range(8))
     inner = set()
     for g in range(8):
-        ginv = next(h for h in range(8) if d8.mul(g, h) == d8.identity)
-        inner.add(tuple(d8.mul(d8.mul(g, x), ginv) for x in range(8)))
+        ginv = next(h for h in range(8) if d8.table[g][h] == d8.identity)
+        inner.add(tuple(d8.table[d8.table[g][x]][ginv] for x in range(8)))
     assert theta.image not in inner
 
 

@@ -203,7 +203,6 @@ BOUNDS = {
     "FiniteGroup(order)": (lambda v: FiniteGroup(v, (), 0, ()), "order", 1),
     "FiniteGroup(identity)": (lambda v: _z2(identity=v), "identity", 0),
     "normalize_a_number": (normalize_a_number, "a_number", 1),
-    # IntMatrix spells the wording itself: seqlab.matrices imports nothing
     "IntMatrix.__pow__": (lambda v: IntMatrix([[2]]) ** v, "k", 0),
 }
 

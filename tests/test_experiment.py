@@ -142,12 +142,25 @@ def test_an_unshifted_builtin_load_validates_one_prefix(monkeypatch, source):
     assert (seq.values, seq.label) == oracles.load_builtin_ref(source, 400, 0, 1, None)
 
 
-@pytest.mark.parametrize("a_number", sorted(OBSERVATION_CATALOG))
-def test_a_catalog_preset_load_validates_at_most_two_prefixes(monkeypatch, a_number):
-    # the b-file's terms, then the prefix returned; scale and label build none
-    load_sequence(OBSERVATION_CATALOG[a_number])
+@pytest.mark.parametrize("source", ["t", "b", "d", "e"])
+def test_a_shifted_builtin_load_validates_one_prefix(monkeypatch, source):
+    # the shift acts on the terms and label alone, as the scale and the cut do
+    spec = ExperimentSpec(source, depth=400, shift=5)
+    load_sequence(spec)
     calls = count_validations(monkeypatch)
-    load_sequence(OBSERVATION_CATALOG[a_number])
+    seq = load_sequence(spec)
+    assert calls == [400]
+    assert (seq.values, seq.label) == oracles.load_builtin_ref(source, 400, 5, 1, None)
+
+
+@pytest.mark.parametrize("a_number", sorted(OBSERVATION_CATALOG) + ["A000032>>2"])
+def test_a_catalog_preset_load_validates_at_most_two_prefixes(monkeypatch, a_number):
+    # the b-file's terms, then the prefix returned; scale, label and shift build none
+    spec = (catalog_spec("A000032", depth=30, shift=2) if a_number == "A000032>>2"
+            else OBSERVATION_CATALOG[a_number])
+    load_sequence(spec)
+    calls = count_validations(monkeypatch)
+    load_sequence(spec)
     assert len(calls) <= 2
 
 
@@ -214,10 +227,15 @@ def test_spec_refuses_primes_and_max_shift_before_loading(fields, message):
     (dict(max_shift=2.0), "max_shift"),
     (dict(primes=(61.0,)), "primes"),
     (dict(primes=(7, 61.0)), "primes"),
+    (dict(shift=None), "shift"),
+    (dict(scale=None), "scale"),
+    (dict(primes=(7, None)), "primes"),
 ], ids=repr)
 def test_spec_refuses_a_non_integer_number_by_name_before_loading(fields, name):
-    # each passed its >= guard or is_prime, and failed only after the source was read
-    value = next(v for v in (*fields.values(), *fields.get("primes", ())) if isinstance(v, float))
+    # each float passed its >= guard or is_prime, and failed only after the
+    # source was read; each None failed a comparison that named no field
+    value = next(v for v in (*fields.values(), *fields.get("primes", ()))
+                 if not isinstance(v, (int, tuple)))
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value}$"):
         run_experiment(ExperimentSpec("no/such/dir/sequence.txt", **fields))
 

@@ -171,9 +171,9 @@ def test_theorem_b_consistency(derived300):
         classification = classify_bernoulli(q, derived300.numerators)
         rep = local_report(t60, q)
         if classification.status == IRREGULAR:
-            assert not rep.realizable_consistent, q
+            assert not (rep.dold.passed and rep.sign.passed), q
         else:
-            assert rep.realizable_consistent, q
+            assert rep.dold.passed and rep.sign.passed, q
 
 
 def test_regular_primes_localize_trivially(derived300):

@@ -111,7 +111,7 @@ def test_inversion_round_trip(values):
 
 def test_euler_prefix_passes():
     rep = check_realizable(sequence_e(7))
-    assert rep.realizable_consistent
+    assert rep.dold.passed and rep.sign.passed
     assert rep.monotone.passed
     assert rep.checked_upto == 7
 
@@ -125,14 +125,14 @@ def test_shifted_lucas_fails_dold_at_2():
 def test_periodic_sequence_passes():
     values = tuple([1, 1, 1, 1, 6] * 2)
     rep = check_realizable(Sequence1(values))
-    assert rep.realizable_consistent and rep.monotone.passed
+    assert rep.dold.passed and rep.sign.passed and rep.monotone.passed
 
 
 def test_length_one_sequences_vacuously_pass():
     rep = check_realizable(Sequence1((0,)))
-    assert rep.realizable_consistent
+    assert rep.dold.passed and rep.sign.passed
     rep = check_realizable(Sequence1((7,)))
-    assert rep.realizable_consistent
+    assert rep.dold.passed and rep.sign.passed
 
 
 def test_monotone_witness_structure():
@@ -148,7 +148,7 @@ def test_realizable_implies_divisor_monotone():
     for _ in range(100):
         a = realizable_prefix(rng, rng.randrange(1, 40))
         rep = check_realizable(a)
-        assert rep.realizable_consistent
+        assert rep.dold.passed and rep.sign.passed
         assert rep.monotone.passed
 
 
@@ -225,7 +225,7 @@ def test_local_report_euler_61(e200):
     assert (rep.dold.n, rep.dold.value) == (9, -60)
     # the sign condition fails earlier (n = 6, same offending -60)
     assert (rep.sign.n, rep.sign.value) == (6, -60)
-    assert not rep.realizable_consistent
+    assert not (rep.dold.passed and rep.sign.passed)
 
 
 def test_local_report_numerator_37(derived300):
@@ -238,7 +238,8 @@ def test_local_report_numerator_37(derived300):
 def test_local_report_denominators_small_primes(derived300):
     b100 = Sequence1(derived300.denominators.values[:100])
     for q in (2, 3, 5, 7):
-        assert local_report(b100, q).realizable_consistent
+        rep = local_report(b100, q)
+        assert rep.dold.passed and rep.sign.passed
 
 
 # --- shift / magical ---------------------------------------------------------
@@ -376,5 +377,7 @@ def test_global_from_local(values):
             p += 1
         if m > 1:
             relevant.add(m)
-    if all(local_report(a, q).realizable_consistent for q in sorted(relevant)):
-        assert check_realizable(a).realizable_consistent
+    local = (local_report(a, q) for q in sorted(relevant))
+    if all(rep.dold.passed and rep.sign.passed for rep in local):
+        rep = check_realizable(a)
+        assert rep.dold.passed and rep.sign.passed

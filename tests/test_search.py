@@ -39,6 +39,9 @@ from seqlab.realizability import Sequence1
 import oracles
 from conftest import invoke
 
+# the loaded profile's example count: 100, or 1000 under --hypothesis-profile=ci
+EXAMPLES = settings.default.max_examples
+
 
 def _group(order, mul, label):
     table = tuple(tuple(mul(x, y) for y in range(order)) for x in range(order))
@@ -229,7 +232,7 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
                        min_size=n, max_size=n))
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(rows=matrices, p=st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
 def test_det_matches_cofactor_expansion(rows, p):
     # raw entries, and entries reduced below p as construct_matrix passes them
@@ -247,7 +250,7 @@ def test_det_mod_singular_mod_p(p):
     assert M.mod(p).det() % p == 0
 
 
-@settings(max_examples=200)
+@settings(max_examples=2 * EXAMPLES)
 @given(rows=matrices, k=st.integers(0, 40), p=st.sampled_from([2, 3, 5, 7, 101]))
 def test_modular_power_matches_the_exact_power(rows, k, p):
     M = IntMatrix(rows)
@@ -303,7 +306,7 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
                        min_size=n, max_size=n))
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(rows=small_matrices, c=st.integers(1, 4), p=st.sampled_from([2, 3, 5, 7]),
        N=st.integers(1, 8))
 def test_torsion_counts_match_the_exact_determinants(rows, c, p, N):
@@ -399,7 +402,7 @@ def test_a_group_table_is_accepted(G):
     assert _refusal(G.table, G.identity) is None
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(G=st.sampled_from([G for G in UP_TO_12 if G.order > 2]), data=st.data())
 def test_a_swapped_table_is_refused_at_the_least_failing_triple(G, data):
     # two entries of one row swapped, both off the identity's row and column:
@@ -434,7 +437,7 @@ self_maps = st.integers(1, 64).flatmap(lambda n: st.one_of(
     st.permutations(range(n))))
 
 
-@settings(max_examples=300)
+@settings(max_examples=3 * EXAMPLES)
 @given(image=self_maps, N=st.integers(1, 40))
 def test_fix_counts_of_any_self_map_match_the_composed_powers(image, N):
     # fix_counts reads only the order of the group, so any self-map will do

@@ -28,7 +28,7 @@ from seqlab.primes import BERNOULLI, EULER
 # the package exported them.
 EXPORTS = {
     "arith": ["PAdicPart", "divisors", "euler_phi", "factorize", "is_prime", "mobius",
-              "p_adic", "p_part", "primes_in_range"],
+              "p_adic", "primes_in_range"],
     "bfile": ["BFile", "fetch_oeis", "normalize_a_number", "parse_bfile", "to_sequence"],
     "classical": ["BernoulliTable", "DerivedBernoulli", "EulerTable", "b_product_formula",
                   "bernoulli_upto", "clausen_denominator", "derived_bernoulli", "euler_upto",
@@ -167,7 +167,7 @@ def test_reading_a_name_loads_its_module_and_caches_it():
 
 def test_a_submodule_reads_as_an_attribute_of_the_package():
     code = "import seqlab\nassert seqlab.matrices.IntMatrix is seqlab.IntMatrix"
-    assert loaded_after(code) == {"seqlab", "seqlab.matrices"}
+    assert loaded_after(code) == {"seqlab", "seqlab.arith", "seqlab.errors", "seqlab.matrices"}
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

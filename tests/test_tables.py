@@ -244,7 +244,7 @@ def test_shared_tables_match_the_bundled_fixtures(euler_first):
         else:
             table, e = bernoulli_upto(320), sequence_e(120)
     assert e.values == bundled("A000364")
-    quotients = [table.b_over_2n(n) for n in range(1, 321)]
+    quotients = [table.B(2 * n) / (2 * n) for n in range(1, 321)]
     assert tuple(q.numerator for q in quotients) == bundled("A001067")
     assert tuple(q.denominator for q in quotients) == bundled("A006953")
 
